@@ -4,7 +4,7 @@
 //! millions-of-users story needs: sample an N-cell [`Campus`], build its
 //! thresholded [`InterferenceGraph`], carve it into coordination clusters
 //! with [`cluster_greedy`], and evaluate **one supervised work item per
-//! cluster** over the existing work-stealing pool -- panic isolation,
+//! cluster** over the crate's one worker pool -- panic isolation,
 //! deadlines, checkpoint/resume and telemetry all work unchanged because
 //! the cluster units *are* suite topologies.
 //!
@@ -33,10 +33,7 @@
 
 use crate::json::{Obj, ToJson};
 use crate::runner::seed_for;
-use crate::supervisor::{
-    run_suite_journaled_with, run_suite_resumed_with, run_suite_with, SuiteConfig, SuiteReport,
-    TopologyOutcome,
-};
+use crate::supervisor::{self, Journal, SuiteConfig, SuiteReport, TopologyOutcome};
 use crate::telemetry::SuiteTelemetry;
 use copa_channel::campus::{Campus, CampusSampler};
 use copa_channel::{AntennaConfig, Topology};
@@ -418,6 +415,30 @@ fn finish_report(
     }
 }
 
+/// The one body behind the three campus entry points: plan, record the
+/// plan telemetry, then supervise one work item per cluster.
+fn run_campus(
+    cp: &CampusParams,
+    params: &ScenarioParams,
+    scheme: CampusScheme,
+    cfg: &SuiteConfig<'_>,
+    journal: Journal<'_>,
+) -> Result<CampusReport, CopaError> {
+    let plan = plan_campus(cp);
+    if let Some(t) = cfg.telemetry {
+        record_plan_telemetry(&plan, t);
+    }
+    let suite = plan.unit_topologies();
+    let report = supervisor::run(
+        params.seed,
+        &suite,
+        cfg,
+        journal,
+        &campus_eval(&plan, params, scheme, cfg.telemetry),
+    )?;
+    Ok(finish_report(cp, scheme, plan, report))
+}
+
 /// Runs the campus under supervision without checkpointing.
 pub fn run_campus_suite(
     cp: &CampusParams,
@@ -425,17 +446,9 @@ pub fn run_campus_suite(
     scheme: CampusScheme,
     cfg: &SuiteConfig<'_>,
 ) -> CampusReport {
-    let plan = plan_campus(cp);
-    if let Some(t) = cfg.telemetry {
-        record_plan_telemetry(&plan, t);
-    }
-    let suite = plan.unit_topologies();
-    let report = run_suite_with(
-        &suite,
-        cfg,
-        &campus_eval(&plan, params, scheme, cfg.telemetry),
-    );
-    finish_report(cp, scheme, plan, report)
+    run_campus(cp, params, scheme, cfg, Journal::Off)
+        // invariant: only journal IO can fail, and there is none
+        .expect("journal-free supervision cannot fail")
 }
 
 /// Runs the campus under supervision, checkpointing every cluster record
@@ -449,19 +462,7 @@ pub fn run_campus_suite_journaled(
     cfg: &SuiteConfig<'_>,
     prefix: &Path,
 ) -> Result<CampusReport, CopaError> {
-    let plan = plan_campus(cp);
-    if let Some(t) = cfg.telemetry {
-        record_plan_telemetry(&plan, t);
-    }
-    let suite = plan.unit_topologies();
-    let report = run_suite_journaled_with(
-        params.seed,
-        &suite,
-        cfg,
-        prefix,
-        &campus_eval(&plan, params, scheme, cfg.telemetry),
-    )?;
-    Ok(finish_report(cp, scheme, plan, report))
+    run_campus(cp, params, scheme, cfg, Journal::Fresh(prefix))
 }
 
 /// Resumes an interrupted journaled campus run from `prefix`: replayed
@@ -474,19 +475,7 @@ pub fn run_campus_suite_resumed(
     cfg: &SuiteConfig<'_>,
     prefix: &Path,
 ) -> Result<CampusReport, CopaError> {
-    let plan = plan_campus(cp);
-    if let Some(t) = cfg.telemetry {
-        record_plan_telemetry(&plan, t);
-    }
-    let suite = plan.unit_topologies();
-    let report = run_suite_resumed_with(
-        params.seed,
-        &suite,
-        cfg,
-        prefix,
-        &campus_eval(&plan, params, scheme, cfg.telemetry),
-    )?;
-    Ok(finish_report(cp, scheme, plan, report))
+    run_campus(cp, params, scheme, cfg, Journal::Resume(prefix))
 }
 
 #[cfg(test)]

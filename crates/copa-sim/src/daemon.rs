@@ -47,8 +47,9 @@
 use crate::churn::{self, ChurnKind, ChurnSchedule, ChurnSource};
 use crate::journal::{load_journal_raw, JournalWriter};
 use crate::json::{Obj, ToJson};
+use crate::pool;
 use crate::runner::seed_for;
-use crate::supervisor::{MonotonicClock, SuiteClock};
+use crate::supervisor::{resolve_clock, Journal, MonotonicClock, SuiteClock};
 use crate::telemetry::SuiteTelemetry;
 use crate::traffic::{TrafficConfig, TrafficState};
 use copa_channel::evolution::{block_of, ChannelDrift};
@@ -75,7 +76,7 @@ pub struct DaemonConfig<'a> {
     /// Block-to-block channel correlation (see
     /// [`ChannelDrift::RHO_HALF_LIFE`]).
     pub rho: f64,
-    /// Worker threads; cells are partitioned into contiguous chunks.
+    /// Worker threads of the pool; workers claim cells one at a time.
     /// `1` runs inline (the allocation-free soak/bench path).
     pub threads: usize,
     /// Epochs per round: the checkpoint/telemetry cadence.
@@ -860,10 +861,10 @@ fn flush_telemetry(
     };
 }
 
-/// Advances every cell from `from_epoch` to `to_epoch`, partitioning the
-/// cells across `cfg.threads` contiguous chunks. Cells are independent,
-/// so the result is invariant to the thread count; errors resolve to the
-/// lowest-indexed failing cell for the same reason.
+/// Advances every cell from `from_epoch` to `to_epoch` on the pool, one
+/// claimed cell at a time. Cells are independent, so the result is
+/// invariant to the thread count; errors resolve to the lowest-indexed
+/// failing cell for the same reason.
 fn run_round(
     cells: &mut [CellState],
     from_epoch: u64,
@@ -871,48 +872,14 @@ fn run_round(
     ctx: &EpochCtx<'_>,
     cfg: &DaemonConfig<'_>,
 ) -> Result<(), CopaError> {
-    let threads = cfg.threads.max(1).min(cells.len().max(1));
-    if threads <= 1 {
-        for (idx, cell) in cells.iter_mut().enumerate() {
-            for epoch in from_epoch..to_epoch {
-                cell.step(idx, epoch, ctx, cfg)?;
-            }
-        }
-        return Ok(());
-    }
-    let chunk_len = cells.len().div_ceil(threads);
-    let mut first_err: Option<(usize, CopaError)> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = cells
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .map(|(chunk_idx, chunk)| {
-                scope.spawn(move || -> Result<(), (usize, CopaError)> {
-                    let base = chunk_idx * chunk_len;
-                    for (offset, cell) in chunk.iter_mut().enumerate() {
-                        let idx = base + offset;
-                        for epoch in from_epoch..to_epoch {
-                            cell.step(idx, epoch, ctx, cfg).map_err(|e| (idx, e))?;
-                        }
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        for h in handles {
-            // invariant: cell steps never panic past the engine's guards
-            if let Err((idx, e)) = h.join().expect("daemon worker") {
-                match &first_err {
-                    Some((seen, _)) if *seen <= idx => {}
-                    _ => first_err = Some((idx, e)),
-                }
-            }
-        }
-    });
-    match first_err {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
-    }
+    pool::map(
+        cells,
+        cfg.threads,
+        || (),
+        |_, idx, cell| (from_epoch..to_epoch).try_for_each(|epoch| cell.step(idx, epoch, ctx, cfg)),
+    )
+    .into_iter()
+    .collect()
 }
 
 fn build_report(cells: &[CellState], epochs: u64, cfg: &DaemonConfig<'_>) -> DaemonReport {
@@ -953,10 +920,7 @@ fn drive(
         churn,
     };
     let fallback = MonotonicClock::new();
-    let clock: &dyn SuiteClock = match cfg.clock {
-        Some(c) => c,
-        None => &fallback,
-    };
+    let clock = resolve_clock(cfg.clock, &fallback);
     let end = cfg.stop_after.map_or(cfg.epochs, |s| s.min(cfg.epochs));
     let round = cfg.checkpoint_every.max(1);
     let mut flushed = Flushed::default();
@@ -1002,80 +966,36 @@ fn resolve_churn(
         .map(|src| ChurnSchedule::from_source(src, params.seed, suite.len(), cfg.epochs))
 }
 
-/// Runs the daemon without checkpointing: the soak/bench path, and the
-/// baseline for resume byte-identity comparisons.
-pub fn run_daemon(
+/// The one body behind the three daemon entry points: open (or replay)
+/// the journal, build the cells (restoring them from the last valid
+/// checkpoint when resuming), drive the epoch loop, and seal the journal.
+fn run(
     params: &ScenarioParams,
     suite: &[Topology],
     cfg: &DaemonConfig<'_>,
+    journal: Journal<'_>,
 ) -> Result<DaemonReport, CopaError> {
-    let sched = resolve_churn(params, suite, cfg);
-    let mut cells = fresh_cells(params, suite, cfg);
-    let epochs = drive(params, &mut cells, cfg, sched.as_ref(), 0, None)?;
-    Ok(build_report(&cells, epochs, cfg))
-}
-
-/// Runs the daemon, appending an epoch checkpoint to the journal at
-/// `prefix` every round (any previous journal there is wiped first).
-pub fn run_daemon_journaled(
-    params: &ScenarioParams,
-    suite: &[Topology],
-    cfg: &DaemonConfig<'_>,
-    prefix: &Path,
-) -> Result<DaemonReport, CopaError> {
-    let mut writer = JournalWriter::create(
-        prefix,
-        suite.len() as u32,
-        params.seed,
-        cfg.checkpoints_per_segment,
-    )?;
-    let sched = resolve_churn(params, suite, cfg);
-    let mut cells = fresh_cells(params, suite, cfg);
-    let epochs = drive(
-        params,
-        &mut cells,
-        cfg,
-        sched.as_ref(),
-        0,
-        Some(&mut writer),
-    )?;
-    let stats = writer.finish()?;
-    if let Some(t) = cfg.telemetry {
-        t.count(t.journal.records_appended, stats.records_appended);
-        t.count(t.journal.segments_sealed, u64::from(stats.segments_sealed));
-        t.count(t.journal.bytes_written, stats.bytes_written);
-    }
-    Ok(build_report(&cells, epochs, cfg))
-}
-
-/// Resumes a killed daemon from the journal at `prefix`: restores the
-/// last valid checkpoint, replays the deterministic parts (traffic trace,
-/// channel blocks, last CSI exchange) without touching the engine, and
-/// continues to `cfg.epochs`. The final report is byte-identical to the
-/// uninterrupted run's.
-pub fn run_daemon_resumed(
-    params: &ScenarioParams,
-    suite: &[Topology],
-    cfg: &DaemonConfig<'_>,
-    prefix: &Path,
-) -> Result<DaemonReport, CopaError> {
-    let state = load_journal_raw(prefix, suite.len() as u32, params.seed)?;
-    let checkpoint = state
-        .payloads
-        .iter()
-        .rev()
-        .find_map(|p| decode_checkpoint(p, suite.len()));
-    if let Some(t) = cfg.telemetry {
-        t.count(t.journal.records_replayed, state.payloads.len() as u64);
-        t.count(t.journal.salvage_events, u64::from(state.salvage_events));
-    }
-    let mut writer = JournalWriter::resume_raw(
-        prefix,
-        suite.len() as u32,
-        params.seed,
-        cfg.checkpoints_per_segment,
-        &state,
-    )?;
+    let (n, per_segment) = (suite.len() as u32, cfg.checkpoints_per_segment);
+    let (mut writer, checkpoint) = match journal {
+        Journal::Off => (None, None),
+        Journal::Fresh(prefix) => (
+            Some(JournalWriter::create(prefix, n, params.seed, per_segment)?),
+            None,
+        ),
+        Journal::Resume(prefix) => {
+            let state = load_journal_raw(prefix, n, params.seed)?;
+            if let Some(t) = cfg.telemetry {
+                t.journal_replayed(state.payloads.len(), state.salvage_events);
+            }
+            let writer = JournalWriter::resume_raw(prefix, n, params.seed, per_segment, &state)?;
+            let checkpoint = state
+                .payloads
+                .iter()
+                .rev()
+                .find_map(|p| decode_checkpoint(p, suite.len()));
+            (Some(writer), checkpoint)
+        }
+    };
     let sched = resolve_churn(params, suite, cfg);
     let mut cells = fresh_cells(params, suite, cfg);
     let start_epoch = match checkpoint {
@@ -1091,15 +1011,50 @@ pub fn run_daemon_resumed(
         cfg,
         sched.as_ref(),
         start_epoch,
-        Some(&mut writer),
+        writer.as_mut(),
     )?;
-    let stats = writer.finish()?;
-    if let Some(t) = cfg.telemetry {
-        t.count(t.journal.records_appended, stats.records_appended);
-        t.count(t.journal.segments_sealed, u64::from(stats.segments_sealed));
-        t.count(t.journal.bytes_written, stats.bytes_written);
+    if let Some(w) = writer {
+        let stats = w.finish()?;
+        if let Some(t) = cfg.telemetry {
+            t.journal_sealed(&stats);
+        }
     }
     Ok(build_report(&cells, epochs, cfg))
+}
+
+/// Runs the daemon without checkpointing: the soak/bench path, and the
+/// baseline for resume byte-identity comparisons.
+pub fn run_daemon(
+    params: &ScenarioParams,
+    suite: &[Topology],
+    cfg: &DaemonConfig<'_>,
+) -> Result<DaemonReport, CopaError> {
+    run(params, suite, cfg, Journal::Off)
+}
+
+/// Runs the daemon, appending an epoch checkpoint to the journal at
+/// `prefix` every round (any previous journal there is wiped first).
+pub fn run_daemon_journaled(
+    params: &ScenarioParams,
+    suite: &[Topology],
+    cfg: &DaemonConfig<'_>,
+    prefix: &Path,
+) -> Result<DaemonReport, CopaError> {
+    run(params, suite, cfg, Journal::Fresh(prefix))
+}
+
+/// Resumes a killed daemon from the journal at `prefix`: restores the
+/// last valid checkpoint, replays the deterministic parts (traffic trace,
+/// channel blocks, last CSI exchange) without touching the engine, and
+/// continues to `cfg.epochs`. The final report is byte-identical to the
+/// uninterrupted run's.
+pub fn run_daemon_resumed(
+    params: &ScenarioParams,
+    suite: &[Topology],
+    cfg: &DaemonConfig<'_>,
+    prefix: &Path,
+) -> Result<DaemonReport, CopaError> {
+    run(params, suite, cfg, Journal::Resume(prefix))
 }
 
 /// Rebuilds live cell state from a checkpoint taken after `epoch` epochs:

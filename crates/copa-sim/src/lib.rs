@@ -7,7 +7,10 @@
 //! * [`throughput`] -- the topology-suite CDF experiments (Figures 10-13)
 //!   and the multi-decoder comparison (Figure 14).
 //! * [`report`] -- the paper's headline statistics and text rendering.
-//! * [`runner`] -- parallel suite evaluation over std scoped threads.
+//! * `pool` -- the one worker pool every runner maps its items through:
+//!   std scoped threads claiming items from a shared cursor, one state
+//!   per worker, results in item order, per-index seeds.
+//! * [`runner`] -- parallel suite evaluation on the pool.
 //! * [`supervisor`] -- the supervised suite runner: panic isolation,
 //!   per-topology deadlines with bounded-retry backoff, and the
 //!   [`SuiteHealth`] report.
@@ -50,6 +53,7 @@ pub mod episode;
 pub mod figures;
 pub mod journal;
 pub mod json;
+mod pool;
 pub mod report;
 pub mod reuse;
 pub mod runner;

@@ -1,30 +1,26 @@
 //! Parallel evaluation of topology suites.
 //!
 //! Every CDF in the paper is "across topologies", so the basic operation is
-//! mapping the strategy engine over a suite. Evaluations are independent;
-//! std scoped threads pull topology indices from a shared atomic counter
-//! (work stealing), so a handful of slow topologies cannot idle the other
-//! workers the way static chunking could.
+//! mapping the strategy engine over a suite. Evaluations are independent
+//! and run on the crate's one worker pool ([`crate::pool`]): workers claim
+//! topologies one at a time and each owns one reusable engine workspace.
 
+use crate::pool;
 use copa_channel::Topology;
 use copa_core::{CopaError, Engine, EngineWorkspace, EvalRequest, Evaluation, ScenarioParams};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The per-topology params seed: distinct and deterministic per suite
 /// index, so results are byte-identical regardless of thread count or which
 /// worker claims which topology. Shared with the degraded-suite runner so
 /// zero-fault degraded runs are bit-identical to plain evaluation.
 pub(crate) fn seed_for(params: &ScenarioParams, idx: usize) -> u64 {
-    params
-        .seed
-        .wrapping_add(idx as u64)
-        .wrapping_mul(0x9E37_79B9)
+    pool::item_seed(params.seed, idx)
 }
 
 /// Evaluates `suite` in parallel with `threads` workers (results in suite
 /// order), propagating the first failure (in suite order) instead of
 /// panicking. A failed topology does not poison the pool: every worker
-/// records its `Result` and keeps pulling indices. Spawns at most
+/// records its `Result` and keeps claiming topologies. Spawns at most
 /// `suite.len()` workers; an empty suite returns `Ok(vec![])` without
 /// spawning anything.
 pub fn try_evaluate_parallel(
@@ -32,54 +28,15 @@ pub fn try_evaluate_parallel(
     suite: &[Topology],
     threads: usize,
 ) -> Result<Vec<Evaluation>, CopaError> {
-    let n = suite.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let workers = threads.max(1).min(n);
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<Result<Evaluation, CopaError>>> = (0..n).map(|_| None).collect();
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    // One reusable workspace per worker: buffers grow to the
-                    // largest topology shape, then evaluation is alloc-free.
-                    let mut ws = EngineWorkspace::new();
-                    let mut done: Vec<(usize, Result<Evaluation, CopaError>)> = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
-                            break;
-                        }
-                        let mut p = *params;
-                        p.seed = seed_for(params, idx);
-                        let engine = Engine::new(p);
-                        let r =
-                            engine.run(&mut EvalRequest::topology(&suite[idx]).workspace(&mut ws));
-                        done.push((idx, r));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            // invariant: workers return Results rather than panicking
-            for (idx, ev) in h.join().expect("worker panicked") {
-                results[idx] = Some(ev);
-            }
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|r| {
-            // invariant: the atomic counter hands out every index exactly once
-            r.expect("every index was claimed exactly once")
-        })
-        .collect()
+    // One reusable workspace per worker: buffers grow to the largest
+    // topology shape, then evaluation is alloc-free.
+    pool::map(suite, threads, EngineWorkspace::new, |ws, idx, topology| {
+        let mut p = *params;
+        p.seed = seed_for(params, idx);
+        Engine::new(p).run(&mut EvalRequest::topology(topology).workspace(ws))
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Infallible convenience wrapper over [`try_evaluate_parallel`] for suites

@@ -1,21 +1,23 @@
 //! Supervised suite runner: panic isolation, per-topology deadlines with
 //! bounded-retry backoff, and crash-safe checkpoint/resume.
 //!
-//! [`run_suite`] wraps the work-stealing pool of [`crate::runner`] with
-//! three layers of run-level robustness:
+//! [`run_suite`] supervises each topology on whichever worker of the
+//! crate's pool ([`crate::pool`]) claims it, with three layers of
+//! run-level robustness:
 //!
-//! 1. **Panic isolation** -- every topology evaluation runs under
-//!    `catch_unwind`; a panicking worker discards its (possibly corrupt)
-//!    workspace, records a `Panicked` outcome for that one topology, and
-//!    keeps pulling work. One poisoned evaluation costs one topology, not
-//!    the pool.
+//! 1. **Panic isolation** -- every attempt runs under the one
+//!    `catch_unwind` guard [`evaluate_guarded`] also uses; a panicking
+//!    evaluation discards its (possibly corrupt) workspace, records a
+//!    `Panicked` outcome for that one topology, and the worker keeps
+//!    claiming work. One poisoned evaluation costs one topology, not the
+//!    pool.
 //! 2. **Deadline + retry supervision** -- a monotonic clock (injected as
 //!    [`SuiteClock`], so tests stay deterministic) charges each attempt
-//!    against an airtime-proportional deadline. Stragglers are requeued
-//!    with capped exponential backoff; topologies that exhaust the retry
-//!    budget are classified `Abandoned`. Per-worker [`SuiteHealth`]
-//!    partials merge commutatively, so the report is thread-count
-//!    invariant whenever the clock is.
+//!    against an airtime-proportional deadline. A straggler sleeps a
+//!    capped exponential backoff and retries on the same worker;
+//!    topologies that exhaust the retry budget are classified `Abandoned`.
+//!    [`SuiteHealth`] is a fold over the records, so the report is
+//!    thread-count invariant whenever the clock is.
 //! 3. **Checkpoint/resume** -- completed records append to the
 //!    [`crate::journal`]; [`run_suite_resumed`] replays it, skips the
 //!    indices already on disk, and produces byte-identical JSON to an
@@ -23,15 +25,14 @@
 
 use crate::journal::{load_journal, JournalWriter};
 use crate::json::{Obj, ToJson};
+use crate::pool;
 use crate::runner::seed_for;
 use crate::telemetry::SuiteTelemetry;
 use copa_channel::Topology;
 use copa_core::{CopaError, Engine, EngineWorkspace, EvalRequest, ScenarioParams, Strategy};
 use std::any::Any;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -87,15 +88,15 @@ impl SuiteClock for MonotonicClock {
 /// Supervision policy for one suite run.
 #[derive(Clone, Copy)]
 pub struct SuiteConfig<'a> {
-    /// Worker threads (work-stealing, like the plain runner).
+    /// Worker threads of the pool, like the plain runner.
     pub threads: usize,
     /// Deadline per topology is this many microseconds per spatial stream
     /// (airtime-proportional: a 4x2 topology gets twice a 1x1's budget).
     /// `u64::MAX` disables deadline supervision entirely.
     pub deadline_us_per_stream: u64,
-    /// How many times a straggler is requeued before being `Abandoned`.
+    /// How many times a straggler is retried before being `Abandoned`.
     pub max_deadline_retries: u32,
-    /// First requeue backoff; doubles per attempt.
+    /// First retry backoff; doubles per attempt.
     pub backoff_base_us: u64,
     /// Exponential backoff is capped here.
     pub backoff_cap_us: u64,
@@ -167,9 +168,9 @@ pub enum TopologyOutcome {
 pub struct TopologyRecord {
     /// Suite index of the topology.
     pub index: u32,
-    /// Evaluation attempts made (1 unless deadlines forced requeues).
+    /// Evaluation attempts made (1 unless deadlines forced retries).
     pub attempts: u32,
-    /// Total backoff this topology spent queued, microseconds.
+    /// Total backoff this topology slept between retries, microseconds.
     pub backoff_us: u64,
     /// How supervision ended.
     pub outcome: TopologyOutcome,
@@ -209,9 +210,9 @@ impl ToJson for TopologyRecord {
     }
 }
 
-/// Suite-wide supervision accounting. Per-worker partials are merged
-/// commutatively (like `DegradationStats`), so totals are independent of
-/// which worker handled which topology.
+/// Suite-wide supervision accounting: a fold of [`SuiteHealth::absorb`]
+/// over a run's records. Sums and a max do not depend on record order, so
+/// totals are independent of which worker handled which topology.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SuiteHealth {
     /// Topologies that evaluated successfully.
@@ -226,7 +227,7 @@ pub struct SuiteHealth {
     pub failed: u64,
     /// Individual attempts that missed their deadline.
     pub deadline_misses: u64,
-    /// Total backoff spent across all requeues, microseconds.
+    /// Total backoff spent across all retries, microseconds.
     pub backoff_us: u64,
     /// Largest condition number seen among quarantined topologies
     /// (0 when none were quarantined).
@@ -279,21 +280,6 @@ impl SuiteHealth {
             }
         }
     }
-
-    /// Accumulates another worker's partial. Sums and max are commutative
-    /// and associative, so merged totals are thread-count invariant.
-    pub fn merge(&mut self, other: &SuiteHealth) {
-        self.completed += other.completed;
-        self.panicked += other.panicked;
-        self.quarantined += other.quarantined;
-        self.abandoned += other.abandoned;
-        self.failed += other.failed;
-        self.deadline_misses += other.deadline_misses;
-        self.backoff_us += other.backoff_us;
-        if other.max_cond > self.max_cond {
-            self.max_cond = other.max_cond;
-        }
-    }
 }
 
 impl ToJson for SuiteHealth {
@@ -312,7 +298,7 @@ impl ToJson for SuiteHealth {
 }
 
 /// One supervised suite run: the per-topology records (suite order) and
-/// the merged health accounting.
+/// their health accounting.
 #[derive(Clone, Debug)]
 pub struct SuiteReport {
     /// Length of the suite the run was launched over.
@@ -320,7 +306,7 @@ pub struct SuiteReport {
     /// One record per supervised topology, sorted by suite index. An
     /// interrupted run (`stop_after`) holds only the finished prefix.
     pub records: Vec<TopologyRecord>,
-    /// Merged supervision accounting.
+    /// Supervision accounting folded over `records`.
     pub health: SuiteHealth,
 }
 
@@ -346,46 +332,40 @@ fn panic_text(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// Evaluates one topology under `catch_unwind`, converting an unwind into
-/// [`CopaError::WorkerPanic`] and rebuilding the workspace (whose buffers
-/// may hold torn state). This is the exact per-topology wrapper the
-/// supervisor uses; the hotpath bench asserts it adds zero allocations to
-/// a warmed evaluation.
+/// Runs `f` on `ws` under `catch_unwind`. An unwind rebuilds the workspace
+/// (its buffers may hold torn state) and comes back as the panic's text.
+/// The supervisor and [`evaluate_guarded`] isolate panics through this one
+/// guard.
+fn guard<R>(
+    ws: &mut EngineWorkspace,
+    f: impl FnOnce(&mut EngineWorkspace) -> R,
+) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(|| f(ws))).map_err(|payload| {
+        *ws = EngineWorkspace::new();
+        panic_text(payload)
+    })
+}
+
+/// Evaluates one topology under the supervisor's panic guard, converting
+/// an unwind into [`CopaError::WorkerPanic`] and rebuilding the workspace.
+/// The hotpath bench asserts it adds zero allocations to a warmed
+/// evaluation.
 pub fn evaluate_guarded(
     engine: &Engine,
     topology_id: usize,
     topology: &Topology,
     ws: &mut EngineWorkspace,
 ) -> Result<(f64, Strategy), CopaError> {
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
+    guard(ws, |ws| {
         let ev = engine.run(&mut EvalRequest::topology(topology).workspace(ws))?;
         Ok((ev.copa_fair.aggregate_mbps(), ev.copa_fair.strategy))
-    }));
-    match attempt {
-        Ok(result) => result,
-        Err(payload) => {
-            *ws = EngineWorkspace::new();
-            Err(CopaError::WorkerPanic {
-                topology_id,
-                payload: panic_text(payload),
-            })
-        }
-    }
-}
-
-/// A queued evaluation attempt (fresh claims start at `attempt == 0`).
-struct Attempt {
-    idx: usize,
-    attempt: u32,
-    not_before_us: u64,
-    backoff_us: u64,
-}
-
-/// What a worker found when looking for work.
-enum Claim {
-    Work(Attempt),
-    Wait(u64),
-    Exhausted,
+    })
+    .unwrap_or_else(|payload| {
+        Err(CopaError::WorkerPanic {
+            topology_id,
+            payload,
+        })
+    })
 }
 
 /// Deadline for one topology: `deadline_us_per_stream` scaled by its
@@ -403,238 +383,82 @@ fn backoff_us(cfg: &SuiteConfig<'_>, attempt: u32) -> u64 {
         .min(cfg.backoff_cap_us)
 }
 
-/// The work-stealing supervision loop shared by all public entry points.
-/// `done[idx]` marks indices already journaled (skipped on resume);
-/// `journal` receives each record as it completes. Returns the records
-/// produced by this run (append order) and the merged worker health.
-fn supervise<F>(
-    suite: &[Topology],
+/// Supervises topology `idx` on the worker that claimed it: every attempt
+/// runs through [`guard`] and is charged against the topology's deadline;
+/// a miss sleeps its capped exponential backoff and retries here until the
+/// retry budget is spent.
+fn supervise_one<F>(
+    idx: usize,
+    topology: &Topology,
     cfg: &SuiteConfig<'_>,
     clock: &dyn SuiteClock,
-    done: &[bool],
-    journal: Option<&Mutex<JournalWriter>>,
+    ws: &mut EngineWorkspace,
     eval: &F,
-) -> Result<(Vec<TopologyRecord>, SuiteHealth), CopaError>
+) -> TopologyRecord
 where
     F: Fn(usize, &Topology, &mut EngineWorkspace) -> Result<(f64, Strategy), CopaError> + Sync,
 {
-    let n = suite.len();
-    let limit = cfg.stop_after.unwrap_or(n).min(n);
-    let deadlines: Vec<u64> = suite.iter().map(|t| deadline_us(cfg, t)).collect();
-    let next = AtomicUsize::new(0);
-    let active = AtomicUsize::new(0);
-    let retries: Mutex<VecDeque<Attempt>> = Mutex::new(VecDeque::new());
-    let journal_err: Mutex<Option<CopaError>> = Mutex::new(None);
-    let workers = cfg.threads.max(1).min(limit.max(1));
-
-    let claim = || -> Claim {
-        {
-            // invariant: no code path panics while holding this lock
-            let mut q = retries.lock().expect("retry queue lock");
-            if let Some(front) = q.front() {
-                if front.not_before_us <= clock.now_us() {
-                    // Claim the retry while still holding the lock so the
-                    // `active` count never under-reports in-flight work.
-                    active.fetch_add(1, Ordering::SeqCst);
-                    if let Some(a) = q.pop_front() {
-                        return Claim::Work(a);
-                    }
-                }
+    let deadline = deadline_us(cfg, topology);
+    let mut attempt = 0;
+    let mut backoff = 0;
+    let outcome = loop {
+        let start = clock.now_us();
+        let result = guard(ws, |ws| eval(idx, topology, ws));
+        let elapsed = clock.attempt_us(idx, attempt, start, clock.now_us());
+        // Panics bypass the deadline check entirely.
+        let missed = result.is_ok() && elapsed > deadline;
+        if let Some(t) = cfg.telemetry {
+            t.sample(t.suite.attempt_us, elapsed);
+            if missed {
+                t.count(t.suite.deadline_misses, 1);
+            } else if result.is_ok() && deadline != u64::MAX {
+                t.sample(t.suite.deadline_margin_us, deadline - elapsed);
             }
         }
-        loop {
-            let idx = next.fetch_add(1, Ordering::Relaxed);
-            if idx >= limit {
-                break;
+        if missed && attempt < cfg.max_deadline_retries {
+            let pause = backoff_us(cfg, attempt);
+            if let Some(t) = cfg.telemetry {
+                t.count(t.suite.requeues, 1);
             }
-            if done[idx] {
-                continue;
-            }
-            active.fetch_add(1, Ordering::SeqCst);
-            return Claim::Work(Attempt {
-                idx,
-                attempt: 0,
-                not_before_us: 0,
-                backoff_us: 0,
-            });
+            clock.sleep_us(pause);
+            backoff += pause;
+            attempt += 1;
+            continue;
         }
-        // Main queue exhausted. Checking `active` before the retry queue
-        // closes the race with a worker that is about to requeue: pushes
-        // happen before the `active` decrement.
-        let anyone_active = active.load(Ordering::SeqCst) > 0;
-        let earliest = {
-            // invariant: no code path panics while holding this lock
-            let q = retries.lock().expect("retry queue lock");
-            q.front().map(|a| a.not_before_us)
+        break match result {
+            // No retry: a panic is a bug, not a transient.
+            Err(payload) => TopologyOutcome::Panicked { payload },
+            Ok(_) if missed => TopologyOutcome::Abandoned,
+            Ok(Ok((mbps, strategy))) => TopologyOutcome::Done { mbps, strategy },
+            Ok(Err(CopaError::SingularChannel {
+                context,
+                subcarrier,
+                cond,
+            })) => TopologyOutcome::Quarantined {
+                context: context.to_string(),
+                subcarrier: subcarrier as u32,
+                cond,
+            },
+            Ok(Err(e)) => TopologyOutcome::Failed {
+                error: e.to_string(),
+            },
         };
-        match earliest {
-            Some(t) => Claim::Wait(t.saturating_sub(clock.now_us()).clamp(1, 1_000)),
-            None if anyone_active => Claim::Wait(100),
-            None => Claim::Exhausted,
-        }
     };
-
-    let mut worker_outputs: Vec<(Vec<TopologyRecord>, SuiteHealth)> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ws = EngineWorkspace::new();
-                    let mut records: Vec<TopologyRecord> = Vec::new();
-                    let mut health = SuiteHealth::default();
-                    loop {
-                        let a = match claim() {
-                            Claim::Work(a) => a,
-                            Claim::Wait(us) => {
-                                clock.sleep_us(us);
-                                continue;
-                            }
-                            Claim::Exhausted => break,
-                        };
-                        let idx = a.idx;
-                        let start = clock.now_us();
-                        let attempt_result =
-                            catch_unwind(AssertUnwindSafe(|| eval(idx, &suite[idx], &mut ws)));
-                        let elapsed = clock.attempt_us(idx, a.attempt, start, clock.now_us());
-                        let panicked = attempt_result.is_err();
-                        let record = match attempt_result {
-                            Err(payload) => {
-                                // The unwound evaluation may have left the
-                                // workspace buffers torn: rebuild, record,
-                                // move on. No retry -- a panic is a bug,
-                                // not a transient.
-                                ws = EngineWorkspace::new();
-                                Some(TopologyOutcome::Panicked {
-                                    payload: panic_text(payload),
-                                })
-                            }
-                            Ok(_) if elapsed > deadlines[idx] => {
-                                if a.attempt >= cfg.max_deadline_retries {
-                                    Some(TopologyOutcome::Abandoned)
-                                } else {
-                                    let pause = backoff_us(cfg, a.attempt);
-                                    let depth = {
-                                        // invariant: no code path panics while holding this lock
-                                        let mut q = retries.lock().expect("retry queue lock");
-                                        q.push_back(Attempt {
-                                            idx,
-                                            attempt: a.attempt + 1,
-                                            not_before_us: clock.now_us() + pause,
-                                            backoff_us: a.backoff_us + pause,
-                                        });
-                                        q.len() as u64
-                                    };
-                                    if let Some(t) = cfg.telemetry {
-                                        t.count(t.suite.requeues, 1);
-                                        t.sample(t.suite.queue_depth, depth);
-                                    }
-                                    None
-                                }
-                            }
-                            Ok(Ok((mbps, strategy))) => {
-                                Some(TopologyOutcome::Done { mbps, strategy })
-                            }
-                            Ok(Err(CopaError::SingularChannel {
-                                context,
-                                subcarrier,
-                                cond,
-                            })) => Some(TopologyOutcome::Quarantined {
-                                context: context.to_string(),
-                                subcarrier: subcarrier as u32,
-                                cond,
-                            }),
-                            Ok(Err(e)) => Some(TopologyOutcome::Failed {
-                                error: e.to_string(),
-                            }),
-                        };
-                        if let Some(t) = cfg.telemetry {
-                            t.sample(t.suite.attempt_us, elapsed);
-                            // Panics bypass the deadline check entirely.
-                            if !panicked && deadlines[idx] != u64::MAX {
-                                if elapsed > deadlines[idx] {
-                                    t.count(t.suite.deadline_misses, 1);
-                                } else {
-                                    t.sample(t.suite.deadline_margin_us, deadlines[idx] - elapsed);
-                                }
-                            }
-                            if let Some(outcome) = &record {
-                                t.count(
-                                    match outcome {
-                                        TopologyOutcome::Done { .. } => t.suite.completed,
-                                        TopologyOutcome::Panicked { .. } => t.suite.panicked,
-                                        TopologyOutcome::Quarantined { .. } => t.suite.quarantined,
-                                        TopologyOutcome::Abandoned => t.suite.abandoned,
-                                        TopologyOutcome::Failed { .. } => t.suite.failed,
-                                    },
-                                    1,
-                                );
-                            }
-                        }
-                        if let Some(outcome) = record {
-                            let rec = TopologyRecord {
-                                index: idx as u32,
-                                attempts: a.attempt + 1,
-                                backoff_us: a.backoff_us,
-                                outcome,
-                            };
-                            if let Some(j) = journal {
-                                // invariant: no code path panics while holding this lock
-                                let append = j.lock().expect("journal lock").append(&rec);
-                                if let Err(e) = append {
-                                    // invariant: no code path panics while holding this lock
-                                    journal_err
-                                        .lock()
-                                        .expect("journal error slot")
-                                        .get_or_insert(e);
-                                }
-                            }
-                            health.absorb(&rec);
-                            records.push(rec);
-                        }
-                        active.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    (records, health)
-                })
-            })
-            .collect();
-        for h in handles {
-            // invariant: worker panics are caught per-evaluation
-            worker_outputs.push(h.join().expect("supervised worker"));
-        }
-    });
-
-    // invariant: no code path panics while holding this lock
-    if let Some(e) = journal_err.lock().expect("journal error slot").take() {
-        return Err(e);
+    if let Some(t) = cfg.telemetry {
+        let counter = match outcome {
+            TopologyOutcome::Done { .. } => t.suite.completed,
+            TopologyOutcome::Panicked { .. } => t.suite.panicked,
+            TopologyOutcome::Quarantined { .. } => t.suite.quarantined,
+            TopologyOutcome::Abandoned => t.suite.abandoned,
+            TopologyOutcome::Failed { .. } => t.suite.failed,
+        };
+        t.count(counter, 1);
     }
-    let mut records = Vec::new();
-    let mut health = SuiteHealth::default();
-    for (rs, hl) in worker_outputs {
-        records.extend(rs);
-        health.merge(&hl);
-    }
-    Ok((records, health))
-}
-
-/// Builds the final report: prior (journaled) records first, then this
-/// run's, sorted by suite index with first-record-wins deduplication.
-fn build_report(
-    suite_len: usize,
-    prior: Vec<TopologyRecord>,
-    fresh: Vec<TopologyRecord>,
-    mut health: SuiteHealth,
-) -> SuiteReport {
-    let mut records = prior;
-    for r in &records {
-        health.absorb(r);
-    }
-    records.extend(fresh);
-    records.sort_by_key(|r| r.index);
-    records.dedup_by_key(|r| r.index);
-    SuiteReport {
-        suite_len,
-        records,
-        health,
+    TopologyRecord {
+        index: idx as u32,
+        attempts: attempt + 1,
+        backoff_us: backoff,
+        outcome,
     }
 }
 
@@ -660,11 +484,99 @@ fn default_eval<'p>(
     }
 }
 
-fn resolve_clock<'a>(cfg: &SuiteConfig<'a>, fallback: &'a MonotonicClock) -> &'a dyn SuiteClock {
-    match cfg.clock {
+/// The injected clock, or real time from `fallback`.
+pub(crate) fn resolve_clock<'a>(
+    clock: Option<&'a dyn SuiteClock>,
+    fallback: &'a MonotonicClock,
+) -> &'a dyn SuiteClock {
+    match clock {
         Some(c) => c,
         None => fallback,
     }
+}
+
+/// Where a run checkpoints: nowhere, a fresh journal at a prefix (any
+/// previous journal there is wiped first), or the journal a killed run
+/// left at a prefix.
+pub(crate) enum Journal<'p> {
+    Off,
+    Fresh(&'p Path),
+    Resume(&'p Path),
+}
+
+/// The one body behind every suite entry point. Replays the journal when
+/// resuming, supervises every not-yet-recorded index below `stop_after`
+/// on the pool (appending each record to the journal as it finishes),
+/// seals the journal, and assembles the report: prior records and this
+/// run's, sorted by suite index, with health folded over them. `seed`
+/// keys the journal header so a resume against different params is
+/// rejected.
+pub(crate) fn run<F>(
+    seed: u64,
+    suite: &[Topology],
+    cfg: &SuiteConfig<'_>,
+    journal: Journal<'_>,
+    eval: &F,
+) -> Result<SuiteReport, CopaError>
+where
+    F: Fn(usize, &Topology, &mut EngineWorkspace) -> Result<(f64, Strategy), CopaError> + Sync,
+{
+    let (n, per_segment) = (suite.len() as u32, cfg.records_per_segment);
+    let (mut records, writer) = match journal {
+        Journal::Off => (Vec::new(), None),
+        Journal::Fresh(prefix) => (
+            Vec::new(),
+            Some(JournalWriter::create(prefix, n, seed, per_segment)?),
+        ),
+        Journal::Resume(prefix) => {
+            let state = load_journal(prefix, n, seed)?;
+            if let Some(t) = cfg.telemetry {
+                t.journal_replayed(state.records.len(), state.salvage_events);
+            }
+            let writer = JournalWriter::resume(prefix, n, seed, per_segment, &state)?;
+            (state.records, Some(writer))
+        }
+    };
+    let mut done = vec![false; suite.len()];
+    for r in &records {
+        if let Some(slot) = done.get_mut(r.index as usize) {
+            *slot = true;
+        }
+    }
+    let limit = cfg.stop_after.map_or(suite.len(), |s| s.min(suite.len()));
+    let todo: Vec<usize> = (0..limit).filter(|&idx| !done[idx]).collect();
+    let fallback = MonotonicClock::new();
+    let clock = resolve_clock(cfg.clock, &fallback);
+    let journal = writer.map(Mutex::new);
+    let fresh = pool::map(todo, cfg.threads, EngineWorkspace::new, |ws, _, idx| {
+        let rec = supervise_one(idx, &suite[idx], cfg, clock, ws, eval);
+        match &journal {
+            // invariant: no code path panics while holding this lock
+            Some(j) => j.lock().expect("journal lock").append(&rec).map(|()| rec),
+            None => Ok(rec),
+        }
+    });
+    for rec in fresh {
+        records.push(rec?);
+    }
+    if let Some(j) = journal {
+        // invariant: the pool has joined every worker; the lock is free
+        let stats = j.into_inner().expect("journal lock").finish()?;
+        if let Some(t) = cfg.telemetry {
+            t.journal_sealed(&stats);
+        }
+    }
+    records.sort_by_key(|r| r.index);
+    records.dedup_by_key(|r| r.index);
+    let health = records.iter().fold(SuiteHealth::default(), |mut h, r| {
+        h.absorb(r);
+        h
+    });
+    Ok(SuiteReport {
+        suite_len: suite.len(),
+        records,
+        health,
+    })
 }
 
 /// Runs `suite` under supervision without checkpointing.
@@ -683,13 +595,9 @@ pub fn run_suite_with<F>(suite: &[Topology], cfg: &SuiteConfig<'_>, eval: &F) ->
 where
     F: Fn(usize, &Topology, &mut EngineWorkspace) -> Result<(f64, Strategy), CopaError> + Sync,
 {
-    let fallback = MonotonicClock::new();
-    let clock = resolve_clock(cfg, &fallback);
-    let done = vec![false; suite.len()];
-    let (records, health) = supervise(suite, cfg, clock, &done, None, eval)
-        // invariant: supervise only fails on journal IO, and there is none
-        .expect("journal-free supervision cannot fail");
-    build_report(suite.len(), Vec::new(), records, health)
+    run(0, suite, cfg, Journal::Off, eval)
+        // invariant: only journal IO can fail, and there is none
+        .expect("journal-free supervision cannot fail")
 }
 
 /// Runs `suite` under supervision, checkpointing every record to the
@@ -700,29 +608,8 @@ pub fn run_suite_journaled(
     cfg: &SuiteConfig<'_>,
     prefix: &Path,
 ) -> Result<SuiteReport, CopaError> {
-    run_suite_journaled_with(
-        params.seed,
-        suite,
-        cfg,
-        prefix,
-        &default_eval(params, cfg.telemetry),
-    )
-}
-
-/// [`run_suite_journaled`] with a caller-supplied evaluation. `seed` keys
-/// the journal header so a resume against different params is rejected.
-pub fn run_suite_journaled_with<F>(
-    seed: u64,
-    suite: &[Topology],
-    cfg: &SuiteConfig<'_>,
-    prefix: &Path,
-    eval: &F,
-) -> Result<SuiteReport, CopaError>
-where
-    F: Fn(usize, &Topology, &mut EngineWorkspace) -> Result<(f64, Strategy), CopaError> + Sync,
-{
-    let writer = JournalWriter::create(prefix, suite.len() as u32, seed, cfg.records_per_segment)?;
-    journaled(seed, suite, cfg, Vec::new(), writer, eval)
+    let eval = default_eval(params, cfg.telemetry);
+    run(params.seed, suite, cfg, Journal::Fresh(prefix), &eval)
 }
 
 /// Replays the journal at `prefix`, skips every topology already recorded
@@ -735,80 +622,15 @@ pub fn run_suite_resumed(
     cfg: &SuiteConfig<'_>,
     prefix: &Path,
 ) -> Result<SuiteReport, CopaError> {
-    run_suite_resumed_with(
-        params.seed,
-        suite,
-        cfg,
-        prefix,
-        &default_eval(params, cfg.telemetry),
-    )
-}
-
-/// [`run_suite_resumed`] with a caller-supplied evaluation.
-pub fn run_suite_resumed_with<F>(
-    seed: u64,
-    suite: &[Topology],
-    cfg: &SuiteConfig<'_>,
-    prefix: &Path,
-    eval: &F,
-) -> Result<SuiteReport, CopaError>
-where
-    F: Fn(usize, &Topology, &mut EngineWorkspace) -> Result<(f64, Strategy), CopaError> + Sync,
-{
-    let state = load_journal(prefix, suite.len() as u32, seed)?;
-    if let Some(t) = cfg.telemetry {
-        t.count(t.journal.records_replayed, state.records.len() as u64);
-        t.count(t.journal.salvage_events, u64::from(state.salvage_events));
-    }
-    let writer = JournalWriter::resume(
-        prefix,
-        suite.len() as u32,
-        seed,
-        cfg.records_per_segment,
-        &state,
-    )?;
-    journaled(seed, suite, cfg, state.records, writer, eval)
-}
-
-/// Shared tail of the journaled entry points: supervise the not-yet-done
-/// indices, seal the journal, and assemble the combined report.
-fn journaled<F>(
-    _seed: u64,
-    suite: &[Topology],
-    cfg: &SuiteConfig<'_>,
-    prior: Vec<TopologyRecord>,
-    writer: JournalWriter,
-    eval: &F,
-) -> Result<SuiteReport, CopaError>
-where
-    F: Fn(usize, &Topology, &mut EngineWorkspace) -> Result<(f64, Strategy), CopaError> + Sync,
-{
-    let fallback = MonotonicClock::new();
-    let clock = resolve_clock(cfg, &fallback);
-    let mut done = vec![false; suite.len()];
-    for r in &prior {
-        if let Some(slot) = done.get_mut(r.index as usize) {
-            *slot = true;
-        }
-    }
-    let journal = Mutex::new(writer);
-    let (records, health) = supervise(suite, cfg, clock, &done, Some(&journal), eval)?;
-    // invariant: supervise has joined every worker; the lock is free
-    let writer = journal.into_inner().expect("journal lock");
-    let stats = writer.finish()?;
-    if let Some(t) = cfg.telemetry {
-        t.count(t.journal.records_appended, stats.records_appended);
-        t.count(t.journal.segments_sealed, u64::from(stats.segments_sealed));
-        t.count(t.journal.bytes_written, stats.bytes_written);
-    }
-    Ok(build_report(suite.len(), prior, records, health))
+    let eval = default_eval(params, cfg.telemetry);
+    run(params.seed, suite, cfg, Journal::Resume(prefix), &eval)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use copa_channel::{AntennaConfig, TopologySampler};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn suite(n: usize) -> Vec<Topology> {
         TopologySampler::default().suite(0x5AFE, n, AntennaConfig::CONSTRAINED_4X2)
@@ -1034,14 +856,21 @@ mod tests {
     #[test]
     fn evaluate_guarded_converts_panics_and_rebuilds_workspace() {
         let s = suite(1);
-        let params = ScenarioParams::default();
-        let engine = Engine::new(params);
+        let other = TopologySampler::default().suite(0x5AFF, 1, AntennaConfig::OVERCONSTRAINED_3X2);
+        let engine = Engine::new(ScenarioParams::default());
         let mut ws = EngineWorkspace::new();
-        let ok = evaluate_guarded(&engine, 0, &s[0], &mut ws).expect("valid topology");
-        assert!(ok.0 > 0.0);
-        // A panic inside the guard (simulated via a poisoned engine run is
-        // hard to trigger here, so go through the closure directly).
-        let r = catch_unwind(AssertUnwindSafe(|| panic!("boom")));
-        assert_eq!(panic_text(r.expect_err("panicked")), "boom");
+        // Dirty the workspace with a differently shaped evaluation, then
+        // unwind out of the real guard mid-use.
+        let caught = guard(&mut ws, |ws| {
+            let _ = engine.run(&mut EvalRequest::topology(&other[0]).workspace(ws));
+            panic!("boom");
+        });
+        assert_eq!(caught.expect_err("the guard caught the unwind"), "boom");
+        let rebuilt = evaluate_guarded(&engine, 0, &s[0], &mut ws).expect("valid topology");
+        let fresh = evaluate_guarded(&engine, 0, &s[0], &mut EngineWorkspace::new())
+            .expect("valid topology");
+        assert!(rebuilt.0 > 0.0);
+        assert_eq!(rebuilt.0.to_bits(), fresh.0.to_bits());
+        assert_eq!(rebuilt.1, fresh.1);
     }
 }

@@ -5,16 +5,17 @@
 //! A [`SuiteTelemetry`] is handed to the supervisor by reference via
 //! [`crate::supervisor::SuiteConfig::telemetry`]; recording is `&self`
 //! and lock-free, so one bundle is shared by every worker thread and the
-//! totals equal what per-worker partials merged afterwards would give
-//! (the `SuiteHealth` discipline). With `telemetry: None` the runner
-//! takes the exact pre-telemetry path: no clock reads, no atomics, no
-//! allocation, bit-identical results.
+//! totals (sums and histogram counts) do not depend on which worker
+//! recorded what. With `telemetry: None` the runner takes the exact
+//! pre-telemetry path: no clock reads, no atomics, no allocation,
+//! bit-identical results.
 //!
 //! Span durations are the only scheduling-sensitive samples; the
 //! determinism suite injects a [`copa_obs::FrozenClock`] via
 //! [`SuiteTelemetry::with_clock`] so they collapse to zero and merged
 //! JSON is byte-identical across thread counts.
 
+use crate::journal::JournalStats;
 use crate::json::ToJson;
 use crate::supervisor::{MonotonicClock, SuiteClock};
 use copa_core::{EngineMetrics, EngineObs, ExchangeMetrics, ExchangeObs};
@@ -62,12 +63,10 @@ pub struct SupervisorMetrics {
     pub abandoned: CounterId,
     /// Topologies that failed with any other error.
     pub failed: CounterId,
-    /// Attempts requeued after a deadline miss.
+    /// Attempts retried after a deadline miss.
     pub requeues: CounterId,
     /// Attempts that exceeded their deadline.
     pub deadline_misses: CounterId,
-    /// Retry-queue depth sampled at each requeue.
-    pub queue_depth: HistogramId,
     /// Microseconds of headroom left when an attempt met its deadline.
     pub deadline_margin_us: HistogramId,
     /// Wall time charged to each attempt (per the suite clock).
@@ -85,7 +84,6 @@ impl SupervisorMetrics {
             failed: tel.counter("suite.failed"),
             requeues: tel.counter("suite.requeues"),
             deadline_misses: tel.counter("suite.deadline_misses"),
-            queue_depth: tel.histogram("suite.queue_depth"),
             deadline_margin_us: tel.histogram("suite.deadline_margin_us"),
             attempt_us: tel.histogram("suite.attempt_us"),
         }
@@ -305,6 +303,22 @@ impl SuiteTelemetry {
     pub fn exchange_obs(&self) -> ExchangeObs<'_> {
         ExchangeObs::new(&self.registry, self.exchange)
     }
+
+    /// Counts a sealed journal's write-side totals.
+    pub(crate) fn journal_sealed(&self, stats: &JournalStats) {
+        self.count(self.journal.records_appended, stats.records_appended);
+        self.count(
+            self.journal.segments_sealed,
+            u64::from(stats.segments_sealed),
+        );
+        self.count(self.journal.bytes_written, stats.bytes_written);
+    }
+
+    /// Counts what a resumed run replayed from its journal.
+    pub(crate) fn journal_replayed(&self, records: usize, salvage_events: u32) {
+        self.count(self.journal.records_replayed, records as u64);
+        self.count(self.journal.salvage_events, u64::from(salvage_events));
+    }
 }
 
 impl ToJson for SuiteTelemetry {
@@ -343,7 +357,7 @@ mod tests {
         let xo = tel.exchange_obs();
         xo.sink.add(xo.metrics.frames_sent, 5);
         tel.count(tel.suite.requeues, 1);
-        tel.sample(tel.suite.queue_depth, 4);
+        tel.sample(tel.suite.attempt_us, 4);
         assert_eq!(
             tel.registry().counter_by_name("engine.evaluations"),
             Some(2)
@@ -351,7 +365,7 @@ mod tests {
         assert_eq!(tel.registry().counter_by_name("its.frames_sent"), Some(5));
         assert_eq!(tel.registry().counter_by_name("suite.requeues"), Some(1));
         assert_eq!(
-            tel.registry().histogram_ref(tel.suite.queue_depth).count(),
+            tel.registry().histogram_ref(tel.suite.attempt_us).count(),
             1
         );
     }

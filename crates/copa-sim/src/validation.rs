@@ -8,6 +8,7 @@
 //! prediction machinery is itself verified end to end.
 
 use crate::json::{Obj, ToJson};
+use crate::pool;
 use copa_channel::{ChannelScratch, FreqChannel, MultipathProfile, TimeChannel};
 use copa_num::complex::{C64, ZERO};
 use copa_num::rng::SimRng;
@@ -22,7 +23,6 @@ use copa_phy::waveform::{
     apply_cfo, demodulate_data_into, estimate_channel_into, modulate_frame_into, resample_sfo_into,
     synchronize, Preamble, WaveformImpairments, WaveformScratch, SYMBOL_SAMPLES,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The seeded ingredients every validator builds its bit-true pipeline
 /// from. Constructed only by [`validator_setup`], so the frequency-domain
@@ -495,84 +495,46 @@ pub fn run_waveform_grid(cfg: &WaveformGridConfig, threads: usize) -> Vec<Wavefo
         .iter()
         .flat_map(|&m| cfg.snr_db.iter().map(move |&s| (m, s)))
         .collect();
-    let n = points.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = threads.max(1).min(n);
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<WaveformPoint>> = (0..n).map(|_| None).collect();
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let points = &points;
-                scope.spawn(move || {
-                    let mut done: Vec<(usize, WaveformPoint)> = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
-                            break;
-                        }
-                        let (mcs_index, snr_db) = points[idx];
-                        let seed = cfg.seed.wrapping_add(idx as u64).wrapping_mul(0x9E37_79B9);
-                        let mcs = Mcs::TABLE[mcs_index];
-                        let mut sim = WaveformSim::new(
-                            mcs,
-                            snr_db,
-                            cfg.symbols_per_frame,
-                            cfg.profile,
-                            cfg.impairments,
-                            seed,
-                        );
-                        let mut frame_errors = 0usize;
-                        let mut bit_errors = 0usize;
-                        let mut analytic = 0.0;
-                        for _ in 0..cfg.frames {
-                            let o = sim.run_frame();
-                            if o.frame_error {
-                                frame_errors += 1;
-                            }
-                            bit_errors += o.bit_errors;
-                            analytic += o.analytic_fer;
-                        }
-                        let bits = cfg.frames * sim.payload_len();
-                        done.push((
-                            idx,
-                            WaveformPoint {
-                                mcs: mcs.to_string(),
-                                mcs_index,
-                                snr_db,
-                                frames: cfg.frames,
-                                frame_errors,
-                                bit_errors,
-                                bits,
-                                measured_fer: frame_errors as f64 / cfg.frames as f64,
-                                measured_ber: bit_errors as f64 / bits.max(1) as f64,
-                                analytic_fer: analytic / cfg.frames as f64,
-                            },
-                        ));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            // invariant: workers return values rather than panicking
-            for (idx, p) in h.join().expect("worker panicked") {
-                results[idx] = Some(p);
+    pool::map(
+        points,
+        threads,
+        || (),
+        |_, idx, (mcs_index, snr_db)| {
+            let mcs = Mcs::TABLE[mcs_index];
+            let mut sim = WaveformSim::new(
+                mcs,
+                snr_db,
+                cfg.symbols_per_frame,
+                cfg.profile,
+                cfg.impairments,
+                pool::item_seed(cfg.seed, idx),
+            );
+            let mut frame_errors = 0usize;
+            let mut bit_errors = 0usize;
+            let mut analytic = 0.0;
+            for _ in 0..cfg.frames {
+                let o = sim.run_frame();
+                if o.frame_error {
+                    frame_errors += 1;
+                }
+                bit_errors += o.bit_errors;
+                analytic += o.analytic_fer;
             }
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|r| {
-            // invariant: the atomic counter hands out every index exactly once
-            r.expect("every index was claimed exactly once")
-        })
-        .collect()
+            let bits = cfg.frames * sim.payload_len();
+            WaveformPoint {
+                mcs: mcs.to_string(),
+                mcs_index,
+                snr_db,
+                frames: cfg.frames,
+                frame_errors,
+                bit_errors,
+                bits,
+                measured_fer: frame_errors as f64 / cfg.frames as f64,
+                measured_ber: bit_errors as f64 / bits.max(1) as f64,
+                analytic_fer: analytic / cfg.frames as f64,
+            }
+        },
+    )
 }
 
 #[cfg(test)]

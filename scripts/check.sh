@@ -3,8 +3,11 @@
 #
 # The workspace is hermetic: every dependency is a `path = ...` crate
 # inside this repo, so the whole gate runs with `--offline` and must
-# succeed on a machine with no crates.io access at all. This script is
-# what CI (and the PR driver) runs; keep it green.
+# succeed on a machine with no crates.io access at all. Before building,
+# it scans the sources: no registry dependencies, no allocation in marked
+# kernel regions, no unbudgeted panics, and one worker pool (only
+# crates/copa-sim/src/pool.rs may spawn threads). This script is what CI
+# runs; keep it green.
 #
 # Usage: scripts/check.sh [--bench-smoke] [--faults-smoke] [--resume-smoke]
 #                         [--obs-smoke] [--campus-smoke] [--simd-smoke]
@@ -80,7 +83,7 @@ for arg in "$@"; do
     esac
 done
 
-echo "==> 1/7 hermeticity: no registry dependencies in any Cargo.toml"
+echo "==> 1/8 hermeticity: no registry dependencies in any Cargo.toml"
 bad=0
 while IFS= read -r toml; do
     # Reject dotted dependency tables ([dependencies.foo]) outright --
@@ -113,7 +116,7 @@ if [ "$bad" -ne 0 ]; then
 fi
 echo "    ok: all dependencies are in-repo path deps"
 
-echo "==> 2/7 alloc-free kernel regions: no Vec::new / vec! reintroduced"
+echo "==> 2/8 alloc-free kernel regions: no Vec::new / vec! reintroduced"
 # Per-subcarrier kernels are bracketed by "alloc-free: begin <name>" /
 # "alloc-free: end <name>" markers. Inside those regions, constructs that
 # allocate per call are banned; scratch buffers must come from the caller.
@@ -134,7 +137,7 @@ if ! awk '
 fi
 echo "    ok: $(grep -rh 'alloc-free: begin' crates --include='*.rs' | wc -l | tr -d ' ') marked kernel regions are allocation-free"
 
-echo "==> 3/7 panic gate: no new unwrap()/panic! in library, example or test code"
+echo "==> 3/8 panic gate: no new unwrap()/panic! in library, example or test code"
 # Library (non-test) code must not panic on user-reachable paths: fallible
 # APIs return copa_core::CopaError, internal invariants use expect /
 # debug_assert! with an "// invariant:" comment. The few deliberate panic
@@ -167,16 +170,30 @@ if [ "$panic_bad" -ne 0 ]; then
 fi
 echo "    ok: library crates stay within the panic allowlist"
 
-echo "==> 4/7 cargo fmt --check"
+echo "==> 4/8 one worker pool: thread fan-outs live only in copa-sim's pool"
+# Every runner maps its work items through copa_sim::pool::map (work
+# stealing, one state per worker, results in item order, panics
+# re-raised). A second hand-rolled fan-out would fork that contract, so
+# library sources may not spawn threads anywhere else.
+pool_sites=$(grep -rnE 'thread::(scope|spawn)' crates/*/src --include='*.rs' \
+    | grep -v '^crates/copa-sim/src/pool.rs:' || true)
+if [ -n "$pool_sites" ]; then
+    printf '%s\n' "$pool_sites" >&2
+    echo "one-pool gate FAILED: map the work through copa_sim::pool::map instead" >&2
+    exit 1
+fi
+echo "    ok: crates/copa-sim/src/pool.rs is the only thread fan-out"
+
+echo "==> 5/8 cargo fmt --check"
 cargo fmt --check
 
-echo "==> 5/7 cargo build --release --offline (workspace, benches included)"
+echo "==> 6/8 cargo build --release --offline (workspace, benches included)"
 cargo build --release --offline --workspace --benches
 
-echo "==> 6/7 cargo test -q --offline (workspace)"
+echo "==> 7/8 cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
-echo "==> 7/7 deprecation gate: no in-repo callers of deprecated APIs"
+echo "==> 8/8 deprecation gate: no in-repo callers of deprecated APIs"
 # Deprecated shims (e.g. the pre-supervisor evaluate* entry points) exist
 # only for downstream compatibility; new in-repo code must use the
 # replacements. A separate target dir keeps -D deprecated from thrashing
