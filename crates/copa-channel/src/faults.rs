@@ -8,11 +8,13 @@
 //! does is a pure function of `(seed, exchange id, draw order)`, so a suite
 //! run under a plan is bit-reproducible regardless of thread count.
 //!
-//! The plan lives beneath the wire layers: the coordinator asks it, frame
-//! by frame, what happened to the encoded bytes ([`FaultPlan::deliver`]),
-//! and whether the CSI it is about to ship is stale. Injected corruption
-//! mutates the *actual* wire bytes, so decode failures exercise the same
-//! CRC / codec error paths a real collision would.
+//! The plan lives beneath the wire layers: the coordinator (the one ITS
+//! exchange loop, which the daemon and the degraded suite both drive) asks
+//! it, frame by frame, what happened to the encoded bytes
+//! ([`FaultPlan::deliver`]), and whether the CSI it is about to ship is
+//! stale. Injected corruption mutates the *actual* wire bytes, so decode
+//! failures exercise the same CRC / codec error paths a real collision
+//! would.
 
 use copa_num::rng::SimRng;
 
@@ -107,11 +109,10 @@ impl FaultPlan {
     }
 
     /// Binds this plan to one exchange: the single home of the
-    /// `(seed, exchange_id)` RNG composition that call sites used to
-    /// re-derive ad hoc. The batch runners pass their flat topology index;
-    /// the daemon (when `DaemonConfig::faults` is set) binds each
-    /// scheduled exchange through [`FaultPlan::for_epoch`] and hands the
-    /// stream to its coordinator's `run_exchange_faulted`.
+    /// `(seed, exchange_id)` RNG composition. The coordinator binds every
+    /// exchange it runs here; the batch runners pass their flat topology
+    /// index as the id, the daemon (when `DaemonConfig::faults` is set)
+    /// passes [`FaultPlan::epoch_exchange_id`] of its `(cell, epoch)` key.
     pub fn for_exchange(&self, exchange_id: u64) -> ExchangeFaults {
         ExchangeFaults {
             plan: *self,
@@ -119,17 +120,11 @@ impl FaultPlan {
         }
     }
 
-    /// [`FaultPlan::for_exchange`] keyed by the daemon's `(cell, epoch)`
-    /// pairs, so every re-exchange a long-lived run schedules gets its own
-    /// replayable fault stream.
-    pub fn for_epoch(&self, cell: u64, epoch: u64) -> ExchangeFaults {
-        self.for_exchange(Self::epoch_exchange_id(cell, epoch))
-    }
-
     /// The composite exchange id of `(cell, epoch)`: a full-avalanche mix
     /// (same splitmix constants as [`FaultPlan::rng_for`]) xored into its
     /// own id space so daemon exchanges never alias the batch runners' flat
-    /// indices.
+    /// indices. Every re-exchange a long-lived run schedules thereby gets
+    /// its own replayable fault stream.
     pub fn epoch_exchange_id(cell: u64, epoch: u64) -> u64 {
         epoch
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -191,8 +186,7 @@ impl Default for FaultPlan {
 
 /// A [`FaultPlan`] bound to one exchange's fault stream: the plan plus the
 /// `(seed, exchange_id)`-derived RNG, so the medium simulation cannot mix
-/// up which stream it is drawing from. Built by [`FaultPlan::for_exchange`]
-/// / [`FaultPlan::for_epoch`].
+/// up which stream it is drawing from. Built by [`FaultPlan::for_exchange`].
 #[derive(Clone, Debug)]
 pub struct ExchangeFaults {
     plan: FaultPlan,

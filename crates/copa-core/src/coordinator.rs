@@ -61,18 +61,9 @@ impl CsiCache {
             );
     }
 
-    /// Fetches CSI if it is still fresh (within one coherence time).
-    ///
-    /// Clones the channel out of the cache; when the caller only needs to
-    /// *look* at the CSI, [`Self::with_fresh`] avoids the clone.
-    #[deprecated(note = "use `with_fresh`, which inspects under the guard without cloning")]
-    pub fn fresh(&self, sender: Addr, now_us: f64, coherence_us: f64) -> Option<FreqChannel> {
-        self.with_fresh(sender, now_us, coherence_us, |ch| ch.clone())
-    }
-
-    /// Applies `f` to the cached channel if it is still fresh, under a
-    /// single read guard and without cloning the channel. This is the one
-    /// lock acquisition on the whole `fresh`-lookup path.
+    /// Applies `f` to the cached channel if it is still fresh (within one
+    /// coherence time), under a single read guard and without cloning the
+    /// channel.
     pub fn with_fresh<R>(
         &self,
         sender: Addr,
@@ -337,6 +328,11 @@ impl Coordinator {
     /// stream, so telemetry is a pure function of `(plan.seed,
     /// exchange_id)` and the results are bit-identical with or without
     /// observation.
+    ///
+    /// The batch runners pass their flat topology index as `exchange_id`;
+    /// the daemon passes [`FaultPlan::epoch_exchange_id`] of its
+    /// `(cell, epoch)` key, so every re-exchange a long-lived run
+    /// schedules replays bit-identically.
     pub fn run_exchange_observed(
         &self,
         topology: &Topology,
@@ -345,25 +341,9 @@ impl Coordinator {
         exchange_id: u64,
         obs: Option<&ExchangeObs<'_>>,
     ) -> Result<ExchangeOutcome, CopaError> {
-        self.run_exchange_faulted(topology, leader, plan.for_exchange(exchange_id), obs)
-    }
-
-    /// Runs one ITS exchange over a pre-bound fault stream. This is the
-    /// daemon's entry point: it binds the stream itself via
-    /// [`FaultPlan::for_epoch`] so every re-exchange a long-lived run
-    /// schedules replays bit-identically from its `(cell, epoch)` key,
-    /// while the batch paths bind flat exchange ids through
-    /// [`Self::run_exchange_with_faults`]. Identical semantics otherwise.
-    pub fn run_exchange_faulted(
-        &self,
-        topology: &Topology,
-        leader: usize,
-        faults: ExchangeFaults,
-        obs: Option<&ExchangeObs<'_>>,
-    ) -> Result<ExchangeOutcome, CopaError> {
         assert!(leader < 2); // allowlisted: caller-side API contract
         let p = prepare(topology, self.engine.params());
-        let mut air = Airwave::new(faults);
+        let mut air = Airwave::new(plan.for_exchange(exchange_id));
         let outcome = match self.attempt_exchange(&p, topology, leader, &mut air) {
             Ok(trace) => Ok(ExchangeOutcome::Coordinated(trace)),
             Err(last) => {
@@ -571,7 +551,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercises the legacy `fresh` wrapper too
     fn csi_cache_with_fresh_avoids_clone() {
         let cache = CsiCache::new();
         let ch = FreqChannel::random(
@@ -582,7 +561,7 @@ mod tests {
             &MultipathProfile::default(),
         );
         let a = Addr::from_id(3);
-        cache.learn(a, ch.clone(), 0.0);
+        cache.learn(a, ch, 0.0);
         // Inspect under the guard without cloning the channel out.
         let dims = cache.with_fresh(a, 10.0, 1000.0, |c| (c.rx(), c.tx()));
         assert_eq!(dims, Some((2, 4)));
@@ -591,9 +570,6 @@ mod tests {
         assert!(cache
             .with_fresh(Addr::from_id(4), 0.0, 1000.0, |_| ())
             .is_none());
-        // fresh() is the cloning wrapper over the same path.
-        let got = cache.fresh(a, 10.0, 1000.0).expect("fresh");
-        assert_eq!(got.at(0)[(0, 0)], ch.at(0)[(0, 0)]);
     }
 
     #[test]
@@ -758,38 +734,6 @@ mod tests {
             total_retries += outcome.retries();
         }
         assert!(total_retries > 0, "50% corruption must cost retries");
-    }
-
-    #[test]
-    fn prebound_stream_matches_flat_id_derivation() {
-        let topo = TopologySampler::default()
-            .suite(57, 1, AntennaConfig::CONSTRAINED_4X2)
-            .remove(0);
-        let coord = Coordinator::new(Engine::new(ScenarioParams::default()));
-        let plan = FaultPlan {
-            frame_loss: 0.35,
-            corruption: 0.15,
-            ..FaultPlan::none(0xBEEF)
-        };
-        for (cell, epoch) in [(0u64, 0u64), (1, 9), (3, 1_000)] {
-            let via_epoch = coord
-                .run_exchange_faulted(&topo, 0, plan.for_epoch(cell, epoch), None)
-                .unwrap();
-            let via_flat = coord
-                .run_exchange_with_faults(
-                    &topo,
-                    0,
-                    &plan,
-                    FaultPlan::epoch_exchange_id(cell, epoch),
-                )
-                .unwrap();
-            assert_eq!(via_epoch.is_degraded(), via_flat.is_degraded());
-            assert_eq!(via_epoch.retries(), via_flat.retries());
-            assert_eq!(
-                via_epoch.chosen().aggregate_bps().to_bits(),
-                via_flat.chosen().aggregate_bps().to_bits()
-            );
-        }
     }
 
     #[test]

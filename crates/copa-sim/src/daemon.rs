@@ -17,8 +17,8 @@
 //!   change), so evaluations scale with coherence blocks, not epochs;
 //! * with [`DaemonConfig::faults`] set, every scheduled exchange runs the
 //!   *real* ITS wire protocol through
-//!   [`Coordinator::run_exchange_faulted`] under the
-//!   [`FaultPlan::for_epoch`] stream keyed by `(cell, epoch)`: retries
+//!   [`Coordinator::run_exchange_observed`] under the fault stream of
+//!   [`FaultPlan::epoch_exchange_id`]`(cell, epoch)`: retries
 //!   charge DCF backoff airtime against the simulated clock (a lossy
 //!   exchange that spills past its epoch delays the next evaluation), and
 //!   a budget-exhausted exchange pins the session to CSMA
@@ -358,14 +358,14 @@ impl CellState {
             self.last_exchange_epoch = epoch;
             return Ok(true);
         };
-        let faults = plan.for_epoch(idx as u64, epoch);
+        let exchange_id = FaultPlan::epoch_exchange_id(idx as u64, epoch);
         let view = if use_folded {
             &self.folded
         } else {
             &self.truth
         };
         let obs = cfg.telemetry.map(|t| t.exchange_obs());
-        match coord.run_exchange_faulted(view, 0, faults, obs.as_ref())? {
+        match coord.run_exchange_observed(view, 0, plan, exchange_id, obs.as_ref())? {
             ExchangeOutcome::Coordinated(trace) => {
                 // The wire exchange delivered: refresh the session's CSI
                 // at this instant (the Leader's wire-side evaluation only
@@ -676,7 +676,8 @@ const CK_DEGRADED: u8 = 1 << 3;
 /// The engine-side facts a checkpoint must carry per cell. Everything
 /// traffic-side is a pure function of the seed and is replayed from epoch
 /// zero on resume instead of being serialized; the fault streams need no
-/// state at all ([`FaultPlan::for_epoch`] re-derives them per exchange).
+/// state at all (each exchange re-derives its stream from
+/// [`FaultPlan::epoch_exchange_id`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct CellCheckpoint {
     exchanges: u64,

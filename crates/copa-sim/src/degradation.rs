@@ -2,26 +2,27 @@
 //!
 //! The paper's experiments assume every coordination exchange lands. This
 //! runner re-runs a suite the way a deployment would experience it: each
-//! topology's ITS frames are really encoded and pushed through a seeded
-//! [`FaultPlan`] medium with bounded retries, and a cell whose exchange
-//! exhausts the budget falls back to stock CSMA for that coherence
-//! interval. Per-suite [`DegradationStats`] quantify the damage.
+//! topology's ITS exchange runs through
+//! [`Coordinator::run_exchange_with_faults`] -- the same wire protocol,
+//! retry budget and delivery policy the daemon drives -- and a cell whose
+//! exchange exhausts the budget falls back to stock CSMA for that
+//! coherence interval. Per-suite [`DegradationStats`] quantify the damage.
 //!
-//! Evaluations use the exact per-index seeds of
-//! [`crate::runner::evaluate_parallel`], and a fault-free plan makes every
-//! exchange succeed on the first attempt, so a zero-fault degraded run is
-//! bit-identical (per `f64::to_bits`) to plain suite evaluation.
+//! Each topology's coordinator runs with the exact per-index seed of
+//! [`crate::runner::evaluate_parallel`]. As in the daemon, the Leader's
+//! decompressed-CSI evaluation only shapes the exchange: a coordinated
+//! topology reports the plain evaluation's COPA-fair outcome, a degraded
+//! one the CSMA outcome. A fault-free plan makes every exchange coordinate
+//! on the first attempt, so a zero-fault degraded run is bit-identical
+//! (per `f64::to_bits`) to plain suite evaluation.
 
 use crate::json::{Obj, ToJson};
 use crate::pool;
 use crate::runner::seed_for;
-use copa_channel::faults::{Delivery, ExchangeFaults, FaultPlan};
+use copa_channel::faults::FaultPlan;
 use copa_channel::Topology;
-use copa_core::{
-    prepare, CopaError, Engine, EngineWorkspace, EvalRequest, ScenarioParams, Strategy,
-};
-use copa_mac::csi_codec::{compress_csi, decompress_csi};
-use copa_mac::frames::{Addr, Decision, ItsFrame};
+use copa_core::coordinator::{Coordinator, ExchangeOutcome};
+use copa_core::{CopaError, Engine, EngineWorkspace, EvalRequest, ScenarioParams, Strategy};
 
 /// Per-suite accounting of how coordination degraded under faults.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,18 +37,6 @@ pub struct DegradationStats {
     pub failed: u64,
     /// CSMA fallbacks taken (one per failed exchange).
     pub csma_fallbacks: u64,
-}
-
-impl DegradationStats {
-    /// Accumulates another worker's counters into this one. Addition is
-    /// commutative, so merged suite stats are thread-count independent.
-    pub fn merge(&mut self, other: &DegradationStats) {
-        self.exchanges += other.exchanges;
-        self.retried += other.retried;
-        self.retries += other.retries;
-        self.failed += other.failed;
-        self.csma_fallbacks += other.csma_fallbacks;
-    }
 }
 
 impl ToJson for DegradationStats {
@@ -84,77 +73,15 @@ impl ToJson for DegradedSuiteResult {
     }
 }
 
-/// What one simulated exchange cost.
-struct ExchangeCost {
-    retries: u32,
-    coordinated: bool,
-}
-
-/// Pushes one topology's ITS exchange (INIT, REQ with real compressed CSI,
-/// ACK) through the faulty medium with a shared retry budget, mirroring
-/// `Coordinator::run_exchange_with_faults`'s delivery policy: stale CSI
-/// forces a re-measurement, garbled or lost frames are retransmitted, and
-/// CSI payloads that fail to decompress count like garbled frames.
-fn simulate_exchange(
-    faults: &mut ExchangeFaults,
-    init_wire: &[u8],
-    req_wire: &[u8],
-    ack_wire: &[u8],
-) -> ExchangeCost {
-    let max_retries = faults.plan().max_retries;
-    let mut retries = 0u32;
-    let mut deliver = |faults: &mut ExchangeFaults, wire: &[u8], is_req: bool| -> bool {
-        loop {
-            if is_req && faults.csi_is_stale() {
-                if retries >= max_retries {
-                    return false;
-                }
-                retries += 1;
-                continue;
-            }
-            let decodable = match faults.deliver(wire) {
-                Delivery::Lost => false,
-                Delivery::Intact(bytes)
-                | Delivery::Corrupted(bytes)
-                | Delivery::Truncated(bytes) => match ItsFrame::decode(&bytes) {
-                    Ok(ItsFrame::Req {
-                        csi_to_client1,
-                        csi_to_client2,
-                        ..
-                    }) => {
-                        decompress_csi(&csi_to_client1).is_ok()
-                            && decompress_csi(&csi_to_client2).is_ok()
-                    }
-                    Ok(_) => true,
-                    Err(_) => false,
-                },
-            };
-            if decodable {
-                return true;
-            }
-            if retries >= max_retries {
-                return false;
-            }
-            retries += 1;
-        }
-    };
-    let coordinated = deliver(faults, init_wire, false)
-        && deliver(faults, req_wire, true)
-        && deliver(faults, ack_wire, false);
-    ExchangeCost {
-        retries,
-        coordinated,
-    }
-}
-
 /// Evaluates `suite` under `plan` with `threads` pool workers.
 ///
-/// Each topology is evaluated with the same per-index seed as
-/// [`crate::runner::evaluate_parallel`]; its exchange's fault stream is
-/// seeded by `(plan.seed, index)`. Both are independent of which worker
-/// claims the topology, so throughputs and [`DegradationStats`] are
-/// bit-identical across thread counts. Evaluation errors propagate as the
-/// first failure in suite order without poisoning the worker pool.
+/// Topology `idx` runs one exchange with AP 0 as Leader under the
+/// `(plan.seed, idx)` fault stream, on a coordinator seeded like
+/// [`crate::runner::evaluate_parallel`]'s evaluation of that index. Both
+/// are independent of which worker claims the topology, so throughputs and
+/// [`DegradationStats`] are bit-identical across thread counts. Evaluation
+/// errors propagate as the first failure in suite order without poisoning
+/// the worker pool.
 pub fn run_degraded_suite(
     params: &ScenarioParams,
     suite: &[Topology],
@@ -162,94 +89,38 @@ pub fn run_degraded_suite(
     threads: usize,
 ) -> Result<DegradedSuiteResult, CopaError> {
     let rows = pool::map(suite, threads, EngineWorkspace::new, |ws, idx, topology| {
-        evaluate_one(params, topology, idx, plan, ws)
+        let mut p = *params;
+        p.seed = seed_for(params, idx);
+        let coord = Coordinator::new(Engine::new(p));
+        let outcome = coord.run_exchange_with_faults(topology, 0, plan, idx as u64)?;
+        let chosen = match &outcome {
+            ExchangeOutcome::Coordinated(_) => {
+                coord
+                    .engine()
+                    .run(&mut EvalRequest::topology(topology).workspace(ws))?
+                    .copa_fair
+            }
+            ExchangeOutcome::Degraded { evaluation, .. } => evaluation.csma,
+        };
+        Ok::<_, CopaError>((chosen, outcome.retries(), outcome.is_degraded()))
     });
-    let mut throughputs_mbps = Vec::with_capacity(rows.len());
-    let mut decisions = Vec::with_capacity(rows.len());
-    let mut stats = DegradationStats::default();
+    let mut result = DegradedSuiteResult {
+        throughputs_mbps: Vec::with_capacity(rows.len()),
+        decisions: Vec::with_capacity(rows.len()),
+        stats: DegradationStats::default(),
+    };
     for row in rows {
-        let (mbps, decision, retries, coordinated) = row?;
-        throughputs_mbps.push(mbps);
-        decisions.push(decision);
-        stats.merge(&DegradationStats {
-            exchanges: 1,
-            retried: u64::from(retries > 0),
-            retries: u64::from(retries),
-            failed: u64::from(!coordinated),
-            csma_fallbacks: u64::from(!coordinated),
-        });
+        let (chosen, retries, degraded) = row?;
+        result.throughputs_mbps.push(chosen.aggregate_mbps());
+        result.decisions.push(chosen.strategy);
+        let s = &mut result.stats;
+        s.exchanges += 1;
+        s.retried += u64::from(retries > 0);
+        s.retries += u64::from(retries);
+        s.failed += u64::from(degraded);
+        s.csma_fallbacks += u64::from(degraded);
     }
-    Ok(DegradedSuiteResult {
-        throughputs_mbps,
-        decisions,
-        stats,
-    })
-}
-
-/// One topology: evaluate with the suite seed, then push the exchange's
-/// frames through the medium and pick COPA-fair or the CSMA fallback.
-fn evaluate_one(
-    params: &ScenarioParams,
-    topology: &Topology,
-    idx: usize,
-    plan: &FaultPlan,
-    ws: &mut EngineWorkspace,
-) -> Result<(f64, Strategy, u32, bool), CopaError> {
-    let mut p = *params;
-    p.seed = seed_for(params, idx);
-    let engine = Engine::new(p);
-    let evaluation = engine.run(&mut EvalRequest::topology(topology).workspace(ws))?;
-
-    // The real wire images the exchange would carry (leader = AP 0).
-    let prepared = prepare(topology, &p);
-    let ap = [Addr::from_id(1), Addr::from_id(2)];
-    let client = [Addr::from_id(11), Addr::from_id(12)];
-    let txop = copa_mac::timing::TXOP_US as u32;
-    let init_wire = ItsFrame::Init {
-        leader: ap[0],
-        client: client[0],
-        airtime_us: txop,
-    }
-    .encode();
-    let req_wire = ItsFrame::Req {
-        leader: ap[0],
-        follower: ap[1],
-        client1: client[0],
-        client2: client[1],
-        csi_to_client1: compress_csi(&prepared.est[1][0]),
-        csi_to_client2: compress_csi(&prepared.est[1][1]),
-        airtime_us: txop,
-    }
-    .encode();
-    let decision = if evaluation.copa_fair.strategy.is_concurrent() {
-        Decision::Concurrent {
-            precoder: compress_csi(&prepared.est[1][1]),
-            shut_down_antenna: None,
-        }
-    } else {
-        Decision::Sequential
-    };
-    let ack_wire = ItsFrame::Ack {
-        leader: ap[0],
-        follower: ap[1],
-        client1: client[0],
-        client2: client[1],
-        decision,
-        airtime_us: txop,
-    }
-    .encode();
-
-    let mut faults = plan.for_exchange(idx as u64);
-    let cost = simulate_exchange(&mut faults, &init_wire, &req_wire, &ack_wire);
-    let (mbps, chosen) = if cost.coordinated {
-        (
-            evaluation.copa_fair.aggregate_mbps(),
-            evaluation.copa_fair.strategy,
-        )
-    } else {
-        (evaluation.csma.aggregate_mbps(), Strategy::Csma)
-    };
-    Ok((mbps, chosen, cost.retries, cost.coordinated))
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -299,6 +170,47 @@ mod tests {
                 assert_eq!(*d, Strategy::Csma);
             }
         }
+    }
+
+    #[test]
+    fn suite_reports_exactly_what_the_coordinator_exchange_reports() {
+        // Loss plus stale CSI: every REQ retransmission must follow the
+        // coordinator's delivery policy, staleness draws included.
+        let suite = TopologySampler::default().suite(0xFA01, 64, AntennaConfig::CONSTRAINED_4X2);
+        let params = ScenarioParams::default();
+        let plan = FaultPlan {
+            frame_loss: 0.3,
+            stale_csi: 0.1,
+            max_retries: 2,
+            ..FaultPlan::none(7)
+        };
+        let r = run_degraded_suite(&params, &suite, &plan, 2).expect("faults degrade, not fail");
+        let plain = evaluate_parallel(&params, &suite, 2);
+        let (mut retries, mut failed) = (0u64, 0u64);
+        for (idx, t) in suite.iter().enumerate() {
+            let mut p = params;
+            p.seed = seed_for(&params, idx);
+            let outcome = Coordinator::new(Engine::new(p))
+                .run_exchange_with_faults(t, 0, &plan, idx as u64)
+                .expect("exchange");
+            retries += u64::from(outcome.retries());
+            failed += u64::from(outcome.is_degraded());
+            let expected = if outcome.is_degraded() {
+                *outcome.chosen()
+            } else {
+                plain[idx].copa_fair
+            };
+            assert_eq!(r.decisions[idx], expected.strategy, "topology {idx}");
+            assert_eq!(
+                r.throughputs_mbps[idx].to_bits(),
+                expected.aggregate_mbps().to_bits(),
+                "topology {idx}"
+            );
+        }
+        assert_eq!(r.stats.retries, retries);
+        assert_eq!(r.stats.failed, failed);
+        assert_eq!(r.stats.csma_fallbacks, failed);
+        assert!(failed > 0, "the plan must strand some exchanges");
     }
 
     #[test]

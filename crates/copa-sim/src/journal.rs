@@ -192,6 +192,14 @@ fn encode_header(segment: u32, suite_len: u32, seed: u64) -> Vec<u8> {
     w.into_vec()
 }
 
+/// Creates (truncating) the active part and writes its header.
+fn open_part(prefix: &Path, segment: u32, suite_len: u32, seed: u64) -> Result<File, CopaError> {
+    let mut part = File::create(part_path(prefix)).map_err(|e| io_err("part create", &e))?;
+    part.write_all(&encode_header(segment, suite_len, seed))
+        .map_err(|e| io_err("part header", &e))?;
+    Ok(part)
+}
+
 /// Write-side accounting for one [`JournalWriter`] lifetime. Counts are
 /// order-independent (a resume that re-appends salvaged records counts
 /// them again, since they are physically rewritten), so totals are
@@ -226,37 +234,8 @@ impl JournalWriter {
         seed: u64,
         records_per_segment: u32,
     ) -> Result<Self, CopaError> {
-        wipe_journal(prefix)?;
-        Self::open_at(prefix, suite_len, seed, records_per_segment, 0, &[])
-    }
-
-    /// Opens a fresh active part at `segment`, re-appending `carried`
-    /// records (the salvage of a torn part) before returning.
-    fn open_at(
-        prefix: &Path,
-        suite_len: u32,
-        seed: u64,
-        records_per_segment: u32,
-        segment: u32,
-        carried: &[TopologyRecord],
-    ) -> Result<Self, CopaError> {
-        let mut part = File::create(part_path(prefix)).map_err(|e| io_err("part create", &e))?;
-        part.write_all(&encode_header(segment, suite_len, seed))
-            .map_err(|e| io_err("part header", &e))?;
-        let mut w = Self {
-            prefix: prefix.to_path_buf(),
-            suite_len,
-            seed,
-            records_per_segment: records_per_segment.max(1),
-            segment,
-            in_segment: 0,
-            part,
-            stats: JournalStats::default(),
-        };
-        for rec in carried {
-            w.append(rec)?;
-        }
-        Ok(w)
+        let nothing = std::iter::empty::<&[u8]>();
+        Self::reopen(prefix, suite_len, seed, records_per_segment, None, nothing)
     }
 
     /// Continues the journal described by a loaded [`JournalState`]: when
@@ -270,33 +249,26 @@ impl JournalWriter {
         records_per_segment: u32,
         state: &JournalState,
     ) -> Result<Self, CopaError> {
-        if state.sealed_intact {
-            Self::open_at(
-                prefix,
-                suite_len,
-                seed,
-                records_per_segment,
-                state.sealed_segments,
-                &state.part,
-            )
+        let carried = if state.sealed_intact {
+            &state.part
         } else {
-            wipe_journal(prefix)?;
-            Self::open_at(
-                prefix,
-                suite_len,
-                seed,
-                records_per_segment,
-                0,
-                &state.records,
-            )
-        }
+            &state.records
+        };
+        let sealed = state.sealed_intact.then_some(state.sealed_segments);
+        let payloads = carried.iter().map(encode_record);
+        Self::reopen(
+            prefix,
+            suite_len,
+            seed,
+            records_per_segment,
+            sealed,
+            payloads,
+        )
     }
 
     /// Continues a raw-payload journal described by a loaded
-    /// [`RawJournalState`], mirroring [`JournalWriter::resume`]: intact
-    /// sealed segments keep their files and only the torn part is
-    /// rewritten; a corrupt sealed segment rebuilds the whole journal from
-    /// the salvaged payloads.
+    /// [`RawJournalState`], exactly as [`JournalWriter::resume`] does for
+    /// records.
     pub fn resume_raw(
         prefix: &Path,
         suite_len: u32,
@@ -304,15 +276,52 @@ impl JournalWriter {
         records_per_segment: u32,
         state: &RawJournalState,
     ) -> Result<Self, CopaError> {
-        let (segment, carried) = if state.sealed_intact {
-            (state.sealed_segments, &state.part)
+        let carried = if state.sealed_intact {
+            &state.part
         } else {
-            wipe_journal(prefix)?;
-            (0, &state.payloads)
+            &state.payloads
         };
-        let mut w = Self::open_at(prefix, suite_len, seed, records_per_segment, segment, &[])?;
+        let sealed = state.sealed_intact.then_some(state.sealed_segments);
+        Self::reopen(
+            prefix,
+            suite_len,
+            seed,
+            records_per_segment,
+            sealed,
+            carried,
+        )
+    }
+
+    /// The one open path: keeps `sealed` intact sealed segments and opens
+    /// a fresh active part after them (`None` wipes the journal and starts
+    /// at segment 0), then re-appends the `carried` payloads.
+    fn reopen<P: AsRef<[u8]>>(
+        prefix: &Path,
+        suite_len: u32,
+        seed: u64,
+        records_per_segment: u32,
+        sealed: Option<u32>,
+        carried: impl IntoIterator<Item = P>,
+    ) -> Result<Self, CopaError> {
+        let segment = match sealed {
+            Some(n) => n,
+            None => {
+                wipe_journal(prefix)?;
+                0
+            }
+        };
+        let mut w = Self {
+            prefix: prefix.to_path_buf(),
+            suite_len,
+            seed,
+            records_per_segment: records_per_segment.max(1),
+            segment,
+            in_segment: 0,
+            part: open_part(prefix, segment, suite_len, seed)?,
+            stats: JournalStats::default(),
+        };
         for payload in carried {
-            w.append_payload(payload)?;
+            w.append_payload(payload.as_ref())?;
         }
         Ok(w)
     }
@@ -358,10 +367,7 @@ impl JournalWriter {
         self.stats.segments_sealed += 1;
         self.segment += 1;
         self.in_segment = 0;
-        self.part = File::create(part_path(&self.prefix)).map_err(|e| io_err("part create", &e))?;
-        self.part
-            .write_all(&encode_header(self.segment, self.suite_len, self.seed))
-            .map_err(|e| io_err("part header", &e))?;
+        self.part = open_part(&self.prefix, self.segment, self.suite_len, self.seed)?;
         Ok(())
     }
 
@@ -399,18 +405,20 @@ pub struct JournalState {
     pub salvage_events: u32,
 }
 
-/// Parses one segment file body down to its CRC-valid raw payloads:
-/// header check, then frames until the first torn/corrupt one. Returns
-/// the payloads and whether the file was clean to its last byte. Header
-/// corruption salvages nothing; a CRC-valid header that disagrees on
-/// `segment`/`suite_len`/`seed` is a hard error (this journal belongs to
-/// a different run).
-fn parse_segment_frames(
+/// Parses one segment file body: header check, then frames until the
+/// first torn/corrupt one. `decode` turns each CRC-valid payload into an
+/// item; a payload it rejects counts as corruption and truncates the
+/// salvage there. Returns the items and whether the file was clean to its
+/// last byte. Header corruption salvages nothing; a CRC-valid header that
+/// disagrees on `segment`/`suite_len`/`seed` is a hard error (this journal
+/// belongs to a different run).
+fn parse_segment<T>(
     bytes: &[u8],
     segment: u32,
     suite_len: u32,
     seed: u64,
-) -> Result<(Vec<Vec<u8>>, bool), CopaError> {
+    decode: impl Fn(&[u8]) -> Option<T>,
+) -> Result<(Vec<T>, bool), CopaError> {
     if bytes.len() < HEADER_LEN
         || bytes[..4] != MAGIC
         || crc32(&bytes[..HEADER_LEN - 4]).to_be_bytes() != bytes[HEADER_LEN - 4..HEADER_LEN]
@@ -435,90 +443,100 @@ fn parse_segment_frames(
             ),
         });
     }
-    let mut payloads = Vec::new();
+    let mut items = Vec::new();
     let mut r = ByteReader::new(&bytes[HEADER_LEN..]);
-    loop {
-        if r.is_empty() {
-            return Ok((payloads, true));
-        }
-        let frame = (|| {
+    while !r.is_empty() {
+        let item = (|| {
             let len = r.get_u32().ok()? as usize;
             let crc = r.get_u32().ok()?;
             let payload = r.take(len).ok()?;
             if crc32(payload) != crc {
                 return None;
             }
-            Some(payload.to_vec())
+            decode(payload)
         })();
-        match frame {
-            Some(p) => payloads.push(p),
-            None => return Ok((payloads, false)),
+        match item {
+            Some(t) => items.push(t),
+            None => return Ok((items, false)),
         }
     }
+    Ok((items, true))
 }
 
-/// [`parse_segment_frames`] plus record decoding: a CRC-valid frame whose
-/// payload fails [`decode_record`] counts as corruption and truncates the
-/// salvage there.
-fn parse_segment(
-    bytes: &[u8],
-    segment: u32,
+/// What one journal walk salvaged, whatever the per-payload decode.
+struct Salvage<T> {
+    all: Vec<T>,
+    part: Vec<T>,
+    sealed_segments: u32,
+    sealed_intact: bool,
+    salvage_events: u32,
+}
+
+/// The one segment walk behind [`load_journal`] and [`load_journal_raw`]:
+/// sealed segments in order until the first missing one, then the active
+/// part, each parsed with `decode`. A torn or corrupt *sealed* segment
+/// keeps its salvage, drops everything after the corruption, and flags the
+/// journal for rebuild.
+fn walk_journal<T: Clone>(
+    prefix: &Path,
     suite_len: u32,
     seed: u64,
-) -> Result<(Vec<TopologyRecord>, bool), CopaError> {
-    let (payloads, clean) = parse_segment_frames(bytes, segment, suite_len, seed)?;
-    let mut records = Vec::with_capacity(payloads.len());
-    for p in &payloads {
-        match decode_record(p) {
-            Some(rec) => records.push(rec),
-            None => return Ok((records, false)),
+    decode: impl Fn(&[u8]) -> Option<T>,
+) -> Result<Salvage<T>, CopaError> {
+    let mut s = Salvage {
+        all: Vec::new(),
+        part: Vec::new(),
+        sealed_segments: 0,
+        sealed_intact: true,
+        salvage_events: 0,
+    };
+    while let Some(bytes) =
+        read_if_exists(&segment_path(prefix, s.sealed_segments), "segment read")?
+    {
+        let (items, clean) = parse_segment(&bytes, s.sealed_segments, suite_len, seed, &decode)?;
+        s.all.extend(items);
+        if !clean {
+            s.sealed_intact = false;
+            s.salvage_events += 1;
+            return Ok(s);
         }
+        s.sealed_segments += 1;
     }
-    Ok((records, clean))
+    if let Some(bytes) = read_if_exists(&part_path(prefix), "part read")? {
+        let (items, clean) = parse_segment(&bytes, s.sealed_segments, suite_len, seed, &decode)?;
+        s.salvage_events += u32::from(!clean);
+        s.all.extend_from_slice(&items);
+        s.part = items;
+    }
+    Ok(s)
+}
+
+/// Reads `path`, mapping a missing file to `None`.
+fn read_if_exists(path: &Path, context: &'static str) -> Result<Option<Vec<u8>>, CopaError> {
+    match fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(io_err(context, &e)),
+    }
 }
 
 /// Replays the journal at `prefix`, verifying every checksum, salvaging
 /// the longest valid prefix, and deduplicating records by topology index
-/// (first record wins). Missing files yield an empty state, so resuming a
-/// run that never checkpointed degenerates to a fresh run.
+/// (first record wins). A CRC-valid frame whose payload fails
+/// [`decode_record`] counts as corruption. Missing files yield an empty
+/// state, so resuming a run that never checkpointed degenerates to a fresh
+/// run.
 pub fn load_journal(prefix: &Path, suite_len: u32, seed: u64) -> Result<JournalState, CopaError> {
-    let mut state = JournalState {
-        sealed_intact: true,
-        ..Default::default()
-    };
-    loop {
-        let path = segment_path(prefix, state.sealed_segments);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-            Err(e) => return Err(io_err("segment read", &e)),
-        };
-        let (records, clean) = parse_segment(&bytes, state.sealed_segments, suite_len, seed)?;
-        state.records.extend(records);
-        if !clean {
-            // A torn *sealed* segment: keep the salvage, drop everything
-            // after the corruption, and flag the journal for rebuild.
-            state.sealed_intact = false;
-            state.salvage_events += 1;
-            dedup_by_index(&mut state.records);
-            return Ok(state);
-        }
-        state.sealed_segments += 1;
-    }
-    match fs::read(part_path(prefix)) {
-        Ok(bytes) => {
-            let (records, clean) = parse_segment(&bytes, state.sealed_segments, suite_len, seed)?;
-            if !clean {
-                state.salvage_events += 1;
-            }
-            state.part = records.clone();
-            state.records.extend(records);
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(io_err("part read", &e)),
-    }
-    dedup_by_index(&mut state.records);
-    Ok(state)
+    let s = walk_journal(prefix, suite_len, seed, decode_record)?;
+    let mut records = s.all;
+    dedup_by_index(&mut records);
+    Ok(JournalState {
+        records,
+        sealed_segments: s.sealed_segments,
+        sealed_intact: s.sealed_intact,
+        part: s.part,
+        salvage_events: s.salvage_events,
+    })
 }
 
 /// What [`load_journal_raw`] salvaged from disk: the CRC-valid payloads
@@ -548,41 +566,14 @@ pub fn load_journal_raw(
     suite_len: u32,
     seed: u64,
 ) -> Result<RawJournalState, CopaError> {
-    let mut state = RawJournalState {
-        sealed_intact: true,
-        ..Default::default()
-    };
-    loop {
-        let path = segment_path(prefix, state.sealed_segments);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-            Err(e) => return Err(io_err("segment read", &e)),
-        };
-        let (payloads, clean) =
-            parse_segment_frames(&bytes, state.sealed_segments, suite_len, seed)?;
-        state.payloads.extend(payloads);
-        if !clean {
-            state.sealed_intact = false;
-            state.salvage_events += 1;
-            return Ok(state);
-        }
-        state.sealed_segments += 1;
-    }
-    match fs::read(part_path(prefix)) {
-        Ok(bytes) => {
-            let (payloads, clean) =
-                parse_segment_frames(&bytes, state.sealed_segments, suite_len, seed)?;
-            if !clean {
-                state.salvage_events += 1;
-            }
-            state.part = payloads.clone();
-            state.payloads.extend(payloads);
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(io_err("part read", &e)),
-    }
-    Ok(state)
+    let s = walk_journal(prefix, suite_len, seed, |p| Some(p.to_vec()))?;
+    Ok(RawJournalState {
+        payloads: s.all,
+        sealed_segments: s.sealed_segments,
+        sealed_intact: s.sealed_intact,
+        part: s.part,
+        salvage_events: s.salvage_events,
+    })
 }
 
 /// Keeps the first record per topology index, preserving append order.

@@ -5,9 +5,10 @@
 # inside this repo, so the whole gate runs with `--offline` and must
 # succeed on a machine with no crates.io access at all. Before building,
 # it scans the sources: no registry dependencies, no allocation in marked
-# kernel regions, no unbudgeted panics, and one worker pool (only
-# crates/copa-sim/src/pool.rs may spawn threads). This script is what CI
-# runs; keep it green.
+# kernel regions, no unbudgeted panics, one worker pool (only
+# crates/copa-sim/src/pool.rs may spawn threads) and one ITS exchange loop
+# (only the coordinator decodes frames off the faulty medium). This script
+# is what CI runs; keep it green.
 #
 # Usage: scripts/check.sh [--bench-smoke] [--faults-smoke] [--resume-smoke]
 #                         [--obs-smoke] [--campus-smoke] [--simd-smoke]
@@ -22,8 +23,9 @@
 #                   suite evaluated with both kernel modes must agree to
 #                   the last mantissa bit.
 #   --faults-smoke  additionally run one degraded-suite episode offline
-#                   (240 topologies, 20% ITS frame loss) and require CSMA
-#                   fallbacks to be reported without any panic.
+#                   (240 topologies, 20% ITS frame loss) and require its
+#                   exact DegradationStats line (retries and CSMA
+#                   fallbacks included) without any panic.
 #   --resume-smoke  additionally kill a journaled suite at 50% and resume
 #                   it (examples/resumable_suite.rs), requiring the resumed
 #                   JSON to be byte-identical, then run the hotpath bench's
@@ -83,7 +85,7 @@ for arg in "$@"; do
     esac
 done
 
-echo "==> 1/8 hermeticity: no registry dependencies in any Cargo.toml"
+echo "==> 1/9 hermeticity: no registry dependencies in any Cargo.toml"
 bad=0
 while IFS= read -r toml; do
     # Reject dotted dependency tables ([dependencies.foo]) outright --
@@ -116,7 +118,7 @@ if [ "$bad" -ne 0 ]; then
 fi
 echo "    ok: all dependencies are in-repo path deps"
 
-echo "==> 2/8 alloc-free kernel regions: no Vec::new / vec! reintroduced"
+echo "==> 2/9 alloc-free kernel regions: no Vec::new / vec! reintroduced"
 # Per-subcarrier kernels are bracketed by "alloc-free: begin <name>" /
 # "alloc-free: end <name>" markers. Inside those regions, constructs that
 # allocate per call are banned; scratch buffers must come from the caller.
@@ -137,7 +139,7 @@ if ! awk '
 fi
 echo "    ok: $(grep -rh 'alloc-free: begin' crates --include='*.rs' | wc -l | tr -d ' ') marked kernel regions are allocation-free"
 
-echo "==> 3/8 panic gate: no new unwrap()/panic! in library, example or test code"
+echo "==> 3/9 panic gate: no new unwrap()/panic! in library, example or test code"
 # Library (non-test) code must not panic on user-reachable paths: fallible
 # APIs return copa_core::CopaError, internal invariants use expect /
 # debug_assert! with an "// invariant:" comment. The few deliberate panic
@@ -170,7 +172,7 @@ if [ "$panic_bad" -ne 0 ]; then
 fi
 echo "    ok: library crates stay within the panic allowlist"
 
-echo "==> 4/8 one worker pool: thread fan-outs live only in copa-sim's pool"
+echo "==> 4/9 one worker pool: thread fan-outs live only in copa-sim's pool"
 # Every runner maps its work items through copa_sim::pool::map (work
 # stealing, one state per worker, results in item order, panics
 # re-raised). A second hand-rolled fan-out would fork that contract, so
@@ -184,19 +186,33 @@ if [ -n "$pool_sites" ]; then
 fi
 echo "    ok: crates/copa-sim/src/pool.rs is the only thread fan-out"
 
-echo "==> 5/8 cargo fmt --check"
+echo "==> 5/9 one ITS exchange loop: only the coordinator decodes faulty deliveries"
+# copa_core::Coordinator owns the ITS delivery policy (retry budget, stale
+# CSI re-measurement, CRC and CSI-codec failures). A second loop that
+# decodes frames off the faulty medium would drift from it, so outside
+# the frame codec, the fault model and the coordinator no library source
+# may name ItsFrame::decode or a Delivery variant.
+its_sites=$(grep -rnE 'ItsFrame::decode|Delivery::' crates/*/src --include='*.rs' \
+    | grep -vE '^crates/(copa-core/src/coordinator|copa-mac/src/frames|copa-channel/src/faults)\.rs:' || true)
+if [ -n "$its_sites" ]; then
+    printf '%s\n' "$its_sites" >&2
+    echo "one-exchange-loop gate FAILED: run the exchange through copa_core::Coordinator instead" >&2
+    exit 1
+fi
+echo "    ok: copa-core's coordinator is the only ITS exchange loop"
+
+echo "==> 6/9 cargo fmt --check"
 cargo fmt --check
 
-echo "==> 6/8 cargo build --release --offline (workspace, benches included)"
+echo "==> 7/9 cargo build --release --offline (workspace, benches included)"
 cargo build --release --offline --workspace --benches
 
-echo "==> 7/8 cargo test -q --offline (workspace)"
+echo "==> 8/9 cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
-echo "==> 8/8 deprecation gate: no in-repo callers of deprecated APIs"
-# Deprecated shims (e.g. the pre-supervisor evaluate* entry points) exist
-# only for downstream compatibility; new in-repo code must use the
-# replacements. A separate target dir keeps -D deprecated from thrashing
+echo "==> 9/9 deprecation gate: no in-repo callers of deprecated APIs"
+# Deprecated shims exist only for downstream compatibility (none remain
+# today); new in-repo code must use the replacements. A separate target dir keeps -D deprecated from thrashing
 # the main build cache. #[allow(deprecated)] still works for the shims'
 # own unit tests.
 RUSTFLAGS="-D deprecated" CARGO_TARGET_DIR=target/deprecated \
@@ -384,8 +400,11 @@ if [ "$FAULTS_SMOKE" -eq 1 ]; then
     echo "==> faults smoke: 240-topology degraded suite at 20% frame loss"
     out=$(cargo run --release --offline --example degraded_suite)
     printf '%s\n' "$out"
-    printf '%s\n' "$out" | grep -q '"csma_fallbacks":[1-9]' || {
-        echo "faults smoke FAILED: no CSMA fallbacks reported" >&2
+    # The loss-only plan draws one loss per frame attempt on the
+    # coordinator's fault stream, so the accounting is exact.
+    expected='{"exchanges":240,"retried":111,"retries":157,"failed":14,"csma_fallbacks":14}'
+    printf '%s\n' "$out" | grep -qxF "$expected" || {
+        echo "faults smoke FAILED: expected the stats line $expected" >&2
         exit 1
     }
 fi
