@@ -15,7 +15,6 @@ use copa_num::SimRng;
 use copa_phy::coding::{coded_ber, encode, viterbi_decode, CodeRate};
 use copa_phy::link::ThroughputModel;
 use copa_phy::mmse_curves::MmseCurve;
-use copa_phy::modulation::Modulation;
 
 fn random_mat(rng: &mut SimRng, m: usize, n: usize) -> CMat {
     CMat::from_fn(m, n, |_, _| rng.randc())
@@ -90,8 +89,9 @@ fn main() {
     c.bench_function("alloc_mercury_best", |b| {
         let p = mk_problem(8);
         let model = ThroughputModel::default();
-        let curves: Vec<MmseCurve> = Modulation::ALL.iter().map(|&m| MmseCurve::new(m)).collect();
-        b.iter(|| black_box(mercury_best(&p, &curves, &model, 0.9)))
+        // Build the process-wide curve table before timing starts.
+        black_box(MmseCurve::all());
+        b.iter(|| black_box(mercury_best(&p, &model, 0.9)))
     });
 
     c.bench_function("csi_compress_decompress_2x4", |b| {

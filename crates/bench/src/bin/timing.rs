@@ -1,7 +1,9 @@
 //! Developer tool: wall-clock cost of one engine evaluation (plain vs
-//! mercury/COPA+).
+//! mercury/COPA+), and of building the process-wide MMSE curve table that
+//! COPA+ reads.
 use copa_channel::AntennaConfig;
 use copa_core::{Engine, EvalRequest, ScenarioParams};
+use copa_phy::mmse_curves::MmseCurve;
 use copa_sim::standard_suite;
 use std::time::Instant;
 
@@ -12,11 +14,14 @@ fn main() {
     let _ = e.run(&mut EvalRequest::topology(&suite[0]));
     println!("plain eval: {:?}", t.elapsed());
     let t = Instant::now();
+    std::hint::black_box(MmseCurve::all());
+    println!("curve table built: {:?}", t.elapsed());
+    let t = Instant::now();
     let e = Engine::new(ScenarioParams {
         include_mercury: true,
         ..Default::default()
     });
-    println!("engine+curves built: {:?}", t.elapsed());
+    println!("mercury engine built: {:?}", t.elapsed());
     let t = Instant::now();
     let _ = e.run(&mut EvalRequest::topology(&suite[0]));
     println!("mercury eval: {:?}", t.elapsed());

@@ -14,7 +14,6 @@ use crate::stream::{
     equi_sinr_into, mercury_best, AllocScratch, StreamAllocation, StreamProblem, StreamProblemRef,
 };
 use copa_phy::link::ThroughputModel;
-use copa_phy::mmse_curves::MmseCurve;
 use copa_phy::ofdm::DATA_SUBCARRIERS;
 use copa_precoding::TxPowers;
 
@@ -128,8 +127,11 @@ impl<'a> ConcurrentProblemRef<'a> {
 }
 
 /// Reusable scratch for [`allocate_concurrent_into`]: grows to the largest
-/// problem shape once, then steady-state allocation-free (on the Equi-SINR
-/// path; mercury/waterfilling still allocates internally).
+/// problem shape once, then steady-state allocation-free on the Equi-SINR
+/// path. The Mercury path reads the process-wide MMSE curve table and
+/// still allocates per stream (an owned [`StreamProblem`] and each
+/// mercury/waterfilling call's per-subcarrier vectors), though not inside
+/// its bisection steps.
 #[derive(Clone, Debug, Default)]
 pub struct ConcurrentScratch {
     interference: Vec<f64>,
@@ -148,7 +150,6 @@ fn allocate_ap_into(
     ap: usize,
     peer_powers: &TxPowers,
     kind: AllocatorKind,
-    curves: &[MmseCurve],
     model: &ThroughputModel,
     airtime: f64,
     interference: &mut Vec<f64>,
@@ -180,7 +181,7 @@ fn allocate_ap_into(
                     interference_mw: interference.clone(),
                     budget_mw: per_stream_budget,
                 };
-                *stream_out = mercury_best(&stream_problem, curves, model, airtime);
+                *stream_out = mercury_best(&stream_problem, model, airtime);
             }
         }
         predicted += stream_out.throughput_bps;
@@ -195,7 +196,6 @@ fn allocate_ap_into(
 pub fn allocate_concurrent(
     problem: &ConcurrentProblem,
     kind: AllocatorKind,
-    curves: &[MmseCurve],
     model: &ThroughputModel,
     airtime: f64,
 ) -> ConcurrentSolution {
@@ -204,7 +204,6 @@ pub fn allocate_concurrent(
     allocate_concurrent_into(
         &ConcurrentProblemRef::from_problem(problem),
         kind,
-        curves,
         model,
         airtime,
         &mut scratch,
@@ -220,7 +219,6 @@ pub fn allocate_concurrent(
 pub fn allocate_concurrent_into(
     problem: &ConcurrentProblemRef<'_>,
     kind: AllocatorKind,
-    curves: &[MmseCurve],
     model: &ThroughputModel,
     airtime: f64,
     scratch: &mut ConcurrentScratch,
@@ -248,7 +246,6 @@ pub fn allocate_concurrent_into(
             0,
             &current[1],
             kind,
-            curves,
             model,
             airtime,
             interference,
@@ -261,7 +258,6 @@ pub fn allocate_concurrent_into(
             1,
             &current[0],
             kind,
-            curves,
             model,
             airtime,
             interference,
@@ -311,13 +307,8 @@ fn powers_close(a: &[TxPowers; 2], b: &[TxPowers; 2]) -> bool {
 mod tests {
     use super::*;
     use copa_num::SimRng;
-    use copa_phy::modulation::Modulation;
 
     const NOISE: f64 = 1e-9 / 52.0;
-
-    fn curves() -> Vec<MmseCurve> {
-        Modulation::ALL.iter().map(|&m| MmseCurve::new(m)).collect()
-    }
 
     fn fading(rng: &mut SimRng, mean: f64) -> Vec<f64> {
         (0..DATA_SUBCARRIERS)
@@ -349,7 +340,6 @@ mod tests {
         let sol = allocate_concurrent(
             &p,
             AllocatorKind::EquiSinr,
-            &curves(),
             &ThroughputModel::default(),
             1.0,
         );
@@ -371,7 +361,6 @@ mod tests {
         let sol = allocate_concurrent(
             &p,
             AllocatorKind::EquiSinr,
-            &curves(),
             &ThroughputModel::default(),
             1.0,
         );
@@ -395,9 +384,8 @@ mod tests {
             p
         };
         let model = ThroughputModel::default();
-        let cs = curves();
-        let sw = allocate_concurrent(&weak, AllocatorKind::EquiSinr, &cs, &model, 1.0);
-        let ss = allocate_concurrent(&strong, AllocatorKind::EquiSinr, &cs, &model, 1.0);
+        let sw = allocate_concurrent(&weak, AllocatorKind::EquiSinr, &model, 1.0);
+        let ss = allocate_concurrent(&strong, AllocatorKind::EquiSinr, &model, 1.0);
         let total = |s: &ConcurrentSolution| s.predicted_bps[0] + s.predicted_bps[1];
         assert!(
             total(&ss) < total(&sw),
@@ -410,13 +398,7 @@ mod tests {
     #[test]
     fn mercury_variant_runs_and_respects_budget() {
         let p = symmetric_problem(4, 30.0);
-        let sol = allocate_concurrent(
-            &p,
-            AllocatorKind::Mercury,
-            &curves(),
-            &ThroughputModel::default(),
-            1.0,
-        );
+        let sol = allocate_concurrent(&p, AllocatorKind::Mercury, &ThroughputModel::default(), 1.0);
         for i in 0..2 {
             assert!(sol.powers[i].total_mw() <= p.budgets_mw[i] * (1.0 + 1e-6));
         }
@@ -441,7 +423,6 @@ mod tests {
         let sol = allocate_concurrent(
             &p,
             AllocatorKind::EquiSinr,
-            &curves(),
             &ThroughputModel::default(),
             1.0,
         );
@@ -454,17 +435,15 @@ mod tests {
         // One warm scratch reused across very different problems must give
         // exactly the fresh-scratch (owned entry point) answer.
         let model = ThroughputModel::default();
-        let cs = curves();
         let mut scratch = ConcurrentScratch::default();
         let mut out = ConcurrentSolution::default();
         for seed in [1u64, 6, 9] {
             for &db in &[20.0, 45.0] {
                 let p = symmetric_problem(seed, db);
-                let fresh = allocate_concurrent(&p, AllocatorKind::EquiSinr, &cs, &model, 1.0);
+                let fresh = allocate_concurrent(&p, AllocatorKind::EquiSinr, &model, 1.0);
                 allocate_concurrent_into(
                     &ConcurrentProblemRef::from_problem(&p),
                     AllocatorKind::EquiSinr,
-                    &cs,
                     &model,
                     1.0,
                     &mut scratch,

@@ -398,6 +398,15 @@ pub fn waterfilling(
 /// `g_j / floor_j * mmse(p_j g_j / floor_j) = lambda` for active subcarriers,
 /// `p_j = 0` where `g_j / floor_j <= lambda`. We bisect on `lambda` to meet
 /// the power budget; subcarrier selection falls out naturally.
+///
+/// Each bisection step inverts the MMSE curve at `lambda / q_j` on every
+/// active subcarrier. That target grows with `lambda`, and the grid index
+/// the inverse interpolates at shrinks as the target grows, so once the
+/// step at `lambda` has found subcarrier `j`'s index it bounds the index
+/// at every later `lambda` on that side. Each subcarrier keeps the two
+/// bounds its current `[lo, hi]` implies (starting from the initial `lo`)
+/// and searches only between them: the same index and arithmetic as a
+/// full search, summed in the same order, so the result is the same bits.
 pub fn mercury_waterfilling(
     problem: &StreamProblem,
     curve: &MmseCurve,
@@ -413,36 +422,75 @@ pub fn mercury_waterfilling(
         return equal_power(problem, model, airtime);
     }
 
-    let power_for = |lambda: f64| -> Vec<f64> {
-        quality
-            .iter()
-            .map(|&q| {
-                if q <= lambda {
-                    0.0
-                } else {
-                    // p q = mmse^{-1}(lambda / q)  =>  p = snr / q.
-                    curve.mmse_inverse(lambda / q) / q
-                }
-            })
-            .collect()
-    };
-
     // Bisect lambda in (0, q_max): smaller lambda -> more power used.
     let mut lo = q_max * 1e-12;
     let mut hi = q_max;
+    // Grid-index bounds per subcarrier: `upper[j]` holds at every lambda
+    // >= lo and `lower[j]` at every lambda <= hi, for subcarriers still
+    // active there. A subcarrier off at a lambda records 0 there, which is
+    // a valid lower bound and an unused upper one (it stays off above).
+    // The starting `lo` is searched once here: when the budget is only met
+    // near it (BPSK at high SNR), no step ever evaluates it.
+    let nodes = curve.mmse_nodes();
+    let grid = nodes.len();
+    let mut lower = vec![0; n];
+    let mut upper: Vec<usize> = quality
+        .iter()
+        .map(|&q| {
+            if q <= lo {
+                0
+            } else {
+                nodes.partition_point(|&m| m >= lo / q)
+            }
+        })
+        .collect();
+    let mut at_mid = vec![0; n];
+    // alloc-free: begin mercury_bisection
     for _ in 0..80 {
         let mid = (lo * hi).sqrt();
-        let used: f64 = power_for(mid).iter().sum();
+        // `lo * hi` can underflow or overflow and put `mid` outside
+        // [lo, hi], where the bounds say nothing: search the whole grid.
+        let bracketed = lo <= mid && mid <= hi;
+        let mut used = 0.0;
+        for (j, &q) in quality.iter().enumerate() {
+            used += if q <= mid {
+                at_mid[j] = 0;
+                0.0
+            } else {
+                let bracket = if bracketed {
+                    lower[j]..upper[j]
+                } else {
+                    0..grid
+                };
+                // p q = mmse^{-1}(lambda / q)  =>  p = snr / q.
+                let (snr, index) = curve.mmse_inverse_within(mid / q, bracket);
+                at_mid[j] = index;
+                snr / q
+            };
+        }
         if used > problem.budget_mw {
             lo = mid;
+            core::mem::swap(&mut upper, &mut at_mid);
         } else {
             hi = mid;
+            core::mem::swap(&mut lower, &mut at_mid);
         }
         if hi / lo < 1.0 + 1e-12 {
             break;
         }
     }
-    let mut powers = power_for((lo * hi).sqrt());
+    // alloc-free: end mercury_bisection
+    let lambda = (lo * hi).sqrt();
+    let mut powers: Vec<f64> = quality
+        .iter()
+        .map(|&q| {
+            if q <= lambda {
+                0.0
+            } else {
+                curve.mmse_inverse(lambda / q) / q
+            }
+        })
+        .collect();
     // Normalize exactly to the budget.
     let used: f64 = powers.iter().sum();
     if used > 0.0 {
@@ -454,17 +502,17 @@ pub fn mercury_waterfilling(
     finish_for_modulation(problem, powers, curve.modulation(), model, airtime)
 }
 
-/// Iterated mercury/waterfilling over all four constellations, with
-/// additional explicit drop counts layered on top (the paper's COPA+ uses
-/// "iterated mercury/waterfilling (including subcarrier selection)").
+/// Iterated mercury/waterfilling over all four constellations' curves
+/// ([`MmseCurve::all`]), with additional explicit drop counts layered on
+/// top (the paper's COPA+ uses "iterated mercury/waterfilling (including
+/// subcarrier selection)").
 pub fn mercury_best(
     problem: &StreamProblem,
-    curves: &[MmseCurve],
     model: &ThroughputModel,
     airtime: f64,
 ) -> StreamAllocation {
     let mut best: Option<StreamAllocation> = None;
-    for curve in curves {
+    for curve in MmseCurve::all() {
         let alloc = mercury_waterfilling(problem, curve, model, airtime);
         if best
             .as_ref()
@@ -702,10 +750,9 @@ mod tests {
     #[test]
     fn mercury_conserves_budget_and_is_competitive() {
         let model = ThroughputModel::default();
-        let curves: Vec<MmseCurve> = Modulation::ALL.iter().map(|&m| MmseCurve::new(m)).collect();
         for seed in 0..5 {
             let p = fading_problem(seed + 300);
-            let a = mercury_best(&p, &curves, &model, 1.0);
+            let a = mercury_best(&p, &model, 1.0);
             assert!(a.total_power_mw() <= BUDGET * (1.0 + 1e-6));
             let eq = equal_power(&p, &model, 1.0);
             assert!(
@@ -897,6 +944,122 @@ mod tests {
                 assert_allocs_bit_identical(&fast, &slow, &format!("seed {seed} at {airtime}"));
             }
         }
+    }
+
+    /// The mercury/waterfilling bisection before per-subcarrier index
+    /// brackets (every step collects a fresh power vector from full-grid
+    /// inverses), kept verbatim as the bit-identity oracle for the
+    /// bracketed production path.
+    fn reference_mercury_waterfilling(
+        problem: &StreamProblem,
+        curve: &MmseCurve,
+        model: &ThroughputModel,
+        airtime: f64,
+    ) -> StreamAllocation {
+        let n = problem.len();
+        let quality: Vec<f64> = (0..n)
+            .map(|s| problem.gains[s].max(1e-300) / problem.floor(s))
+            .collect();
+        let q_max = quality.iter().cloned().fold(0.0, f64::max);
+        if q_max <= 0.0 {
+            return equal_power(problem, model, airtime);
+        }
+
+        let power_for = |lambda: f64| -> Vec<f64> {
+            quality
+                .iter()
+                .map(|&q| {
+                    if q <= lambda {
+                        0.0
+                    } else {
+                        // p q = mmse^{-1}(lambda / q)  =>  p = snr / q.
+                        curve.mmse_inverse(lambda / q) / q
+                    }
+                })
+                .collect()
+        };
+
+        // Bisect lambda in (0, q_max): smaller lambda -> more power used.
+        let mut lo = q_max * 1e-12;
+        let mut hi = q_max;
+        for _ in 0..80 {
+            let mid = (lo * hi).sqrt();
+            let used: f64 = power_for(mid).iter().sum();
+            if used > problem.budget_mw {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+            if hi / lo < 1.0 + 1e-12 {
+                break;
+            }
+        }
+        let mut powers = power_for((lo * hi).sqrt());
+        // Normalize exactly to the budget.
+        let used: f64 = powers.iter().sum();
+        if used > 0.0 {
+            let scale = problem.budget_mw / used;
+            for p in powers.iter_mut() {
+                *p *= scale;
+            }
+        }
+        finish_for_modulation(problem, powers, curve.modulation(), model, airtime)
+    }
+
+    /// Seeded mercury problems: clean fading, interference on every third
+    /// subcarrier, a budget raised or cut by 1e3, and channels so weak that
+    /// the bisection's `lo * hi` underflows, with several gains at the
+    /// 1e-300 floor. Returns whether `lo * hi` underflows on the first step.
+    fn mercury_problem(seed: u64) -> (StreamProblem, bool) {
+        let mut p = fading_problem(seed + 8000);
+        if seed % 3 == 1 {
+            for s in (0..p.len()).step_by(3) {
+                p.interference_mw[s] = 2e-8;
+            }
+        }
+        match seed % 4 {
+            // High SNR: BPSK and QPSK meet the budget only near the
+            // bisection's starting `lo`.
+            0 => p.budget_mw *= 1e3,
+            2 => p.budget_mw *= 1e-3,
+            _ => {}
+        }
+        if seed % 5 == 3 {
+            // q_max from ~1e-148 (normal products) down to ~1e-159 (the
+            // first products flush to zero), through the subnormal range
+            // where `sqrt(lo * hi)` can land outside [lo, hi].
+            let scale = 10f64.powf(-150.0 - (seed % 16) as f64 * 0.75);
+            for (s, g) in p.gains.iter_mut().enumerate() {
+                *g = if s % 9 == 4 { 0.0 } else { *g * scale };
+            }
+        }
+        let q_max = (0..p.len())
+            .map(|s| p.gains[s].max(1e-300) / p.floor(s))
+            .fold(0.0, f64::max);
+        let underflows = q_max * 1e-12 * q_max < f64::MIN_POSITIVE;
+        (p, underflows)
+    }
+
+    #[test]
+    fn bracketed_mercury_is_bit_identical_to_reference() {
+        let model = ThroughputModel::default();
+        let mut underflowing = 0;
+        for seed in 0..240 {
+            let (p, underflows) = mercury_problem(seed);
+            underflowing += underflows as usize;
+            for curve in MmseCurve::all() {
+                for &airtime in &[1.0, 0.88] {
+                    let fast = mercury_waterfilling(&p, curve, &model, airtime);
+                    let slow = reference_mercury_waterfilling(&p, curve, &model, airtime);
+                    let ctx = format!("seed {seed}, {} at {airtime}", curve.modulation());
+                    assert_allocs_bit_identical(&fast, &slow, &ctx);
+                }
+            }
+        }
+        assert!(
+            underflowing >= 20,
+            "only {underflowing} underflowing problems"
+        );
     }
 
     #[test]

@@ -3,8 +3,9 @@
 
 use copa_alloc::stream::{equal_power, equi_sinr, waterfilling, StreamProblem};
 use copa_num::prop::{check, Gen};
-use copa_num::prop_assert;
+use copa_num::{prop_assert, prop_assert_eq};
 use copa_phy::link::ThroughputModel;
+use copa_phy::mmse_curves::MmseCurve;
 
 const CASES: usize = 32;
 
@@ -156,6 +157,34 @@ fn more_interference_never_helps() {
         prop_assert!(
             a_dirty.throughput_bps <= a_clean.throughput_bps + 1.0,
             "interference improved throughput?!"
+        );
+        Ok(())
+    });
+}
+
+#[test]
+fn bracketed_mmse_inverse_matches_full_search() {
+    // Mercury/waterfilling's bisection narrows each subcarrier's search to
+    // a bracket of grid indices; any bracket that holds the true partition
+    // index must give back mmse_inverse's exact bits.
+    check("bracketed_mmse_inverse_matches_full_search", 256, |gen| {
+        let curve = gen.pick(MmseCurve::all());
+        let nodes = curve.mmse_nodes();
+        // Half the targets sit exactly on a grid node, where `>=` decides.
+        let target = if gen.bool() {
+            *gen.pick(nodes)
+        } else {
+            gen.f64_in(0.0, 1.5)
+        };
+        let index = nodes.partition_point(|&m| m >= target);
+        let bracket = gen.usize_in(0, index + 1)..gen.usize_in(index, nodes.len() + 1);
+        let (snr, found) = curve.mmse_inverse_within(target, bracket.clone());
+        let ctx = format!("{} target {target:e} in {bracket:?}", curve.modulation());
+        prop_assert_eq!(found, index, "{ctx}: index");
+        prop_assert_eq!(
+            snr.to_bits(),
+            curve.mmse_inverse(target).to_bits(),
+            "{ctx}: inverse"
         );
         Ok(())
     });

@@ -23,8 +23,6 @@ use copa_channel::{FreqChannel, Topology};
 use copa_mac::overhead::{airtime_efficiency, OverheadConfig, Scheme};
 use copa_num::matrix::CMat;
 use copa_num::svd::{cond_into, Svd, SvdScratch};
-use copa_phy::mmse_curves::MmseCurve;
-use copa_phy::modulation::Modulation;
 use copa_phy::ofdm::DATA_SUBCARRIERS;
 use copa_precoding::beamforming::{beamform_scalar_with, beamform_with};
 use copa_precoding::nulling::{null_toward_scalar_with, null_toward_with};
@@ -238,19 +236,16 @@ impl<'a> EvalRequest<'a> {
 /// The strategy engine. Construct once, evaluate many topologies.
 pub struct Engine {
     params: ScenarioParams,
-    curves: Vec<MmseCurve>,
 }
 
 impl Engine {
-    /// Builds an engine; constructs the mercury MMSE curves only when the
-    /// params ask for COPA+.
+    /// Builds an engine. This is free: COPA+ evaluations read the
+    /// process-wide MMSE curve table ([`MmseCurve::all`]), which the first
+    /// of them builds.
+    ///
+    /// [`MmseCurve::all`]: copa_phy::mmse_curves::MmseCurve::all
     pub fn new(params: ScenarioParams) -> Self {
-        let curves = if params.include_mercury {
-            Modulation::ALL.iter().map(|&m| MmseCurve::new(m)).collect()
-        } else {
-            Vec::new()
-        };
-        Self { params, curves }
+        Self { params }
     }
 
     /// The engine's parameters.
@@ -647,7 +642,7 @@ impl Engine {
                             .unwrap_or_else(|| vec![0.0; DATA_SUBCARRIERS]),
                         budget_mw: budget / streams as f64,
                     };
-                    let a = mercury_best(&problem, &self.curves, &self.params.model, eff);
+                    let a = mercury_best(&problem, &self.params.model, eff);
                     out.powers[k] = a.powers;
                 }
             }
@@ -896,7 +891,6 @@ impl Engine {
                     allocate_concurrent_into(
                         &problem,
                         kind,
-                        &self.curves,
                         &self.params.model,
                         eff,
                         conc_scratch,

@@ -34,4 +34,4 @@ pub use matrix::CMat;
 pub use rng::SimRng;
 pub use solve::{inverse_loaded_into, LuScratch};
 pub use svd::{cond, cond_into, nullspace, svd, svd_into, Svd, SvdScratch};
-pub use tables::{gauss_hermite_cached, ErfcTable};
+pub use tables::ErfcTable;

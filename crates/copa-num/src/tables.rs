@@ -1,29 +1,23 @@
 //! Precomputed lookup tables for the rate-lookup tail.
 //!
-//! Two costs dominate the allocator's rate selection once the linear
-//! algebra is batched: `erfc` evaluations inside the per-MCS BER formulas,
-//! and (for COPA+) rebuilding Gauss–Hermite rules. This module precomputes
-//! both:
+//! Once the linear algebra is batched, `erfc` evaluations inside the
+//! per-MCS BER formulas dominate the allocator's rate selection.
+//! [`ErfcTable`] tabulates [`crate::special::erfc`] on a uniform grid and
+//! interpolates linearly. Table nodes store the *exact* `special::erfc`
+//! output (0 ulp of error at the nodes by construction), and because `erfc`
+//! is monotone decreasing and linear interpolation of monotone node values
+//! is monotone, the table is monotone between nodes too — both properties
+//! are locked down in `tests/prop_batch.rs`.
 //!
-//! * [`ErfcTable`] tabulates [`crate::special::erfc`] on a uniform grid and
-//!   interpolates linearly. Table nodes store the *exact* `special::erfc`
-//!   output (0 ulp of error at the nodes by construction), and because
-//!   `erfc` is monotone decreasing and linear interpolation of monotone
-//!   node values is monotone, the table is monotone between nodes too —
-//!   both properties are locked down in `tests/prop_batch.rs`.
-//! * [`gauss_hermite_cached`] memoizes [`crate::quadrature::GaussHermite`]
-//!   rules per order in a process-wide cache, constructed by the *same*
-//!   Newton iteration code, so cached nodes/weights are bit-identical to a
-//!   fresh `GaussHermite::new(n)`.
+//! COPA+'s Gauss–Hermite MMSE curves are tabulated elsewhere, as one
+//! process-wide table in `copa_phy::mmse_curves`.
 //!
 //! The engine's golden-figure path keeps calling exact `special::erfc`;
 //! the table is the opt-in fast variant for throughput-oriented callers
 //! (benchmarks, sweeps) that can tolerate interpolation error between
 //! nodes.
 
-use crate::quadrature::GaussHermite;
 use crate::special::erfc;
-use std::sync::{Mutex, OnceLock};
 
 /// Uniform-grid lookup table for `erfc` with linear interpolation.
 #[derive(Clone, Debug)]
@@ -101,24 +95,6 @@ impl ErfcTable {
     }
 }
 
-/// Process-wide cache of Gauss–Hermite rules keyed by order.
-///
-/// The rules are built by [`GaussHermite::new`] itself, so a cached rule is
-/// bit-identical to a freshly constructed one; the cache only saves the
-/// Newton iterations (~10 µs per order) on repeated lookups, e.g. when the
-/// mercury/waterfilling allocator builds MMSE curves per worker thread.
-pub fn gauss_hermite_cached(n: usize) -> GaussHermite {
-    static CACHE: OnceLock<Mutex<Vec<(usize, GaussHermite)>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-    let mut guard = cache.lock().expect("gauss-hermite cache lock poisoned");
-    if let Some((_, gh)) = guard.iter().find(|(k, _)| *k == n) {
-        return gh.clone();
-    }
-    let gh = GaussHermite::new(n);
-    guard.push((n, gh.clone()));
-    gh
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,20 +135,6 @@ mod tests {
             let v = t.eval(x);
             assert!(v <= prev, "x={x}: {v} > {prev}");
             prev = v;
-        }
-    }
-
-    #[test]
-    fn gauss_hermite_cache_is_bit_identical_to_fresh() {
-        for &n in &[8usize, 16, 40] {
-            let cached = gauss_hermite_cached(n);
-            let again = gauss_hermite_cached(n);
-            let fresh = GaussHermite::new(n);
-            for i in 0..n {
-                assert_eq!(cached.nodes[i].to_bits(), fresh.nodes[i].to_bits());
-                assert_eq!(cached.weights[i].to_bits(), fresh.weights[i].to_bits());
-                assert_eq!(again.nodes[i].to_bits(), fresh.nodes[i].to_bits());
-            }
         }
     }
 }

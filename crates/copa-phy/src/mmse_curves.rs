@@ -6,9 +6,14 @@
 //! constellation symbol from an AWGN observation at a given SNR. For square
 //! QAM this reduces to the per-axis PAM MMSE at the same SNR, which we
 //! evaluate by Gauss-Hermite quadrature and cache on a log-SNR grid.
+//!
+//! The four curves depend on nothing but the constellation, so the process
+//! holds one table of them ([`MmseCurve::all`]), built on first use.
 
 use crate::modulation::Modulation;
 use copa_num::quadrature::GaussHermite;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Number of Gauss-Hermite nodes for the conditional-mean integrals.
 const GH_ORDER: usize = 48;
@@ -26,8 +31,19 @@ pub struct MmseCurve {
 }
 
 impl MmseCurve {
-    /// Builds the curve for `modulation` (a few ms of quadrature, done once).
-    pub fn new(modulation: Modulation) -> Self {
+    /// The curves of all four constellations, in [`Modulation::ALL`] order.
+    ///
+    /// Built on the first call in the process (all four curves'
+    /// quadrature, run by whichever thread gets there first while any
+    /// others wait) and shared by every caller after that.
+    pub fn all() -> &'static [MmseCurve; 4] {
+        static TABLE: OnceLock<[MmseCurve; 4]> = OnceLock::new();
+        TABLE.get_or_init(|| Modulation::ALL.map(MmseCurve::new))
+    }
+
+    /// Builds the curve for `modulation` (a few ms of quadrature, done once
+    /// per process by [`Self::all`]).
+    fn new(modulation: Modulation) -> Self {
         let gh = GaussHermite::new(GH_ORDER);
         let levels = unit_energy_pam(&modulation);
         let mut log_snr = Vec::with_capacity(GRID_POINTS);
@@ -77,6 +93,12 @@ impl MmseCurve {
         self.mmse[i - 1] * (1.0 - t) + self.mmse[i] * t
     }
 
+    /// The curve's `mmse` values at its log-SNR grid nodes, non-increasing.
+    /// [`Self::mmse_inverse_within`] takes brackets of indices into it.
+    pub fn mmse_nodes(&self) -> &[f64] {
+        &self.mmse
+    }
+
     /// Inverse function: the SNR at which `mmse(snr) == target`.
     /// Returns 0 for `target >= 1` and `SNR_MAX` for unattainably small
     /// targets.
@@ -85,18 +107,37 @@ impl MmseCurve {
     /// binary search plus linear interpolation in log-SNR -- this sits in
     /// the innermost loop of mercury/waterfilling, so it must be cheap.
     pub fn mmse_inverse(&self, target: f64) -> f64 {
+        self.mmse_inverse_within(target, 0..GRID_POINTS).0
+    }
+
+    /// [`Self::mmse_inverse`] with the binary search narrowed to `bracket`,
+    /// which must contain `target`'s partition index: the number of
+    /// [`Self::mmse_nodes`] that are `>= target`. Returns the inverse, bit
+    /// for bit what [`Self::mmse_inverse`] returns, and that index.
+    ///
+    /// The index is non-increasing in `target`, so a caller that moves
+    /// `target` monotonically can keep shrinking the bracket it passes.
+    pub fn mmse_inverse_within(&self, target: f64, bracket: Range<usize>) -> (f64, usize) {
+        // The grid is non-increasing, so the nodes before the bracket all
+        // satisfy `m >= target` and the nodes after it none do.
+        let at_or_above = |m: &f64| *m >= target;
+        // invariant: the caller's bracket holds the partition index.
+        debug_assert!(
+            (bracket.start == 0 || at_or_above(&self.mmse[bracket.start - 1]))
+                && (bracket.end == GRID_POINTS || !at_or_above(&self.mmse[bracket.end])),
+            "bracket {bracket:?} misses the partition index of {target}"
+        );
+        let start = bracket.start;
+        let p = start + self.mmse[bracket].partition_point(at_or_above);
         if target >= self.mmse(0.0) {
-            return 0.0;
+            return (0.0, p);
         }
         let last = *self.mmse.last().expect("non-empty grid");
         if target <= last {
-            return SNR_MAX;
+            return (SNR_MAX, p);
         }
-        // mmse is descending: find the first index with mmse < target.
-        let i = self
-            .mmse
-            .partition_point(|&m| m >= target)
-            .clamp(1, GRID_POINTS - 1);
+        // mmse is descending: `p` is the first index with mmse < target.
+        let i = p.clamp(1, GRID_POINTS - 1);
         let (m0, m1) = (self.mmse[i - 1], self.mmse[i]);
         let t = if m0 > m1 {
             (m0 - target) / (m0 - m1)
@@ -104,7 +145,7 @@ impl MmseCurve {
             0.0
         };
         let ls = self.log_snr[i - 1] * (1.0 - t) + self.log_snr[i] * t;
-        ls.exp()
+        (ls.exp(), p)
     }
 }
 
@@ -212,6 +253,19 @@ mod tests {
             .collect();
         for w in vals.windows(2) {
             assert!(w[0] <= w[1] + 1e-9, "ordering at 10 dB: {vals:?}");
+        }
+    }
+
+    #[test]
+    fn all_is_one_table_in_modulation_order() {
+        let table = MmseCurve::all();
+        assert!(std::ptr::eq(table, MmseCurve::all()), "built once");
+        for (curve, m) in table.iter().zip(Modulation::ALL) {
+            assert_eq!(curve.modulation(), m);
+            let fresh = MmseCurve::new(m);
+            for (a, b) in curve.mmse_nodes().iter().zip(fresh.mmse_nodes()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{m}");
+            }
         }
     }
 

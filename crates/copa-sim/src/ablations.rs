@@ -25,8 +25,6 @@ use copa_core::{prepare, Engine, EvalRequest, ScenarioParams};
 use copa_num::stats::mean;
 use copa_num::SimRng;
 use copa_phy::link::ThroughputModel;
-use copa_phy::mmse_curves::MmseCurve;
-use copa_phy::modulation::Modulation;
 
 /// One row of the coherence-time ablation.
 #[derive(Clone, Debug)]
@@ -165,7 +163,6 @@ pub struct AllocatorComparison {
 /// waterfilling-vs-mercury contrast of section 2.1).
 pub fn allocator_comparison(seed: u64, trials: usize, mean_snr_db: f64) -> AllocatorComparison {
     let model = ThroughputModel::default();
-    let curves: Vec<MmseCurve> = Modulation::ALL.iter().map(|&m| MmseCurve::new(m)).collect();
     let mut rng = SimRng::seed_from(seed);
     let noise = 1e-9;
     let mean_gain = copa_num::special::db_to_lin(mean_snr_db) * noise * 52.0 / 31.6;
@@ -188,7 +185,7 @@ pub fn allocator_comparison(seed: u64, trials: usize, mean_snr_db: f64) -> Alloc
         sums[2] += allocation_only(&p, &model, 1.0).throughput_bps;
         sums[3] += equi_sinr(&p, &model, 1.0).throughput_bps;
         sums[4] += waterfilling(&p, &model, 1.0).throughput_bps;
-        sums[5] += mercury_best(&p, &curves, &model, 1.0).throughput_bps;
+        sums[5] += mercury_best(&p, &model, 1.0).throughput_bps;
     }
     AllocatorComparison {
         names: vec![

@@ -265,7 +265,7 @@ pub fn fig7(topo: &Topology, params: &ScenarioParams) -> Fig7 {
         noise_mw: noise,
         budgets_mw: [budget, budget],
     };
-    let sol = allocate_concurrent(&problem, AllocatorKind::EquiSinr, &[], &model, 1.0);
+    let sol = allocate_concurrent(&problem, AllocatorKind::EquiSinr, &model, 1.0);
     let copa_powers = sol.powers;
     let eq = [
         TxPowers::equal(streams, budget),

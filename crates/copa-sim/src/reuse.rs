@@ -72,7 +72,7 @@ pub fn concurrent_reuse(topology: &Topology, params: &ScenarioParams) -> ReuseSt
         noise_mw: noise,
         budgets_mw: [budget, budget],
     };
-    let sol = allocate_concurrent(&problem, AllocatorKind::EquiSinr, &[], &model, 1.0);
+    let sol = allocate_concurrent(&problem, AllocatorKind::EquiSinr, &model, 1.0);
 
     let mut stats = ReuseStats {
         unused: 0,

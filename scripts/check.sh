@@ -118,14 +118,16 @@ if [ "$bad" -ne 0 ]; then
 fi
 echo "    ok: all dependencies are in-repo path deps"
 
-echo "==> 2/9 alloc-free kernel regions: no Vec::new / vec! reintroduced"
+echo "==> 2/9 alloc-free kernel regions: no Vec::new / vec! / collect reintroduced"
 # Per-subcarrier kernels are bracketed by "alloc-free: begin <name>" /
 # "alloc-free: end <name>" markers. Inside those regions, constructs that
-# allocate per call are banned; scratch buffers must come from the caller.
+# allocate per call are banned (`.collect(` and `.collect::<..>(` included:
+# they build a fresh container); scratch buffers must come from the caller
+# or be built before the region.
 if ! awk '
     /alloc-free: begin/ { inside = 1; region = $0 }
     inside && !/alloc-free:/ && !/^[[:space:]]*\/\// {
-        if ($0 ~ /Vec::new\(|vec!|\.to_vec\(|with_capacity\(|Vec::from|CMat::zeros\(|\.clone\(\)/) {
+        if ($0 ~ /Vec::new\(|vec!|\.to_vec\(|with_capacity\(|Vec::from|CMat::zeros\(|\.clone\(\)|\.collect(\(|::)/) {
             printf "error: %s:%d: allocation in alloc-free region (%s): %s\n", \
                 FILENAME, FNR, region, $0 > "/dev/stderr"
             bad = 1

@@ -103,16 +103,26 @@ fn work_stealing_runner_is_byte_identical_across_1_2_8_threads() {
 
 #[test]
 fn mercury_variants_are_deterministic_too() {
-    let suite = TopologySampler::default().suite(0xDE9, 2, AntennaConfig::SINGLE);
+    // Mercury nulling, SDA and concurrent beamforming across antenna
+    // configs, with workers sharing the process-wide MMSE curve table.
+    let mut suite = TopologySampler::default().suite(0xDE9, 2, AntennaConfig::SINGLE);
+    suite.extend(TopologySampler::default().suite(0xDED, 2, AntennaConfig::CONSTRAINED_4X2));
+    suite.extend(TopologySampler::default().suite(0xDEE, 2, AntennaConfig::OVERCONSTRAINED_3X2));
     let params = ScenarioParams {
         include_mercury: true,
         ..Default::default()
     };
     let a = evaluate_serial(&params, &suite);
-    let b = evaluate_parallel(&params, &suite, 2);
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(fingerprint(x), fingerprint(y));
-        assert!(x.copa_plus.is_some(), "mercury outcomes requested");
+    for threads in [2, 8] {
+        let b = evaluate_parallel(&params, &suite, threads);
+        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(
+                fingerprint(x),
+                fingerprint(y),
+                "topology {i}: 1-thread vs {threads}-thread runs must be byte-identical"
+            );
+            assert!(x.copa_plus.is_some(), "mercury outcomes requested");
+        }
     }
 }
 
