@@ -20,9 +20,7 @@
 
 use copa_bench::harness::{black_box, Criterion};
 use copa_channel::{AntennaConfig, MultipathProfile, TopologySampler};
-use copa_core::{
-    Engine, EngineMetrics, EngineObs, EngineWorkspace, EvalRequest, KernelMode, ScenarioParams,
-};
+use copa_core::{Engine, EngineMetrics, EngineObs, EngineWorkspace, EvalRequest, ScenarioParams};
 use copa_num::{svd, CMat, SimRng};
 use copa_obs::{FrozenClock, NoopSink, Telemetry, WallClock};
 use copa_precoding::{beamform, mmse_sinr_grid, TxPowers, TxSide};
@@ -329,51 +327,22 @@ fn main() {
     }
 
     // --- 4. suite throughput through the parallel runner -----------------
-    // Batched (default) vs scalar reference kernels on the same mixed
-    // suite: the headline number and the speedup the SoA refactor buys.
     let suite = mixed_suite(4);
-    let mut scalar_params = params;
-    scalar_params.kernel_mode = KernelMode::Scalar;
-    c.bench_function("suite_mixed_12", |b| {
+    let bench = "suite_mixed_12";
+    c.bench_function(bench, |b| {
         b.iter(|| evaluate_parallel(black_box(&params), &suite, threads))
     });
-    c.bench_function("suite_mixed_12_scalar", |b| {
-        b.iter(|| evaluate_parallel(black_box(&scalar_params), &suite, threads))
-    });
-    let n = suite.len() as f64;
-    let mut batched_tps = 0.0;
-    let mut scalar_tps = 0.0;
-    for (bench, slot) in [
-        ("suite_mixed_12", &mut batched_tps),
-        ("suite_mixed_12_scalar", &mut scalar_tps),
-    ] {
-        if let Some(r) = c.reports().iter().find(|r| r.name == bench) {
-            let topos_per_sec = n / (r.median_ns / 1e9);
-            *slot = topos_per_sec;
-            let mut out = String::new();
-            Obj::new(&mut out)
-                .field("type", &"throughput")
-                .field("name", &bench)
-                .field("topologies_per_sec", &topos_per_sec)
-                .field("threads", &threads)
-                .finish();
-            println!("thrpt {bench:<32} {topos_per_sec:.2} topologies/s");
-            println!("{out}");
-        }
-    }
-    if scalar_tps > 0.0 {
+    let mut suite_tps = 0.0;
+    if let Some(r) = c.reports().iter().find(|r| r.name == bench) {
+        suite_tps = suite.len() as f64 / (r.median_ns / 1e9);
         let mut out = String::new();
         Obj::new(&mut out)
-            .field("type", &"speedup")
-            .field("name", &"batched_vs_scalar")
-            .field("batched_topos_per_sec", &batched_tps)
-            .field("scalar_topos_per_sec", &scalar_tps)
-            .field("ratio", &(batched_tps / scalar_tps))
+            .field("type", &"throughput")
+            .field("name", &bench)
+            .field("topologies_per_sec", &suite_tps)
+            .field("threads", &threads)
             .finish();
-        println!(
-            "speedup batched vs scalar            {:.2}x",
-            batched_tps / scalar_tps
-        );
+        println!("thrpt {bench:<32} {suite_tps:.2} topologies/s");
         println!("{out}");
     }
 
@@ -382,8 +351,8 @@ fn main() {
     // the bench rather than silently eroding the figure-suite turnaround.
     const MIN_TOPOS_PER_SEC: f64 = 540.0;
     assert!(
-        batched_tps >= MIN_TOPOS_PER_SEC,
-        "suite throughput gate: {batched_tps:.2} topologies/s < {MIN_TOPOS_PER_SEC} \
+        suite_tps >= MIN_TOPOS_PER_SEC,
+        "suite throughput gate: {suite_tps:.2} topologies/s < {MIN_TOPOS_PER_SEC} \
          (5x the 108/s scalar-AoS baseline)"
     );
 

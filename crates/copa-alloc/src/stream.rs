@@ -611,16 +611,18 @@ mod tests {
     const NOISE: f64 = 1e-9;
     const BUDGET: f64 = 31.6 / 2.0; // half the 15 dBm budget (one of 2 streams)
 
-    fn rayleigh_problem(seed: u64) -> StreamProblem {
+    /// Mean gain ~ -60 dBm rx at 15 dBm tx => gain ~ 3e-8; exponential
+    /// (Rayleigh power) fading, one independent draw per subcarrier.
+    fn rayleigh_gains(seed: u64) -> Vec<f64> {
         let mut rng = SimRng::seed_from(seed);
-        // Mean gain ~ -60 dBm rx at 15 dBm tx => gain ~ 3e-8; exponential
-        // (Rayleigh power) fading per subcarrier.
-        problem_from_fn(
-            |_| -rng.clone().uniform().ln() * 3e-8,
-            |_| 0.0,
-            NOISE,
-            BUDGET,
-        )
+        (0..DATA_SUBCARRIERS)
+            .map(|_| -(1.0 - rng.uniform()).ln() * 3e-8)
+            .collect()
+    }
+
+    fn rayleigh_problem(seed: u64) -> StreamProblem {
+        let gains = rayleigh_gains(seed);
+        problem_from_fn(|s| gains[s], |_| 0.0, NOISE, BUDGET)
     }
 
     fn fading_problem(seed: u64) -> StreamProblem {
@@ -925,9 +927,9 @@ mod tests {
             // Mix of clean, interfered, and power-starved problems so the
             // pruning is exercised across very different drop counts.
             let mut p = if seed % 3 == 0 {
-                let mut rng = SimRng::seed_from(seed + 7000);
+                let gains = rayleigh_gains(seed + 7000);
                 problem_from_fn(
-                    |_| -rng.clone().uniform().ln() * 3e-8,
+                    |s| gains[s],
                     |s| if s % 4 == 0 { 2e-8 } else { 0.0 },
                     NOISE,
                     BUDGET,

@@ -8,7 +8,6 @@
 //! Gaussian taps with an exponential power-delay profile, and the 64-point
 //! FFT of that impulse response yields the per-subcarrier channel gains.
 
-use copa_num::batch::CBatch;
 use copa_num::complex::C64;
 use copa_num::fft::{fft, fft_in_place};
 use copa_num::matrix::CMat;
@@ -468,83 +467,6 @@ impl FreqChannel {
     }
 }
 
-/// Structure-of-arrays view of a [`FreqChannel`]: contiguous split re/im
-/// planes laid out `[row][col][subcarrier]` with the subcarrier index
-/// fastest-moving (one [`CBatch`] with `lanes == DATA_SUBCARRIERS`), so the
-/// batched kernels in `copa-num` sweep all 52 subcarriers of an antenna-pair
-/// entry with unit-stride `f64` loops.
-///
-/// Conversion is lossless both ways: `load_from` / `store_to` move the exact
-/// f64 bit patterns between the per-subcarrier `CMat`s and the planes.
-#[derive(Clone, Debug, Default)]
-pub struct FreqChannelSoa {
-    planes: CBatch,
-}
-
-impl FreqChannelSoa {
-    /// An empty SoA channel, used as a reusable pooled slot.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds the SoA layout from an AoS channel.
-    pub fn from_channel(ch: &FreqChannel) -> Self {
-        let mut soa = Self::new();
-        soa.load_from(ch);
-        soa
-    }
-
-    /// Pooled conversion from an AoS channel (reuses the plane buffers).
-    pub fn load_from(&mut self, ch: &FreqChannel) {
-        self.planes.reset(ch.rx, ch.tx, ch.subcarriers.len());
-        for (s, m) in ch.subcarriers.iter().enumerate() {
-            self.planes.load_lane(s, m);
-        }
-    }
-
-    /// Pooled conversion back to an AoS channel (reuses `out`'s buffers).
-    pub fn store_to(&self, out: &mut FreqChannel) {
-        out.rx = self.planes.rows();
-        out.tx = self.planes.cols();
-        out.subcarriers.truncate(self.planes.lanes());
-        out.subcarriers
-            .resize_with(self.planes.lanes(), CMat::default);
-        for (s, m) in out.subcarriers.iter_mut().enumerate() {
-            self.planes.store_lane(s, m);
-        }
-    }
-
-    /// Number of receive antennas.
-    pub fn rx(&self) -> usize {
-        self.planes.rows()
-    }
-
-    /// Number of transmit antennas.
-    pub fn tx(&self) -> usize {
-        self.planes.cols()
-    }
-
-    /// Number of subcarriers (batch lanes).
-    pub fn subcarriers(&self) -> usize {
-        self.planes.lanes()
-    }
-
-    /// The underlying batch planes (for handing to the batched kernels).
-    pub fn planes(&self) -> &CBatch {
-        &self.planes
-    }
-
-    /// Mutable access to the underlying batch planes.
-    pub fn planes_mut(&mut self) -> &mut CBatch {
-        &mut self.planes
-    }
-
-    /// Entry `(r, t)` on subcarrier `s` (convenience accessor).
-    pub fn at(&self, s: usize, r: usize, t: usize) -> C64 {
-        self.planes.get(r, t, s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -827,54 +749,6 @@ mod tests {
                         assert_eq!(a.im.to_bits(), b.im.to_bits(), "rho={rho} ({s},{r},{t})");
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn soa_round_trip_is_lossless() {
-        let mut rng = SimRng::seed_from(23);
-        for (rx, tx) in [(1usize, 1usize), (2, 4), (4, 2), (3, 3)] {
-            let ch = FreqChannel::random(&mut rng, rx, tx, 1e-6, &MultipathProfile::default());
-            let soa = FreqChannelSoa::from_channel(&ch);
-            assert_eq!(soa.rx(), rx);
-            assert_eq!(soa.tx(), tx);
-            assert_eq!(soa.subcarriers(), DATA_SUBCARRIERS);
-            let mut back = FreqChannel::empty();
-            soa.store_to(&mut back);
-            for s in 0..DATA_SUBCARRIERS {
-                for r in 0..rx {
-                    for t in 0..tx {
-                        let a = ch.at(s)[(r, t)];
-                        let b = back.at(s)[(r, t)];
-                        assert_eq!(a.re.to_bits(), b.re.to_bits(), "({s},{r},{t})");
-                        assert_eq!(a.im.to_bits(), b.im.to_bits(), "({s},{r},{t})");
-                        let c = soa.at(s, r, t);
-                        assert_eq!(a.re.to_bits(), c.re.to_bits());
-                        assert_eq!(a.im.to_bits(), c.im.to_bits());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn soa_pooled_reload_across_shapes() {
-        let mut rng = SimRng::seed_from(24);
-        let big = FreqChannel::random(&mut rng, 4, 4, 1.0, &MultipathProfile::default());
-        let small = FreqChannel::random(&mut rng, 1, 2, 1.0, &MultipathProfile::default());
-        let mut soa = FreqChannelSoa::new();
-        soa.load_from(&big);
-        soa.load_from(&small);
-        assert_eq!((soa.rx(), soa.tx()), (1, 2));
-        let mut back = FreqChannel::empty();
-        soa.store_to(&mut back);
-        for s in 0..DATA_SUBCARRIERS {
-            for t in 0..2 {
-                let a = small.at(s)[(0, t)];
-                let b = back.at(s)[(0, t)];
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "({s},{t})");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "({s},{t})");
             }
         }
     }

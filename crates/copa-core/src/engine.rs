@@ -9,7 +9,7 @@
 //! the sequential fallback ("COPA fair", section 3.5).
 
 use crate::error::CopaError;
-use crate::scenario::{prepare_into, KernelMode, PreparedScenario, ScenarioParams, ScenarioView};
+use crate::scenario::{prepare_into, PreparedScenario, ScenarioParams, ScenarioView};
 use crate::strategy::{Outcome, OutcomeVec, Strategy};
 use crate::telemetry::{phase_span, EngineObs};
 use copa_alloc::concurrent::{
@@ -24,12 +24,10 @@ use copa_mac::overhead::{airtime_efficiency, OverheadConfig, Scheme};
 use copa_num::matrix::CMat;
 use copa_num::svd::{cond_into, Svd, SvdScratch};
 use copa_phy::ofdm::DATA_SUBCARRIERS;
-use copa_precoding::beamforming::{beamform_scalar_with, beamform_with};
-use copa_precoding::nulling::{null_toward_scalar_with, null_toward_with};
+use copa_precoding::beamforming::beamform_with;
+use copa_precoding::nulling::null_toward_with;
 use copa_precoding::sda::antenna_to_keep;
-use copa_precoding::sinr::{
-    active_cells_into, mmse_sinr_grid_scalar_with, mmse_sinr_grid_with, SinrScratch, TxSide,
-};
+use copa_precoding::sinr::{active_cells_into, mmse_sinr_grid_with, SinrScratch, TxSide};
 use copa_precoding::{LinkPrecoding, PrecodeScratch, TxPowers};
 
 /// How the receiver decodes (section 4.6): one decoder for the whole frame
@@ -306,65 +304,6 @@ impl Engine {
         Ok(ev)
     }
 
-    /// Dispatches beamforming to the batched or scalar kernel per
-    /// `params.kernel_mode` (bit-identical either way).
-    fn beamform_dispatch(
-        &self,
-        est: &FreqChannel,
-        streams: usize,
-        ws: &mut PrecodeScratch,
-        out: &mut LinkPrecoding,
-    ) {
-        match self.params.kernel_mode {
-            KernelMode::Batched => beamform_with(est, streams, ws, out),
-            KernelMode::Scalar => beamform_scalar_with(est, streams, ws, out),
-        }
-    }
-
-    /// Dispatches nulling to the batched or scalar kernel.
-    fn null_dispatch(
-        &self,
-        est_own: &FreqChannel,
-        est_victim: &FreqChannel,
-        streams: usize,
-        ws: &mut PrecodeScratch,
-        out: &mut LinkPrecoding,
-    ) -> bool {
-        match self.params.kernel_mode {
-            KernelMode::Batched => null_toward_with(est_own, est_victim, streams, ws, out),
-            KernelMode::Scalar => null_toward_scalar_with(est_own, est_victim, streams, ws, out),
-        }
-    }
-
-    /// Dispatches the MMSE SINR grid to the batched or scalar kernel.
-    fn sinr_dispatch(
-        &self,
-        own: &TxSide<'_>,
-        interferer: Option<&TxSide<'_>>,
-        noise_mw: f64,
-        ws: &mut SinrScratch,
-        grid: &mut Vec<Vec<f64>>,
-    ) {
-        match self.params.kernel_mode {
-            KernelMode::Batched => mmse_sinr_grid_with(
-                own,
-                interferer,
-                noise_mw,
-                &self.params.impairments,
-                ws,
-                grid,
-            ),
-            KernelMode::Scalar => mmse_sinr_grid_scalar_with(
-                own,
-                interferer,
-                noise_mw,
-                &self.params.impairments,
-                ws,
-                grid,
-            ),
-        }
-    }
-
     /// The numerical-conditioning quarantine: when `params.cond_limit` is
     /// finite, measure the 2-norm condition number of every own-link
     /// (`est[i][i]`) subcarrier matrix and reject the whole topology the
@@ -517,6 +456,7 @@ impl Engine {
         );
         let noise = topo.noise_per_subcarrier_mw();
         let budget = topo.tx_budget_mw();
+        let imp = &self.params.impairments;
 
         let WorkBuffers {
             pre: pre_scratch,
@@ -540,7 +480,7 @@ impl Engine {
                     |m| m.precoding_us,
                     "precoding",
                     || {
-                        self.beamform_dispatch(p.est[i][i], streams, pre_scratch, &mut bf_pre[i]);
+                        beamform_with(p.est[i][i], streams, pre_scratch, &mut bf_pre[i]);
                     },
                 );
                 bf_valid[i] = true;
@@ -587,7 +527,7 @@ impl Engine {
                 |m| m.sinr_us,
                 "sinr",
                 || {
-                    self.sinr_dispatch(&own, None, noise, sinr_scratch, grid);
+                    mmse_sinr_grid_with(&own, None, noise, imp, sinr_scratch, grid);
                     active_cells_into(grid, seq_powers, cells);
                 },
             );
@@ -721,6 +661,7 @@ impl Engine {
         let topo = p.topology;
         let noise = topo.noise_per_subcarrier_mw();
         let budget = topo.tx_budget_mw();
+        let imp = &self.params.impairments;
         let nulling = matches!(
             strategy,
             Strategy::VanillaNull | Strategy::ConcurrentNull | Strategy::ConcurrentNullMercury
@@ -787,7 +728,7 @@ impl Engine {
                             let max_streams = est_own[i].rx().min(est_own[i].tx());
                             // Highest stream count that still permits nulling.
                             let feasible = (1..=max_streams).rev().any(|k| {
-                                self.null_dispatch(
+                                null_toward_with(
                                     est_own[i],
                                     est_cross[i],
                                     k,
@@ -826,12 +767,7 @@ impl Engine {
                         "precoding",
                         || {
                             let max_streams = est_own[i].rx().min(est_own[i].tx());
-                            self.beamform_dispatch(
-                                est_own[i],
-                                max_streams,
-                                pre_scratch,
-                                &mut bf_pre[i],
-                            );
+                            beamform_with(est_own[i], max_streams, pre_scratch, &mut bf_pre[i]);
                         },
                     );
                     bf_valid[i] = true;
@@ -925,7 +861,7 @@ impl Engine {
                 |m| m.sinr_us,
                 "sinr",
                 || {
-                    self.sinr_dispatch(&own, Some(&int), noise, sinr_scratch, grid);
+                    mmse_sinr_grid_with(&own, Some(&int), noise, imp, sinr_scratch, grid);
                     active_cells_into(grid, &powers[i], cells);
                 },
             );

@@ -38,9 +38,7 @@ pub use cell::{run_cell, CellOutcome, MultiApScenario};
 pub use cluster::{cluster_greedy, greedy_coloring, ClusterStats, Clustering, InterferenceGraph};
 pub use engine::{DecoderMode, Engine, EngineWorkspace, EvalInput, EvalRequest, Evaluation};
 pub use error::{CopaError, WireFault};
-pub use scenario::{
-    prepare, prepare_into, KernelMode, PreparedScenario, ScenarioParams, ScenarioView,
-};
+pub use scenario::{prepare, prepare_into, PreparedScenario, ScenarioParams, ScenarioView};
 pub use session::{CellSession, CsiAgeState, SessionState};
 pub use strategy::{Outcome, OutcomeVec, Strategy};
 pub use telemetry::{EngineMetrics, EngineObs, ExchangeMetrics, ExchangeObs};

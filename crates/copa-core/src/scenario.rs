@@ -9,22 +9,6 @@ use copa_channel::{FreqChannel, Impairments, Topology};
 use copa_num::rng::SimRng;
 use copa_phy::link::ThroughputModel;
 
-/// Which subcarrier kernel implementation the engine dispatches to.
-///
-/// Both paths are bit-identical by construction (the batched kernels replay
-/// the scalar op sequence per lane; see `copa_num::batch`), so this knob
-/// exists for verification -- the determinism suite and `--simd-smoke` run
-/// both and compare bytes -- not for tuning results.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Batched SoA kernels: one SVD / solve / MMSE sweep across all 52 data
-    /// subcarrier lanes at once (the fast default).
-    #[default]
-    Batched,
-    /// The original per-subcarrier scalar kernels (reference path).
-    Scalar,
-}
-
 /// Tunable parameters shared by every evaluation.
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioParams {
@@ -46,9 +30,6 @@ pub struct ScenarioParams {
     /// before precoding runs. `f64::INFINITY` (the default) disables the
     /// check, keeping results bit-identical to earlier releases.
     pub cond_limit: f64,
-    /// Which kernel implementation (batched SoA vs scalar) the engine
-    /// dispatches to. Bit-identical either way; see [`KernelMode`].
-    pub kernel_mode: KernelMode,
 }
 
 impl Default for ScenarioParams {
@@ -60,7 +41,6 @@ impl Default for ScenarioParams {
             seed: 0xC0FA,
             include_mercury: false,
             cond_limit: f64::INFINITY,
-            kernel_mode: KernelMode::default(),
         }
     }
 }

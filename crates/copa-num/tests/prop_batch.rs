@@ -1,17 +1,18 @@
 //! Property suite: the batched SoA kernels are *bit-identical* to the scalar
-//! kernels they replace, and the `erfc` table is exact at its nodes.
+//! kernels they replay, and the `erfc` table is exact at its nodes.
 //!
-//! The batched kernels (`svd_batch_into`, `solve_batch_into`,
-//! `inverse_loaded_batch_into`, `CBatch::mul_into` / `hermitian_into`) are
-//! required by design to replay the scalar complex operation sequence per
-//! lane, so the engine's `KernelMode::Batched` path produces byte-identical
-//! figures. These tests lock that contract down over randomized shapes and
-//! seeds — any reassociation, fused multiply-add, or reordering sneaking
-//! into the batch code shows up here as a `to_bits` mismatch.
+//! The batched kernels (`svd_batch_into`, `inverse_loaded_batch_into`,
+//! `CBatch::mul_into` / `hermitian_into`) are what the engine runs on every
+//! subcarrier; the scalar kernels in `copa_num::{svd, solve, matrix}` are
+//! their reference. Each batched kernel is required by design to replay the
+//! scalar complex operation sequence per lane, and these tests lock that
+//! contract down over randomized shapes and seeds — any reassociation, fused
+//! multiply-add, or reordering sneaking into the batch code shows up here as
+//! a `to_bits` mismatch. `tests/determinism.rs` checks the same contract one
+//! layer up, on the precoding and SINR kernels the engine calls.
 
-use copa_num::solve::{Lu, SingularMatrix};
 use copa_num::{
-    inverse_loaded_batch_into, solve_batch_into, svd_batch_into, CBatch, CMat, ErfcTable,
+    inverse_loaded_batch_into, inverse_loaded_into, svd_batch_into, CBatch, CMat, ErfcTable,
     LuBatchScratch, LuScratch, SimRng, SvdBatch, SvdBatchScratch, SvdScratch,
 };
 
@@ -22,16 +23,6 @@ fn random_cmat(rng: &mut SimRng, rows: usize, cols: usize) -> CMat {
         for j in 0..cols {
             m[(i, j)] = rng.randc();
         }
-    }
-    m
-}
-
-/// Random square matrix with a diagonal kick so LU stays well-conditioned.
-fn random_loaded(rng: &mut SimRng, n: usize) -> CMat {
-    let mut m = random_cmat(rng, n, n);
-    for i in 0..n {
-        let d = m[(i, i)];
-        m[(i, i)] = copa_num::C64::new(d.re + 3.0, d.im);
     }
     m
 }
@@ -140,38 +131,6 @@ fn svd_batch_rank_matches_scalar_rank() {
 }
 
 #[test]
-fn solve_batch_is_bit_identical_to_scalar_lu() -> Result<(), SingularMatrix> {
-    let mut scratch = LuBatchScratch::new();
-    let mut x = CBatch::new();
-    let mut sc_x = CMat::zeros(0, 0);
-    for seed in [7u64, 0xFEED] {
-        for &n in &[1usize, 2, 3, 4] {
-            for &rhs in &[1usize, 2, 4] {
-                for &lanes in LANES {
-                    let mut rng = SimRng::seed_from(
-                        seed.wrapping_mul(0x9E37)
-                            .wrapping_add((n * 64 + rhs * 8 + lanes) as u64),
-                    );
-                    let a_mats: Vec<CMat> =
-                        (0..lanes).map(|_| random_loaded(&mut rng, n)).collect();
-                    let b_mats: Vec<CMat> =
-                        (0..lanes).map(|_| random_cmat(&mut rng, n, rhs)).collect();
-                    let a = to_batch(&a_mats);
-                    let b = to_batch(&b_mats);
-                    solve_batch_into(&a, &b, &mut scratch, &mut x)?;
-                    for l in 0..lanes {
-                        let lu = Lu::factor(&a_mats[l])?;
-                        lu.solve_into(&b_mats[l], &mut sc_x);
-                        assert_lane_eq(&x, l, &sc_x, "solve x");
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-#[test]
 fn inverse_loaded_batch_is_bit_identical_to_scalar() {
     let mut scratch = LuBatchScratch::new();
     let mut out = CBatch::new();
@@ -210,8 +169,6 @@ fn inverse_loaded_batch_is_bit_identical_to_scalar() {
         }
     }
 }
-
-use copa_num::inverse_loaded_into;
 
 #[test]
 fn batch_mul_and_hermitian_are_bit_identical_to_scalar() {

@@ -33,8 +33,9 @@ pub fn beamform(est: &FreqChannel, streams: usize) -> LinkPrecoding {
 /// Batched implementation: all subcarriers are gathered into an SoA
 /// [`copa_num::batch::CBatch`] and decomposed by one [`svd_batch_into`] call.
 /// Each lane replays the scalar Jacobi kernel exactly, so the result is
-/// bit-identical to [`beamform_scalar_with`] (proved by the tests here and
-/// by `crates/copa-num/tests/prop_batch.rs`).
+/// bit-identical to the [`beamform_scalar_with`] reference (checked by the
+/// tests here, by `crates/copa-num/tests/prop_batch.rs` and on engine
+/// inputs by `tests/determinism.rs`).
 pub fn beamform_with(
     est: &FreqChannel,
     streams: usize,
@@ -72,9 +73,9 @@ pub fn beamform_with(
     }
 }
 
-/// The original per-subcarrier scalar path, kept callable for the
-/// batched-vs-scalar bit-identity gates (`--simd-smoke`, determinism suite).
-/// Semantics and output are identical to [`beamform_with`].
+/// The per-subcarrier scalar reference for [`beamform_with`]: same
+/// semantics, same output bits. The engine never calls it; it stays public
+/// so `tests/determinism.rs` can check the batched kernel against it.
 pub fn beamform_scalar_with(
     est: &FreqChannel,
     streams: usize,

@@ -47,8 +47,9 @@ pub fn null_toward(
 /// beamforming each run once across all subcarrier lanes. When the numerical
 /// nullity differs between subcarriers (possible only for degenerate
 /// channels) the kernel falls back to [`null_toward_scalar_with`]; either
-/// way the output is bit-identical to the scalar path, because every batched
-/// lane replays the scalar op sequence exactly.
+/// way the output is bit-identical to that scalar reference, because every
+/// batched lane replays the scalar op sequence exactly (checked on engine
+/// inputs, fallback included, by `tests/determinism.rs`).
 pub fn null_toward_with(
     est_own: &FreqChannel,
     est_victim: &FreqChannel,
@@ -121,9 +122,10 @@ pub fn null_toward_with(
     true
 }
 
-/// The original per-subcarrier scalar path, kept callable for the
-/// batched-vs-scalar bit-identity gates and as the non-uniform-nullity
-/// fallback of [`null_toward_with`]. Semantics and output are identical.
+/// The per-subcarrier scalar reference for [`null_toward_with`]: same
+/// semantics, same output bits. It is the batched kernel's fallback when
+/// nullity differs across subcarriers, and `tests/determinism.rs` checks
+/// the batched kernel against it.
 pub fn null_toward_scalar_with(
     est_own: &FreqChannel,
     est_victim: &FreqChannel,

@@ -335,8 +335,9 @@ pub fn mmse_sinr_grid(
 /// every step of the scalar chain (covariances, stream signatures, `R_k`
 /// assembly, loaded inversion, quadratic form) runs across all 52 lanes at
 /// once. Per lane the op sequence is exactly the scalar one, so the grid is
-/// bit-identical to [`mmse_sinr_grid_scalar_with`]. Lanes whose stream power
-/// is zero are computed but not written back, matching the scalar skip.
+/// bit-identical to the [`mmse_sinr_grid_scalar_with`] reference (checked on
+/// engine inputs by `tests/determinism.rs`). Lanes whose stream power is
+/// zero are computed but not written back, matching the scalar skip.
 pub fn mmse_sinr_grid_with(
     own: &TxSide,
     interferer: Option<&TxSide>,
@@ -414,9 +415,9 @@ pub fn mmse_sinr_grid_with(
     }
 }
 
-/// The original per-subcarrier scalar path, kept callable for the
-/// batched-vs-scalar bit-identity gates (`--simd-smoke`, determinism
-/// suite). Semantics and output are identical to [`mmse_sinr_grid_with`].
+/// The per-subcarrier scalar reference for [`mmse_sinr_grid_with`]: same
+/// semantics, same output bits. The engine never calls it; it stays public
+/// so `tests/determinism.rs` can check the batched kernel against it.
 pub fn mmse_sinr_grid_scalar_with(
     own: &TxSide,
     interferer: Option<&TxSide>,
@@ -632,7 +633,7 @@ mod tests {
     fn evm_floors_the_null() {
         // With TX EVM, even a perfect-CSI null leaks noise.
         let mut rng = SimRng::seed_from(73);
-        let own_truth = ch(&mut rng, 2, 4, 1e-6);
+        let _own_truth = ch(&mut rng, 2, 4, 1e-6);
         let cross_truth = ch(&mut rng, 2, 4, 1e-6);
         let int_own = ch(&mut rng, 2, 4, 1e-6);
         let imp = Impairments {

@@ -11,17 +11,13 @@
 # is what CI runs; keep it green.
 #
 # Usage: scripts/check.sh [--bench-smoke] [--faults-smoke] [--resume-smoke]
-#                         [--obs-smoke] [--campus-smoke] [--simd-smoke]
-#                         [--daemon-smoke] [--chaos-smoke] [--waveform-smoke]
+#                         [--obs-smoke] [--campus-smoke] [--daemon-smoke]
+#                         [--chaos-smoke] [--waveform-smoke]
 #   --bench-smoke   additionally run the hotpath benchmark in --quick mode
 #                   and leave its JSON lines in BENCH_hotpath.json; every
 #                   warmed-path alloc report must read exactly 0 (the bench
 #                   itself also hard-asserts this and the >= 540 topo/s
 #                   throughput floor).
-#   --simd-smoke    additionally run the batched-vs-scalar bit-identity
-#                   example (examples/simd_smoke.rs): a mixed 24-topology
-#                   suite evaluated with both kernel modes must agree to
-#                   the last mantissa bit.
 #   --faults-smoke  additionally run one degraded-suite episode offline
 #                   (240 topologies, 20% ITS frame loss) and require its
 #                   exact DegradationStats line (retries and CSMA
@@ -66,7 +62,6 @@ FAULTS_SMOKE=0
 RESUME_SMOKE=0
 OBS_SMOKE=0
 CAMPUS_SMOKE=0
-SIMD_SMOKE=0
 DAEMON_SMOKE=0
 CHAOS_SMOKE=0
 WAVEFORM_SMOKE=0
@@ -77,7 +72,6 @@ for arg in "$@"; do
         --resume-smoke) RESUME_SMOKE=1 ;;
         --obs-smoke) OBS_SMOKE=1 ;;
         --campus-smoke) CAMPUS_SMOKE=1 ;;
-        --simd-smoke) SIMD_SMOKE=1 ;;
         --daemon-smoke) DAEMON_SMOKE=1 ;;
         --chaos-smoke) CHAOS_SMOKE=1 ;;
         --waveform-smoke) WAVEFORM_SMOKE=1 ;;
@@ -247,16 +241,6 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     }
     grep -q '"type":"throughput","name":"daemon_epochs"' BENCH_hotpath.json || {
         echo "bench smoke FAILED: daemon epoch-throughput line missing" >&2
-        exit 1
-    }
-fi
-
-if [ "$SIMD_SMOKE" -eq 1 ]; then
-    echo "==> simd smoke: batched vs scalar kernels, bit-for-bit"
-    out=$(cargo run --release --offline --example simd_smoke)
-    printf '%s\n' "$out"
-    printf '%s\n' "$out" | grep -q '^ok: batched SoA kernels are bit-identical' || {
-        echo "simd smoke FAILED: batched kernels diverged from the scalar reference" >&2
         exit 1
     }
 fi

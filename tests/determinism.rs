@@ -449,93 +449,162 @@ fn killed_and_resumed_campus_run_matches_uninterrupted_json() {
 }
 
 #[test]
-fn batched_kernels_match_scalar_on_campus_across_threads_and_resume() {
-    // The SoA kernel refactor's determinism contract, end to end: a 64-AP
-    // campus evaluated with the batched subcarrier kernels is byte-identical
-    // (as JSON) to the scalar reference path -- across 1/2/8 worker threads
-    // and through a kill-and-resume cycle. Any reassociation sneaking into
-    // the batch kernels breaks this at the first differing topology.
-    use copa::core::KernelMode;
-    use copa::sim::journal::wipe_journal;
-    use copa::sim::json::ToJson;
-    use copa::sim::{
-        run_campus_suite, run_campus_suite_journaled, run_campus_suite_resumed, CampusParams,
-        CampusScheme, SuiteConfig,
-    };
-    let cp = CampusParams::dense(64, 0xCA_3D07, AntennaConfig::SINGLE);
-    let scalar_params = ScenarioParams {
-        kernel_mode: KernelMode::Scalar,
-        ..Default::default()
-    };
-    let batched_params = ScenarioParams {
-        kernel_mode: KernelMode::Batched,
-        ..Default::default()
+fn batched_kernels_match_scalar_reference_on_engine_inputs() {
+    // The engine runs only the batched SoA subcarrier kernels; the scalar
+    // `*_scalar_with` kernels are their reference. Every batched lane
+    // replays the scalar op sequence, so on the inputs the engine feeds
+    // them -- CSI estimates from `prepare`, every stream count, the victim
+    // channel as estimated and after the SDA antenna reduction, the SINR
+    // grid with a dropped subcarrier with and without an interferer -- the
+    // outputs must agree to the last bit. A cross estimate with one
+    // all-zero subcarrier also drives batched nulling onto its scalar
+    // fallback (nullity then differs across subcarriers).
+    use copa::core::prepare;
+    use copa::num::CMat;
+    use copa::phy::ofdm::DATA_SUBCARRIERS;
+    use copa::precoding::sda::antenna_to_keep;
+    use copa::precoding::{
+        beamform_scalar_with, beamform_with, mmse_sinr_grid_scalar_with, mmse_sinr_grid_with,
+        null_toward_scalar_with, null_toward_with, LinkPrecoding, PrecodeScratch, SinrScratch,
+        TxPowers, TxSide,
     };
 
-    let reference = run_campus_suite(
-        &cp,
-        &scalar_params,
-        CampusScheme::Copa,
-        &SuiteConfig {
-            threads: 1,
-            ..Default::default()
-        },
-    )
-    .to_json();
-
-    for threads in [1, 2, 8] {
-        let batched = run_campus_suite(
-            &cp,
-            &batched_params,
-            CampusScheme::Copa,
-            &SuiteConfig {
-                threads,
-                ..Default::default()
-            },
-        );
-        assert_eq!(
-            batched.to_json(),
-            reference,
-            "{threads}-thread batched campus must be byte-identical to the scalar reference"
-        );
+    fn bits(p: &LinkPrecoding) -> Vec<u64> {
+        let mut v = Vec::new();
+        for m in &p.precoder {
+            v.extend([m.rows() as u64, m.cols() as u64]);
+            for i in 0..m.rows() {
+                for j in 0..m.cols() {
+                    v.extend([m[(i, j)].re.to_bits(), m[(i, j)].im.to_bits()]);
+                }
+            }
+        }
+        for g in &p.stream_gains {
+            v.extend(g.iter().map(|x| x.to_bits()));
+        }
+        v
+    }
+    fn grid_bits(g: &[Vec<f64>]) -> Vec<u64> {
+        g.concat().iter().map(|x| x.to_bits()).collect()
     }
 
-    // Kill-and-resume on the batched path must land on the same bytes: the
-    // journaled baseline and the resumed run are both batched, and both
-    // must agree with each other record for record.
-    let prefix = std::env::temp_dir().join(format!("copa-det-kernels-{}", std::process::id()));
-    let journaled_reference = {
-        let cfg = SuiteConfig {
-            threads: 1,
-            records_per_segment: 4,
-            ..Default::default()
-        };
-        run_campus_suite_journaled(&cp, &batched_params, CampusScheme::Copa, &cfg, &prefix)
-            .expect("journaled batched campus run")
-            .to_json()
-    };
-    let cfg = SuiteConfig {
-        threads: 2,
-        records_per_segment: 4,
-        stop_after: Some(7),
-        ..Default::default()
-    };
-    let partial =
-        run_campus_suite_journaled(&cp, &batched_params, CampusScheme::Copa, &cfg, &prefix)
-            .expect("interrupted batched campus run");
-    assert_eq!(partial.suite.records.len(), 7);
-    let cfg = SuiteConfig {
-        threads: 2,
-        records_per_segment: 4,
-        ..Default::default()
-    };
-    let resumed = run_campus_suite_resumed(&cp, &batched_params, CampusScheme::Copa, &cfg, &prefix)
-        .expect("resumed batched campus run");
-    wipe_journal(&prefix).expect("cleanup");
-    assert_eq!(
-        resumed.to_json(),
-        journaled_reference,
-        "kill-and-resume on the batched kernel path must reproduce the uninterrupted bytes"
+    let sampler = TopologySampler::default();
+    let mut suite = sampler.suite(0x51D0, 8, AntennaConfig::CONSTRAINED_4X2);
+    suite.extend(sampler.suite(0x51D1, 8, AntennaConfig::SINGLE));
+    suite.extend(sampler.suite(0x51D2, 8, AntennaConfig::OVERCONSTRAINED_3X2));
+    let params = ScenarioParams::default();
+    let imp = params.impairments;
+    let (mut pws, mut sws) = (PrecodeScratch::new(), SinrScratch::new());
+    let (mut batched, mut scalar) = (LinkPrecoding::empty(), LinkPrecoding::empty());
+    let (mut b_grid, mut s_grid) = (Vec::new(), Vec::new());
+    let mut fallback_nulls = 0;
+
+    for (n, t) in suite.iter().enumerate() {
+        let p = prepare(t, &params);
+        let (noise, budget) = (t.noise_per_subcarrier_mw(), t.tx_budget_mw());
+        let dead = (11 * n) % DATA_SUBCARRIERS;
+        // The engine's concurrent setups: no SDA, or AP `l` leads and the
+        // other client keeps one antenna.
+        for sda_leader in [None, Some(0), Some(1)] {
+            let mut est_own = [p.est[0][0].clone(), p.est[1][1].clone()];
+            let mut est_cross = [p.est[0][1].clone(), p.est[1][0].clone()];
+            let mut true_own = [t.links[0][0].clone(), t.links[1][1].clone()];
+            let mut true_cross = [t.links[0][1].clone(), t.links[1][0].clone()];
+            if let Some(l) = sda_leader {
+                let f = 1 - l;
+                let keep = [antenna_to_keep(&p.est[f][f])];
+                est_own[f] = est_own[f].select_rx(&keep);
+                est_cross[l] = est_cross[l].select_rx(&keep);
+                true_own[f] = true_own[f].select_rx(&keep);
+                true_cross[l] = true_cross[l].select_rx(&keep);
+            }
+            let ctx = format!("topology {n}, SDA leader {sda_leader:?}");
+
+            // Precoders at every stream count; the highest feasible count
+            // of each family is what the engine keeps.
+            let mut bf_pre = [LinkPrecoding::empty(), LinkPrecoding::empty()];
+            let mut null_pre = [None, None];
+            for i in 0..2 {
+                let zeroed = est_cross[i].map(|s, h| {
+                    if s == dead {
+                        CMat::zeros(h.rows(), h.cols())
+                    } else {
+                        h.clone()
+                    }
+                });
+                let max_streams = est_own[i].rx().min(est_own[i].tx());
+                for k in (1..=max_streams).rev() {
+                    beamform_with(&est_own[i], k, &mut pws, &mut batched);
+                    beamform_scalar_with(&est_own[i], k, &mut pws, &mut scalar);
+                    assert!(
+                        bits(&batched) == bits(&scalar),
+                        "{ctx}: beamform AP {i}, {k} streams"
+                    );
+                    if k == max_streams {
+                        bf_pre[i] = batched.clone();
+                    }
+                    for (victim, what) in [(&est_cross[i], "estimate"), (&zeroed, "zeroed")] {
+                        let ok_b = null_toward_with(&est_own[i], victim, k, &mut pws, &mut batched);
+                        let ok_s =
+                            null_toward_scalar_with(&est_own[i], victim, k, &mut pws, &mut scalar);
+                        let ctx = format!("{ctx}: null AP {i} toward {what} victim, {k} streams");
+                        assert_eq!(ok_b, ok_s, "{ctx}: feasibility");
+                        if !ok_b {
+                            continue;
+                        }
+                        assert!(bits(&batched) == bits(&scalar), "{ctx}");
+                        if what == "zeroed" {
+                            fallback_nulls += 1;
+                        } else if null_pre[i].is_none() {
+                            null_pre[i] = Some(batched.clone());
+                        }
+                    }
+                }
+            }
+
+            // True-channel SINR grids with one dropped subcarrier.
+            let mut precoder_sets = vec![("beamforming", bf_pre)];
+            if let [Some(a), Some(b)] = null_pre {
+                precoder_sets.push(("nulling", [a, b]));
+            }
+            for (family, pres) in &precoder_sets {
+                let powers = pres.each_ref().map(|pre| {
+                    let mut pw = TxPowers::equal(pre.streams(), budget);
+                    for row in &mut pw.powers {
+                        row[dead] = 0.0;
+                    }
+                    pw
+                });
+                for i in 0..2 {
+                    let j = 1 - i;
+                    let own = TxSide {
+                        channel: &true_own[i],
+                        precoding: &pres[i],
+                        powers: &powers[i],
+                        budget_mw: budget,
+                    };
+                    let int_side = TxSide {
+                        channel: &true_cross[j],
+                        precoding: &pres[j],
+                        powers: &powers[j],
+                        budget_mw: budget,
+                    };
+                    for int in [None, Some(&int_side)] {
+                        mmse_sinr_grid_with(&own, int, noise, &imp, &mut sws, &mut b_grid);
+                        mmse_sinr_grid_scalar_with(&own, int, noise, &imp, &mut sws, &mut s_grid);
+                        assert!(
+                            grid_bits(&b_grid) == grid_bits(&s_grid),
+                            "{ctx}: {family} SINR grid at client {i}, interferer {}",
+                            int.is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        fallback_nulls > 0,
+        "no feasible null toward a zeroed-subcarrier victim: the scalar fallback went unchecked"
     );
 }
 
