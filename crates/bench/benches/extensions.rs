@@ -1,23 +1,19 @@
 //! Extension benches: experiments beyond the paper's own figures --
 //! PAPR of subcarrier dropping (the section 4.1 aside), OFDMA-style
-//! subcarrier reuse (section 4.2), time-domain episodes with CSI refresh,
-//! soft- vs hard-decision decoding headroom, and cells of three APs
+//! subcarrier reuse (section 4.2), CSI refresh policy on a drifting
+//! channel (the daemon's staleness loop), and cells of three APs
 //! (section 3.1 future work).
 
 use copa_bench::harness::{black_box, Criterion};
 use copa_bench::threads;
 use copa_channel::{AntennaConfig, TopologySampler};
-use copa_core::cell::{run_cell, MultiApScenario};
-use copa_core::{Engine, ScenarioParams};
-use copa_num::SimRng;
+use copa_core::{EngineWorkspace, ScenarioParams};
 use copa_phy::modulation::Modulation;
 use copa_phy::papr::measure_papr;
-use copa_sim::episode::{run_episode, EpisodeConfig};
 use copa_sim::reuse::reuse_summary;
+use copa_sim::{plan_campus, rotate_leaders, run_daemon, CampusParams, DaemonConfig};
 
 fn print_reproduction() {
-    let _ = threads();
-
     println!("== Extension: PAPR vs dropped subcarriers (section 4.1 aside) ==");
     println!(
         "{:>8} {:>11} {:>10} {:>10}",
@@ -57,46 +53,52 @@ fn print_reproduction() {
     }
     println!("(paper: \"COPA has selected a form of OFDMA\"; true same-subcarrier\n concurrency appears in a few topologies)\n");
 
-    println!("== Extension: time-domain episode (channel drift + CSI refresh) ==");
-    let topo = TopologySampler::default()
-        .suite(0xE9, 1, AntennaConfig::CONSTRAINED_4X2)
-        .remove(0);
-    for (label, refresh_s) in [
-        ("refresh every coherence time", 0.030),
-        ("refresh 10x too rarely", 0.300),
+    println!("== Extension: CSI refresh policy on a drifting channel (daemon) ==");
+    let suite = TopologySampler::default().suite(0xE9, 8, AntennaConfig::CONSTRAINED_4X2);
+    for (label, staleness_us) in [
+        ("refresh every coherence time", 30_000),
+        ("refresh 10x too rarely", 300_000),
     ] {
-        let cfg = EpisodeConfig {
-            cycles: 60,
-            refresh_interval_s: refresh_s,
-            ..Default::default()
+        let cfg = DaemonConfig {
+            epoch_us: 4_400,
+            epochs: 600,
+            coherence_us: 30_000,
+            staleness_us,
+            force_active: true,
+            threads: threads(),
+            ..DaemonConfig::default()
         };
-        let r = run_episode(&topo, &params, &cfg).expect("episode");
+        let r = run_daemon(&params, &suite, &cfg).expect("daemon run");
+        // Mbps x microseconds = bits, so bits over active microseconds is Mbps.
+        let bits: f64 = r.per_cell.iter().map(|c| c.phy_bits).sum();
+        let active_us: u64 = r.per_cell.iter().map(|c| c.active_epochs).sum::<u64>() * cfg.epoch_us;
         println!(
-            "  {label}: COPA fair {:.1} Mbps, CSMA {:.1} Mbps, null {:.1} Mbps, {} refreshes",
-            r.copa_fair_mbps,
-            r.csma_mbps,
-            r.null_mbps.unwrap_or(0.0),
-            r.refreshes
+            "  {label}: COPA fair {:.1} Mbps per cell, {} exchanges, {} evaluations",
+            bits / active_us as f64,
+            r.exchanges,
+            r.evals
         );
     }
     println!();
 
     println!("== Extension: three-AP cell (pairwise ITS, section 3.1 future work) ==");
-    let mut rng = SimRng::seed_from(0x3A9);
-    let scenario = MultiApScenario::sample(
-        &TopologySampler::default(),
-        &mut rng,
-        AntennaConfig::CONSTRAINED_4X2,
-        3,
-    );
-    let engine = Engine::new(params);
-    let out = run_cell(&scenario, &engine, 12);
+    let cp = CampusParams {
+        edge_threshold_db: f64::NEG_INFINITY,
+        max_cluster_size: 3,
+        ..CampusParams::dense(3, 0x3A9, AntennaConfig::CONSTRAINED_4X2)
+    };
+    let plan = plan_campus(&cp);
+    let mut ws = EngineWorkspace::new();
+    let r = rotate_leaders(&params, 0, &plan.units[0], &plan.campus, &mut ws, None)
+        .expect("three-cell cluster evaluates");
+    let sum: f64 = r.member_mbps.iter().sum();
+    let sum_sq: f64 = r.member_mbps.iter().map(|x| x * x).sum();
     println!(
         "  COPA cell {:.1} Mbps vs CSMA 1/3-share {:.1} Mbps ({:+.0}%), Jain {:.3}",
-        out.aggregate_mbps(),
-        out.csma_aggregate_mbps(),
-        (out.aggregate_mbps() / out.csma_aggregate_mbps() - 1.0) * 100.0,
-        out.jain
+        r.copa_mbps,
+        r.csma_mbps,
+        (r.copa_mbps / r.csma_mbps - 1.0) * 100.0,
+        sum * sum / (r.member_mbps.len() as f64 * sum_sq)
     );
     println!();
 }
@@ -106,17 +108,6 @@ fn main() {
     let mut c = Criterion::default().configure_from_args().sample_size(10);
     c.bench_function("papr_400_symbols", |b| {
         b.iter(|| black_box(measure_papr(Modulation::Qam64, 8, true, 400, 1)))
-    });
-    c.bench_function("episode_cycle", |b| {
-        let topo = TopologySampler::default()
-            .suite(0xE9, 1, AntennaConfig::CONSTRAINED_4X2)
-            .remove(0);
-        let params = ScenarioParams::default();
-        let cfg = EpisodeConfig {
-            cycles: 2,
-            ..Default::default()
-        };
-        b.iter(|| black_box(run_episode(&topo, &params, &cfg)))
     });
     c.final_summary();
 }

@@ -25,7 +25,7 @@ pub struct ChannelDrift {
 impl ChannelDrift {
     /// Per-block correlation matching a coherence-time half-life: after one
     /// block (one coherence time), correlation has decayed to 0.5 — the
-    /// same `0.5^(dt/coherence)` law the episode layer uses.
+    /// `0.5^(dt/coherence)` law at `dt = coherence`.
     pub const RHO_HALF_LIFE: f64 = 0.5;
 
     /// A drift law with block-to-block correlation `rho` (in `[0, 1]`).

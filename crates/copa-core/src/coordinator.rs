@@ -11,7 +11,7 @@
 
 use crate::engine::{Engine, EvalRequest, Evaluation};
 use crate::error::{CopaError, WireFault};
-use crate::scenario::{prepare, PreparedScenario};
+use crate::scenario::prepare;
 use crate::strategy::{Outcome, Strategy};
 use crate::telemetry::ExchangeObs;
 use copa_channel::faults::{Delivery, ExchangeFaults, FaultPlan};
@@ -342,15 +342,17 @@ impl Coordinator {
         obs: Option<&ExchangeObs<'_>>,
     ) -> Result<ExchangeOutcome, CopaError> {
         assert!(leader < 2); // allowlisted: caller-side API contract
-        let p = prepare(topology, self.engine.params());
+        let est = prepare(topology, self.engine.params());
         let mut air = Airwave::new(plan.for_exchange(exchange_id));
-        let outcome = match self.attempt_exchange(&p, topology, leader, &mut air) {
+        let outcome = match self.attempt_exchange(&est, topology, leader, &mut air) {
             Ok(trace) => Ok(ExchangeOutcome::Coordinated(trace)),
             Err(last) => {
                 // Coordination failed: both cells stay on stock CSMA for
                 // this coherence interval. The Leader can still evaluate
                 // its local view -- the CSMA outcome needs no exchange.
-                let evaluation = self.engine.run(&mut EvalRequest::prepared(&p))?;
+                let evaluation = self
+                    .engine
+                    .run(&mut EvalRequest::estimates(topology, &est))?;
                 Ok(ExchangeOutcome::Degraded {
                     evaluation,
                     attempts: air.attempts,
@@ -405,7 +407,7 @@ impl Coordinator {
     /// terminal for the exchange -- the shared retry budget is spent.
     fn attempt_exchange(
         &self,
-        p: &PreparedScenario,
+        est: &[[FreqChannel; 2]; 2],
         topology: &Topology,
         leader: usize,
         air: &mut Airwave,
@@ -445,8 +447,8 @@ impl Coordinator {
                 follower: ap[follower],
                 client1: init_client,
                 client2: client[follower],
-                csi_to_client1: compress_csi(&p.est[follower][leader]),
-                csi_to_client2: compress_csi(&p.est[follower][follower]),
+                csi_to_client1: compress_csi(&est[follower][leader]),
+                csi_to_client2: compress_csi(&est[follower][follower]),
                 airtime_us: copa_mac::timing::TXOP_US as u32,
             };
             let decoded_req = air.send("ITS REQ", &req.encode(), bulk_frame_us)?;
@@ -474,20 +476,18 @@ impl Coordinator {
 
         // Step 4: the Leader computes the best joint strategy from what the
         // REQ actually delivered (decompressed CSI, quantization and all).
-        let mut leaders_view = PreparedScenario {
-            topology: p.topology.clone(),
-            est: p.est.clone(),
-            params: *params,
-        };
-        leaders_view.est[follower][leader] = csi1;
-        leaders_view.est[follower][follower] = csi2;
-        let evaluation = self.engine.run(&mut EvalRequest::prepared(&leaders_view))?;
+        let mut leaders_est = est.clone();
+        leaders_est[follower][leader] = csi1;
+        leaders_est[follower][follower] = csi2;
+        let evaluation = self
+            .engine
+            .run(&mut EvalRequest::estimates(topology, &leaders_est))?;
         let chosen = evaluation.copa_fair;
 
         // Step 5: ITS ACK with the decision (and, when concurrent, the
         // Follower's precoding matrices -- compressed with the same codec).
         let decision = if chosen.strategy.is_concurrent() {
-            let own = &leaders_view.est[follower][follower];
+            let own = &leaders_est[follower][follower];
             let streams = topology.config.max_streams().min(own.rx().min(own.tx()));
             let pre = copa_precoding::beamforming::beamform(own, streams);
             let pre_as_channel = FreqChannel::from_matrices(pre.precoder.clone());

@@ -9,7 +9,7 @@
 //! the sequential fallback ("COPA fair", section 3.5).
 
 use crate::error::CopaError;
-use crate::scenario::{prepare_into, PreparedScenario, ScenarioParams, ScenarioView};
+use crate::scenario::{prepare_into, ScenarioParams, ScenarioView};
 use crate::strategy::{Outcome, OutcomeVec, Strategy};
 use crate::telemetry::{phase_span, EngineObs};
 use copa_alloc::concurrent::{
@@ -80,7 +80,7 @@ impl Evaluation {
 #[derive(Default)]
 pub struct EngineWorkspace {
     /// CSI-estimate slots for raw-topology requests ([`prepare_into`] fills
-    /// them in place; prepared requests borrow the caller's scenario).
+    /// them in place; estimates requests borrow the caller's slots).
     est: [[FreqChannel; 2]; 2],
     /// All the scratch/output buffers. Split from `est` so the evaluation
     /// can borrow the estimates immutably (through a [`ScenarioView`])
@@ -136,18 +136,14 @@ impl EngineWorkspace {
 }
 
 /// What an [`EvalRequest`] evaluates: a raw topology (the engine prepares
-/// CSI estimates itself) or an already-prepared scenario (the caller
-/// substituted its own estimates, e.g. CSI that round-tripped through the
-/// ITS compression pipeline).
+/// CSI estimates itself) or a topology under the caller's own estimates.
 pub enum EvalInput<'a> {
     /// Prepare CSI from the topology using the engine's params.
     Topology(&'a Topology),
-    /// Use the caller's prepared scenario as-is (validated before use).
-    Prepared(&'a PreparedScenario),
-    /// Evaluate `topology` (current ground truth) under caller-owned CSI
-    /// estimate slots (validated before use). This is the daemon's aged-CSI
-    /// shape: truth keeps evolving while the estimates stay pinned to the
-    /// last exchange, without cloning either into a [`PreparedScenario`].
+    /// Evaluate `topology` (ground truth) under caller-owned CSI estimate
+    /// slots, validated before use: CSI that round-tripped through the ITS
+    /// compression pipeline, or the daemon's aged CSI, where truth keeps
+    /// evolving while the estimates stay pinned to the last exchange.
     Estimates {
         /// Ground-truth channels to evaluate against.
         topology: &'a Topology,
@@ -162,7 +158,7 @@ pub enum EvalInput<'a> {
 /// ```ignore
 /// let ev = engine.run(&mut EvalRequest::topology(&topo))?;
 /// let ev = engine.run(
-///     &mut EvalRequest::prepared(&scenario)
+///     &mut EvalRequest::estimates(&topo, &est)
 ///         .mode(DecoderMode::PerSubcarrier)
 ///         .workspace(&mut ws),
 /// )?;
@@ -185,19 +181,9 @@ impl<'a> EvalRequest<'a> {
         }
     }
 
-    /// A request for an already-prepared scenario with the stock single
-    /// decoder.
-    pub fn prepared(prepared: &'a PreparedScenario) -> Self {
-        Self {
-            input: EvalInput::Prepared(prepared),
-            mode: DecoderMode::Single,
-            workspace: None,
-            obs: None,
-        }
-    }
-
     /// A request evaluating ground truth `topology` under caller-owned
-    /// (possibly aged) CSI estimates, with the stock single decoder.
+    /// (possibly compressed or aged) CSI estimates, with the stock single
+    /// decoder.
     pub fn estimates(topology: &'a Topology, est: &'a [[FreqChannel; 2]; 2]) -> Self {
         Self {
             input: EvalInput::Estimates { topology, est },
@@ -252,7 +238,7 @@ impl Engine {
     }
 
     /// Runs one [`EvalRequest`]: resolves the input (preparing CSI for raw
-    /// topologies, validating caller-supplied scenarios or estimate slots),
+    /// topologies, validating caller-supplied estimate slots),
     /// borrows the request's workspace or allocates a fresh one, and
     /// evaluates every strategy. This is the engine's single entry point.
     pub fn run(&self, req: &mut EvalRequest<'_>) -> Result<Evaluation, CopaError> {
@@ -282,13 +268,9 @@ impl Engine {
                     est: [[&est[0][0], &est[0][1]], [&est[1][0], &est[1][1]]],
                 }
             }
-            EvalInput::Prepared(p) => {
+            EvalInput::Estimates { topology, est: e } => {
                 // Caller-supplied CSI (e.g. decompressed from an ITS frame)
                 // is the one place degenerate channels can enter the engine.
-                validate_prepared(p)?;
-                ScenarioView::from_prepared(p)
-            }
-            EvalInput::Estimates { topology, est: e } => {
                 validate_estimates(topology, e)?;
                 ScenarioView {
                     topology,
@@ -907,16 +889,10 @@ fn cross_gain_grid_into(
 /// Static channel-matrix names for error context (indexed `[i][j]`).
 const EST_NAMES: [[&str; 2]; 2] = [["est[0][0]", "est[0][1]"], ["est[1][0]", "est[1][1]"]];
 
-/// Rejects caller-prepared scenarios the numerics cannot digest: estimated
+/// Rejects caller-supplied estimates the numerics cannot digest: estimated
 /// CSI whose shape disagrees with the true link it estimates, and channels
 /// with non-finite entries or an all-zero own link (rank zero -- beamforming
 /// would divide by a zero norm).
-fn validate_prepared(p: &PreparedScenario) -> Result<(), CopaError> {
-    validate_estimates(&p.topology, &p.est)
-}
-
-/// [`validate_prepared`] over borrowed truth and estimate slots: the check
-/// behind the [`EvalInput::Estimates`] aged-CSI input.
 fn validate_estimates(topology: &Topology, est: &[[FreqChannel; 2]; 2]) -> Result<(), CopaError> {
     for i in 0..2 {
         for j in 0..2 {
@@ -947,7 +923,6 @@ fn validate_estimates(topology: &Topology, est: &[[FreqChannel; 2]; 2]) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::prepare;
     use copa_channel::{AntennaConfig, TopologySampler};
 
     fn engine() -> Engine {
@@ -1072,29 +1047,17 @@ mod tests {
         let e = engine();
         let t = topo(51, AntennaConfig::CONSTRAINED_4X2);
         let mut est: [[FreqChannel; 2]; 2] = Default::default();
+
         prepare_into(&t, e.params(), &mut est);
         est[0][0] = est[0][0].scale_power(0.0);
         match e.run(&mut EvalRequest::estimates(&t, &est)) {
             Err(CopaError::SingularChannel { context, .. }) => assert_eq!(context, "est[0][0]"),
             other => panic!("expected SingularChannel, got {other:?}"),
         }
-    }
 
-    #[test]
-    fn run_rejects_degenerate_prepared_csi() {
-        let e = engine();
-        let t = topo(51, AntennaConfig::CONSTRAINED_4X2);
-
-        let mut zeroed = prepare(&t, e.params());
-        zeroed.est[0][0] = zeroed.est[0][0].scale_power(0.0);
-        match e.run(&mut EvalRequest::prepared(&zeroed)) {
-            Err(CopaError::SingularChannel { context, .. }) => assert_eq!(context, "est[0][0]"),
-            other => panic!("expected SingularChannel, got {other:?}"),
-        }
-
-        let mut lopsided = prepare(&t, e.params());
-        lopsided.est[1][0] = lopsided.est[1][0].select_rx(&[0]);
-        match e.run(&mut EvalRequest::prepared(&lopsided)) {
+        prepare_into(&t, e.params(), &mut est);
+        est[1][0] = est[1][0].select_rx(&[0]);
+        match e.run(&mut EvalRequest::estimates(&t, &est)) {
             Err(CopaError::DimensionMismatch { got, .. }) => assert_eq!(got.0, 1),
             other => panic!("expected DimensionMismatch, got {other:?}"),
         }

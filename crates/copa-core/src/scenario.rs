@@ -45,22 +45,11 @@ impl Default for ScenarioParams {
     }
 }
 
-/// A topology plus the CSI estimates the APs actually operate on.
-#[derive(Clone, Debug)]
-pub struct PreparedScenario {
-    /// Ground-truth channels.
-    pub topology: Topology,
-    /// `est[a][c]`: the estimated channel from AP `a` to client `c`.
-    pub est: [[FreqChannel; 2]; 2],
-    /// Parameters used to prepare (and later evaluate) the scenario.
-    pub params: ScenarioParams,
-}
-
-/// A borrowed view of a prepared scenario: exactly what the evaluation hot
-/// path reads. [`crate::engine::Engine::run`] builds one either by borrowing
-/// a caller-owned [`PreparedScenario`] or by estimating CSI into
-/// workspace-owned slots ([`prepare_into`]), so raw-topology evaluation
-/// never clones the topology or allocates fresh channel buffers.
+/// A borrowed view of a topology and its CSI estimates: exactly what the
+/// evaluation hot path reads. [`crate::engine::Engine::run`] builds one
+/// either by borrowing caller-owned estimates or by estimating CSI into
+/// workspace-owned slots ([`prepare_into`]), so evaluation never clones
+/// the topology or allocates fresh channel buffers.
 pub struct ScenarioView<'a> {
     /// Ground-truth channels.
     pub topology: &'a Topology,
@@ -68,31 +57,19 @@ pub struct ScenarioView<'a> {
     pub est: [[&'a FreqChannel; 2]; 2],
 }
 
-impl<'a> ScenarioView<'a> {
-    /// Borrows an owned prepared scenario.
-    pub fn from_prepared(p: &'a PreparedScenario) -> Self {
-        Self {
-            topology: &p.topology,
-            est: [[&p.est[0][0], &p.est[0][1]], [&p.est[1][0], &p.est[1][1]]],
-        }
-    }
-}
-
-/// Runs CSI estimation on every link of a topology.
-pub fn prepare(topology: &Topology, params: &ScenarioParams) -> PreparedScenario {
+/// Runs CSI estimation on every link of a topology: `est[a][c]` is the
+/// estimated channel from AP `a` to client `c`. Evaluate them with
+/// [`EvalRequest::estimates`](crate::engine::EvalRequest::estimates).
+pub fn prepare(topology: &Topology, params: &ScenarioParams) -> [[FreqChannel; 2]; 2] {
     let mut est: [[FreqChannel; 2]; 2] = Default::default();
     prepare_into(topology, params, &mut est);
-    PreparedScenario {
-        topology: topology.clone(),
-        est,
-        params: *params,
-    }
+    est
 }
 
-/// [`prepare`] writing the estimates into caller-owned channel slots: no
-/// topology clone and, after warm-up, no allocation. Uses the same RNG fork
-/// structure and per-link draw order as [`prepare`], so the estimates are
-/// bit-identical to the owned entry point.
+/// [`prepare`] writing the estimates into caller-owned channel slots:
+/// after warm-up, no allocation. Uses the same RNG fork structure and
+/// per-link draw order as [`prepare`], so the estimates are bit-identical
+/// to the owned entry point.
 // alloc-free: begin prepare_into
 pub fn prepare_into(topology: &Topology, params: &ScenarioParams, est: &mut [[FreqChannel; 2]; 2]) {
     let mut rng = SimRng::seed_from(params.seed ^ 0x5EED_CAFE);
@@ -125,7 +102,7 @@ mod tests {
         for i in 0..2 {
             for j in 0..2 {
                 for s in [0, 25, 51] {
-                    assert!(a.est[i][j].at(s).approx_eq(b.est[i][j].at(s), 1e-15));
+                    assert!(a[i][j].at(s).approx_eq(b[i][j].at(s), 1e-15));
                 }
             }
         }
@@ -141,8 +118,8 @@ mod tests {
         let mut err = 0.0;
         let mut sig = 0.0;
         for s in 0..copa_phy::ofdm::DATA_SUBCARRIERS {
-            err += (&p.est[0][0].at(s).clone() - p.topology.links[0][0].at(s)).frobenius_norm_sqr();
-            sig += p.topology.links[0][0].at(s).frobenius_norm_sqr();
+            err += (&p[0][0].at(s).clone() - topo.links[0][0].at(s)).frobenius_norm_sqr();
+            sig += topo.links[0][0].at(s).frobenius_norm_sqr();
         }
         let rel_db = 10.0 * (err / sig).log10();
         assert!(
@@ -162,7 +139,7 @@ mod tests {
         };
         let p = prepare(&topo, &params);
         for s in [0, 30] {
-            assert!(p.est[0][0].at(s).approx_eq(topo.links[0][0].at(s), 1e-10));
+            assert!(p[0][0].at(s).approx_eq(topo.links[0][0].at(s), 1e-10));
         }
     }
 }

@@ -7,7 +7,7 @@
 //! sequential TXOPs, CTS-to-self / RTS-CTS for legacy stations, and
 //! collisions with exponential backoff.
 
-use crate::overhead::{OverheadConfig, Scheme};
+use crate::overhead::OverheadConfig;
 use crate::timing::{
     control_frame_us, cts_us, rts_us, CW_MAX, CW_MIN, DIFS_US, SIFS_US, SLOT_US, TXOP_US,
 };
@@ -202,30 +202,10 @@ pub fn simulate_medium(cfg: &MediumConfig, seed: u64) -> MediumOutcome {
     out
 }
 
-/// Convenience: realized COPA overhead % for one scheme at a coherence
-/// time, with only the pair contending (mirrors Table 1's setting).
-pub fn realized_copa_overhead_pct(scheme: Scheme, coherence_us: f64, seed: u64) -> f64 {
-    let concurrent = match scheme {
-        Scheme::CopaConcurrent => true,
-        Scheme::CopaSequential => false,
-        // allowlisted: caller-side API contract -- legacy schemes have
-        // no COPA overhead to report.
-        _ => panic!("use simulate_medium directly for legacy schemes"),
-    };
-    let cfg = MediumConfig {
-        stations: vec![StationKind::CopaPair, StationKind::CopaPair],
-        copa_concurrent: concurrent,
-        coherence_us,
-        overhead_config: OverheadConfig::default(),
-        duration_us: 5_000_000.0,
-    };
-    100.0 * simulate_medium(&cfg, seed).copa_overhead_fraction()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overhead::overhead_fraction;
+    use crate::overhead::{overhead_fraction, Scheme};
 
     #[test]
     fn legacy_only_matches_analytic_cts_overhead() {
@@ -252,8 +232,16 @@ mod tests {
 
     #[test]
     fn copa_concurrent_overhead_tracks_table1() {
+        // Only the pair contends, as in Table 1's setting.
         for (coh_ms, expect) in [(4.0, 9.3), (30.0, 5.7), (1000.0, 5.1)] {
-            let pct = realized_copa_overhead_pct(Scheme::CopaConcurrent, coh_ms * 1000.0, 7);
+            let cfg = MediumConfig {
+                stations: vec![StationKind::CopaPair, StationKind::CopaPair],
+                copa_concurrent: true,
+                coherence_us: coh_ms * 1000.0,
+                overhead_config: OverheadConfig::default(),
+                duration_us: 5_000_000.0,
+            };
+            let pct = 100.0 * simulate_medium(&cfg, 7).copa_overhead_fraction();
             // The simulator excludes backoff from control (it is idle), so
             // it should land at or below the analytic number; within ~2.5pp.
             assert!(

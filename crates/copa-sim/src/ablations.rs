@@ -280,16 +280,16 @@ pub fn csi_aging_sweep(suite: &[Topology], base: &ScenarioParams, rhos: &[f64]) 
             for (idx, topo) in suite.iter().enumerate() {
                 let mut params = *base;
                 params.seed = base.seed.wrapping_add(idx as u64);
-                let mut p = prepare(topo, &params);
+                let est = prepare(topo, &params);
+                let mut aged = topo.clone();
                 let mut rng = SimRng::seed_from(0xA6E ^ idx as u64);
                 for a in 0..2 {
                     for c in 0..2 {
-                        p.topology.links[a][c] =
-                            p.topology.links[a][c].evolve(&mut rng, rho, &profile);
+                        aged.links[a][c] = aged.links[a][c].evolve(&mut rng, rho, &profile);
                     }
                 }
                 let ev = engine
-                    .run(&mut EvalRequest::prepared(&p))
+                    .run(&mut EvalRequest::estimates(&aged, &est))
                     .expect("aged scenario stays valid");
                 if let Some(n) = ev.vanilla_null {
                     nulls.push(n.aggregate_mbps());

@@ -22,10 +22,11 @@
 //!   *sequential* outcomes are read: CSMA and COPA-SEQ never exercise the
 //!   cross-links, so client 0's half-airtime rate doubled is exactly the
 //!   solo full-airtime rate under the residual-noise floor.
-//! * **Multi cluster (3+)** -- leader-rotation pairwise scheduling in the
-//!   spirit of [`copa_core::cell::run_cell`]: every member leads one
-//!   round, picks the fair-aggregate-best follower (or transmits solo if
-//!   that wins), and rounds share airtime equally.
+//! * **Multi cluster (3+)** -- leader-rotation pairwise scheduling
+//!   ([`rotate_leaders`]): every member leads one round, picks the
+//!   fair-aggregate-best follower (or transmits solo if that wins), and
+//!   rounds share airtime equally. The ITS airtime field makes the other
+//!   members defer (NAV), so each round is the two-AP problem.
 //!
 //! The [`CampusScheme::AllCsma`] variant evaluates the *same* partition
 //! and units but reads the CSMA outcome everywhere -- the baseline the
@@ -193,6 +194,25 @@ fn build_unit(campus: &Campus, members: &[usize]) -> ClusterUnit {
     }
 }
 
+/// Evaluates one topology of unit `idx` with the plain suite runner's
+/// per-index seed and request shape, so pair clusters match it call for
+/// call.
+fn run_unit(
+    params: &ScenarioParams,
+    idx: usize,
+    topo: &Topology,
+    ws: &mut EngineWorkspace,
+    tel: Option<&SuiteTelemetry>,
+) -> Result<Evaluation, CopaError> {
+    let mut p = *params;
+    p.seed = seed_for(params, idx);
+    let mut req = EvalRequest::topology(topo).workspace(ws);
+    if let Some(t) = tel {
+        req = req.observe(t.engine_obs(idx as u32));
+    }
+    Engine::new(p).run(&mut req)
+}
+
 /// Evaluates one cluster unit on a worker: the function the supervised
 /// pool runs per suite index, public so the hotpath bench can pin its
 /// allocation count against the bare engine path.
@@ -200,7 +220,8 @@ fn build_unit(campus: &Campus, members: &[usize]) -> ClusterUnit {
 /// For pair clusters this is call-for-call identical to the plain suite
 /// runner's evaluation (same per-index seed derivation, same request
 /// shape, same observation wiring) -- the degenerate-case byte-identity
-/// guarantee lives here.
+/// guarantee lives here. Clusters of three or more run
+/// [`rotate_leaders`].
 pub fn evaluate_cluster(
     params: &ScenarioParams,
     scheme: CampusScheme,
@@ -210,23 +231,12 @@ pub fn evaluate_cluster(
     ws: &mut EngineWorkspace,
     tel: Option<&SuiteTelemetry>,
 ) -> Result<(f64, Strategy), CopaError> {
-    let mut p = *params;
-    p.seed = seed_for(params, idx);
-    let engine = Engine::new(p);
-    let run_one = |topo: &Topology, ws: &mut EngineWorkspace| -> Result<Evaluation, CopaError> {
-        let mut req = EvalRequest::topology(topo).workspace(ws);
-        if let Some(t) = tel {
-            req = req.observe(t.engine_obs(idx as u32));
-        }
-        engine.run(&mut req)
-    };
-
     match unit.members.len() {
         1 => {
             // Sequential strategies never touch the cross-links, so the
             // backing pair's client-0 half-airtime rate doubled is the
             // cell's solo rate under the residual-noise floor.
-            let ev = run_one(&unit.topology, ws)?;
+            let ev = run_unit(params, idx, &unit.topology, ws, tel)?;
             let out = match scheme {
                 CampusScheme::Copa => &ev.copa_seq,
                 CampusScheme::AllCsma => &ev.csma,
@@ -234,82 +244,141 @@ pub fn evaluate_cluster(
             Ok((2.0 * out.per_client_bps[0] / 1e6, out.strategy))
         }
         2 => {
-            let ev = run_one(&unit.topology, ws)?;
+            let ev = run_unit(params, idx, &unit.topology, ws, tel)?;
             match scheme {
                 CampusScheme::Copa => Ok((ev.copa_fair.aggregate_mbps(), ev.copa_fair.strategy)),
                 CampusScheme::AllCsma => Ok((ev.csma.aggregate_mbps(), ev.csma.strategy)),
             }
         }
-        k => {
-            // Leader rotation over k members: materialize every member
-            // pair (residual excludes the whole cluster -- intra-cluster
-            // peers defer while a pair transmits), then let each leader
-            // pick its best fair partner or go solo.
-            let members = &unit.members;
-            let mut evals: Vec<Option<Evaluation>> = Vec::new();
-            evals.resize_with(k * k, || None);
-            for a in 0..k {
-                for b in (a + 1)..k {
-                    let t = campus.pair_topology_scaled(
-                        members[a],
-                        members[b],
-                        unit.noise_scale[a],
-                        unit.noise_scale[b],
-                    );
-                    evals[a * k + b] = Some(run_one(&t, ws)?);
-                }
-            }
-            let pair_ev = |a: usize, b: usize| -> &Evaluation {
-                let (lo, hi) = (a.min(b), a.max(b));
-                // invariant: filled for every lo < hi above
-                evals[lo * k + hi].as_ref().expect("pair evaluated")
-            };
-            // Solo rate of member position `m` (full airtime, residual
-            // noise): doubled sequential half-airtime rate, read from the
-            // pair with its lowest-indexed peer.
-            let solo = |m: usize, scheme: CampusScheme| -> f64 {
-                let peer = if m == 0 { 1 } else { 0 };
-                let ev = pair_ev(m, peer);
-                let pos = usize::from(m > peer);
-                let out = match scheme {
-                    CampusScheme::Copa => &ev.copa_seq,
-                    CampusScheme::AllCsma => &ev.csma,
-                };
-                2.0 * out.per_client_bps[pos]
-            };
+        _ => {
+            let r = rotate_leaders(params, idx, unit, campus, ws, tel)?;
             match scheme {
-                CampusScheme::AllCsma => {
-                    // Everyone contends: k-way airtime split of solo rates.
-                    let total: f64 = (0..k).map(|m| solo(m, scheme)).sum();
-                    Ok((total / k as f64 / 1e6, Strategy::Csma))
-                }
-                CampusScheme::Copa => {
-                    // One round per leader; rounds share airtime equally.
-                    let mut credit_bps = 0.0;
-                    let mut first_choice: Option<Strategy> = None;
-                    for leader in 0..k {
-                        let mut best_bps = solo(leader, scheme);
-                        let mut best_strategy = Strategy::CopaSeq;
-                        for follower in 0..k {
-                            if follower == leader {
-                                continue;
-                            }
-                            let ev = pair_ev(leader, follower);
-                            let agg = ev.copa_fair.aggregate_bps();
-                            if agg > best_bps {
-                                best_bps = agg;
-                                best_strategy = ev.copa_fair.strategy;
-                            }
-                        }
-                        credit_bps += best_bps;
-                        first_choice.get_or_insert(best_strategy);
-                    }
-                    let strategy = first_choice.unwrap_or(Strategy::CopaSeq);
-                    Ok((credit_bps / k as f64 / 1e6, strategy))
-                }
+                CampusScheme::Copa => Ok((r.copa_mbps, r.picks[0].1)),
+                CampusScheme::AllCsma => Ok((r.csma_mbps, Strategy::Csma)),
             }
         }
     }
+}
+
+/// One leader rotation over a cluster, as [`rotate_leaders`] schedules
+/// it. Positions index [`ClusterUnit::members`].
+#[derive(Clone, Debug)]
+pub struct Rotation {
+    /// One entry per round; round `r` is led by position `r`: the
+    /// follower it paired with (`None` when it transmitted solo) and the
+    /// strategy the round ran (`CopaSeq` when solo).
+    pub picks: Vec<(Option<usize>, Strategy)>,
+    /// Per-member long-run COPA rate, Mbps: what each client received
+    /// across the rounds' equal airtime shares.
+    pub member_mbps: Vec<f64>,
+    /// Per-member CSMA share, Mbps: the member's solo CSMA rate over a
+    /// k-way airtime split.
+    pub csma_share_mbps: Vec<f64>,
+    /// Cluster COPA rate, Mbps: [`CampusScheme::Copa`]'s report.
+    pub copa_mbps: f64,
+    /// Cluster CSMA rate, Mbps: [`CampusScheme::AllCsma`]'s report.
+    pub csma_mbps: f64,
+}
+
+/// Schedules a cluster by leader rotation (the paper's section 3.1
+/// future work). Every member pair is materialized with the residual
+/// excluding the whole cluster, since intra-cluster peers defer while a
+/// pair transmits. Each member then leads one round: it pairs with the
+/// follower whose COPA-fair aggregate is best, or transmits solo when no
+/// pairing beats its solo rate. Rounds share airtime equally, as DCF
+/// does among backlogged stations in the long run. Fails on clusters of
+/// fewer than two cells, which have no one to rotate with.
+pub fn rotate_leaders(
+    params: &ScenarioParams,
+    idx: usize,
+    unit: &ClusterUnit,
+    campus: &Campus,
+    ws: &mut EngineWorkspace,
+    tel: Option<&SuiteTelemetry>,
+) -> Result<Rotation, CopaError> {
+    let members = &unit.members;
+    let k = members.len();
+    if k < 2 {
+        return Err(CopaError::InfeasibleStrategy {
+            context: "rotate_leaders",
+            strategy: "leader rotation over fewer than two cells",
+        });
+    }
+    let mut evals: Vec<Option<Evaluation>> = Vec::new();
+    evals.resize_with(k * k, || None);
+    for a in 0..k {
+        for b in (a + 1)..k {
+            let t = campus.pair_topology_scaled(
+                members[a],
+                members[b],
+                unit.noise_scale[a],
+                unit.noise_scale[b],
+            );
+            evals[a * k + b] = Some(run_unit(params, idx, &t, ws, tel)?);
+        }
+    }
+    let pair_ev = |a: usize, b: usize| -> &Evaluation {
+        let (lo, hi) = (a.min(b), a.max(b));
+        // invariant: filled for every lo < hi above
+        evals[lo * k + hi].as_ref().expect("pair evaluated")
+    };
+    // Solo rate of member position `m`, bps (full airtime, residual
+    // noise): doubled sequential half-airtime rate, read from the pair
+    // with its lowest-indexed peer.
+    let solo = |m: usize, scheme: CampusScheme| -> f64 {
+        let peer = if m == 0 { 1 } else { 0 };
+        let ev = pair_ev(m, peer);
+        let pos = usize::from(m > peer);
+        let out = match scheme {
+            CampusScheme::Copa => &ev.copa_seq,
+            CampusScheme::AllCsma => &ev.csma,
+        };
+        2.0 * out.per_client_bps[pos]
+    };
+
+    // Everyone contends: a k-way airtime split of the solo CSMA rates.
+    let total: f64 = (0..k).map(|m| solo(m, CampusScheme::AllCsma)).sum();
+    let csma_share_mbps = (0..k)
+        .map(|m| solo(m, CampusScheme::AllCsma) / k as f64 / 1e6)
+        .collect();
+
+    // One round per leader; rounds share airtime equally.
+    let mut credit_bps = 0.0;
+    let mut member_bps = vec![0.0; k];
+    let mut picks = Vec::with_capacity(k);
+    for leader in 0..k {
+        let mut best_bps = solo(leader, CampusScheme::Copa);
+        let mut pick = (None, Strategy::CopaSeq);
+        for follower in 0..k {
+            if follower == leader {
+                continue;
+            }
+            let ev = pair_ev(leader, follower);
+            let agg = ev.copa_fair.aggregate_bps();
+            if agg > best_bps {
+                best_bps = agg;
+                pick = (Some(follower), ev.copa_fair.strategy);
+            }
+        }
+        credit_bps += best_bps;
+        match pick.0 {
+            Some(f) => {
+                let per = pair_ev(leader, f).copa_fair.per_client_bps;
+                let lead = usize::from(leader > f);
+                member_bps[leader] += per[lead];
+                member_bps[f] += per[1 - lead];
+            }
+            None => member_bps[leader] += best_bps,
+        }
+        picks.push(pick);
+    }
+    Ok(Rotation {
+        picks,
+        member_mbps: member_bps.iter().map(|b| b / k as f64 / 1e6).collect(),
+        csma_share_mbps,
+        copa_mbps: credit_bps / k as f64 / 1e6,
+        csma_mbps: total / k as f64 / 1e6,
+    })
 }
 
 fn campus_eval<'p>(
@@ -592,5 +661,65 @@ mod tests {
         assert!(a.0 > 0.0);
         assert_eq!(a.0.to_bits(), b.0.to_bits());
         assert_eq!(a.1, b.1);
+    }
+
+    #[test]
+    fn three_cell_rotation_pairs_best_followers_and_beats_csma() {
+        let cp = CampusParams {
+            edge_threshold_db: f64::NEG_INFINITY,
+            max_cluster_size: 3,
+            ..CampusParams::dense(3, 0x3A9, AntennaConfig::CONSTRAINED_4X2)
+        };
+        let plan = plan_campus(&cp);
+        assert_eq!(plan.clusters, vec![vec![0, 1, 2]]);
+        let unit = &plan.units[0];
+        let params = ScenarioParams::default();
+        let mut ws = EngineWorkspace::new();
+        let r = rotate_leaders(&params, 0, unit, &plan.campus, &mut ws, None).expect("rotation");
+
+        assert!(
+            r.copa_mbps >= 0.99 * r.csma_mbps,
+            "cell COPA {:.1} vs CSMA {:.1}",
+            r.copa_mbps,
+            r.csma_mbps
+        );
+
+        // Every paired leader chose the peer with the best fair aggregate.
+        let fair_agg = |a: usize, b: usize| {
+            let (lo, hi) = (a.min(b), a.max(b));
+            let t = plan.campus.pair_topology_scaled(
+                unit.members[lo],
+                unit.members[hi],
+                unit.noise_scale[lo],
+                unit.noise_scale[hi],
+            );
+            let ev = run_unit(&params, 0, &t, &mut EngineWorkspace::new(), None).expect("pair");
+            ev.copa_fair.aggregate_bps()
+        };
+        assert!(r.picks.iter().any(|p| p.0.is_some()), "someone pairs");
+        for (leader, &(follower, _)) in r.picks.iter().enumerate() {
+            let Some(f) = follower else { continue };
+            for peer in (0..3).filter(|&p| p != leader) {
+                assert!(
+                    fair_agg(leader, f) >= fair_agg(leader, peer),
+                    "leader {leader} paired with {f} over better peer {peer}"
+                );
+            }
+        }
+
+        let sum: f64 = r.member_mbps.iter().sum();
+        assert!((sum - r.copa_mbps).abs() <= 1e-9 * r.copa_mbps);
+
+        let (mbps, _) = evaluate_cluster(
+            &params,
+            CampusScheme::Copa,
+            0,
+            unit,
+            &plan.campus,
+            &mut ws,
+            None,
+        )
+        .expect("cluster evaluates");
+        assert_eq!(mbps.to_bits(), r.copa_mbps.to_bits());
     }
 }

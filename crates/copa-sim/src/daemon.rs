@@ -1304,4 +1304,39 @@ mod tests {
             assert!(c.last_strategy.is_some());
         }
     }
+
+    #[test]
+    fn lazy_csi_refresh_costs_copa_throughput() {
+        // Refreshing CSI once per coherence time (section 3.1) keeps the
+        // precoders matched to the drifting channel; refreshing 10x too
+        // rarely saves exchanges but serves decisions made on stale CSI.
+        let params = ScenarioParams::default();
+        let suite = small_suite(2);
+        let run = |staleness_us| {
+            let cfg = DaemonConfig {
+                epoch_us: 4_400,
+                epochs: 140,
+                coherence_us: 30_000,
+                staleness_us,
+                force_active: true,
+                ..quick_cfg()
+            };
+            run_daemon(&params, &suite, &cfg).expect("run")
+        };
+        let bits = |r: &DaemonReport| r.per_cell.iter().map(|c| c.phy_bits).sum::<f64>();
+        let fresh = run(30_000);
+        let lazy = run(300_000);
+        assert!(
+            lazy.exchanges * 5 < fresh.exchanges,
+            "exchanges: lazy {} vs fresh {}",
+            lazy.exchanges,
+            fresh.exchanges
+        );
+        assert!(
+            bits(&lazy) < bits(&fresh),
+            "staleness should cost COPA: {:.1} vs {:.1} Mbit",
+            bits(&lazy) / 1e6,
+            bits(&fresh) / 1e6
+        );
+    }
 }

@@ -78,7 +78,7 @@ pub fn fig3(suite: &[Topology], params: &ScenarioParams) -> Fig3 {
     for (idx, topo) in suite.iter().enumerate() {
         let mut p = *params;
         p.seed = params.seed.wrapping_add(idx as u64);
-        let prep = prepare(topo, &p);
+        let est = prepare(topo, &p);
         let budget = topo.tx_budget_mw();
         let streams = topo.config.max_streams();
 
@@ -86,10 +86,8 @@ pub fn fig3(suite: &[Topology], params: &ScenarioParams) -> Fig3 {
             let other = 1 - client;
             // AP `other` either beamforms to its own client or nulls toward
             // `client`; measure both at `client`.
-            let bf = beamform(&prep.est[other][other], streams);
-            let Some(null) =
-                null_toward(&prep.est[other][other], &prep.est[other][client], streams)
-            else {
+            let bf = beamform(&est[other][other], streams);
+            let Some(null) = null_toward(&est[other][other], &est[other][client], streams) else {
                 continue;
             };
             let eq = TxPowers::equal(streams, budget);
@@ -111,9 +109,8 @@ pub fn fig3(suite: &[Topology], params: &ScenarioParams) -> Fig3 {
 
             // Collateral damage on the *own* link of AP `client`'s AP: that
             // AP also switches from BF to nulling.
-            let own_bf = beamform(&prep.est[client][client], streams);
-            let Some(own_null) =
-                null_toward(&prep.est[client][client], &prep.est[client][other], streams)
+            let own_bf = beamform(&est[client][client], streams);
+            let Some(own_null) = null_toward(&est[client][client], &est[client][other], streams)
             else {
                 continue;
             };
@@ -173,15 +170,15 @@ pub struct Fig4 {
 /// Regenerates Figure 4 on one 4x2 topology.
 pub fn fig4(topo: &Topology, params: &ScenarioParams) -> Fig4 {
     assert_eq!(topo.config, AntennaConfig::CONSTRAINED_4X2);
-    let prep = prepare(topo, params);
+    let est = prepare(topo, params);
     let budget = topo.tx_budget_mw();
     let noise = topo.noise_per_subcarrier_mw();
     let streams = 2;
     let eq = TxPowers::equal(streams, budget);
 
-    let bf = beamform(&prep.est[0][0], streams);
-    let null = null_toward(&prep.est[0][0], &prep.est[0][1], streams).expect("4x2 nulls");
-    let peer_null = null_toward(&prep.est[1][1], &prep.est[1][0], streams).expect("4x2 nulls");
+    let bf = beamform(&est[0][0], streams);
+    let null = null_toward(&est[0][0], &est[0][1], streams).expect("4x2 nulls");
+    let peer_null = null_toward(&est[1][1], &est[1][0], streams).expect("4x2 nulls");
 
     let per_subcarrier =
         |own_pre, interferer: Option<&copa_precoding::LinkPrecoding>| -> Vec<f64> {
@@ -232,14 +229,14 @@ pub struct Fig7 {
 
 /// Regenerates Figure 7 on one 4x2 topology (client 1's first stream).
 pub fn fig7(topo: &Topology, params: &ScenarioParams) -> Fig7 {
-    let prep = prepare(topo, params);
+    let est = prepare(topo, params);
     let budget = topo.tx_budget_mw();
     let noise = topo.noise_per_subcarrier_mw();
     let streams = 2;
     let model = ThroughputModel::default();
 
-    let null0 = null_toward(&prep.est[0][0], &prep.est[0][1], streams).expect("4x2");
-    let null1 = null_toward(&prep.est[1][1], &prep.est[1][0], streams).expect("4x2");
+    let null0 = null_toward(&est[0][0], &est[0][1], streams).expect("4x2");
+    let null1 = null_toward(&est[1][1], &est[1][0], streams).expect("4x2");
 
     // COPA's concurrent Equi-SINR allocation.
     let evm = params.impairments.evm_factor();
@@ -258,10 +255,7 @@ pub fn fig7(topo: &Topology, params: &ScenarioParams) -> Fig7 {
     };
     let problem = ConcurrentProblem {
         own_gains: [null0.stream_gains.clone(), null1.stream_gains.clone()],
-        cross_gains: [
-            cross(&prep.est[0][1], &null0),
-            cross(&prep.est[1][0], &null1),
-        ],
+        cross_gains: [cross(&est[0][1], &null0), cross(&est[1][0], &null1)],
         noise_mw: noise,
         budgets_mw: [budget, budget],
     };

@@ -26,19 +26,20 @@
 //!   allocator comparison, CSI aging) beyond the paper's own figures.
 //! * [`validation`] -- Monte-Carlo validation of the analytic BER chain
 //!   against the bit-true 802.11 baseband pipeline.
-//! * [`episode`] -- time-domain episodes: continuous channel evolution with
-//!   a CSI refresh policy, closing the staleness/overhead loop.
 //! * [`reuse`] -- subcarrier reuse analysis: how much of a concurrent
 //!   solution is OFDMA-style partitioning vs true spatial sharing (4.2).
 //! * [`campus`] -- the N-cell layer: interference-graph clustering of a
 //!   dense campus and per-cluster COPA over the supervised pool
-//!   ([`run_campus_suite`]).
+//!   ([`run_campus_suite`]); clusters of three or more APs rotate leaders
+//!   over pairwise ITS exchanges ([`rotate_leaders`], the paper's
+//!   section 3.1 future work).
 //! * [`traffic`] -- deterministic bursty arrivals with heavy-tailed flow
 //!   sizes: the trace that decides which cells are active per epoch.
 //! * [`churn`] -- the seeded arrival/departure process: membership events
 //!   that tear down / cold-start sessions and re-fold residual noise.
 //! * [`daemon`] -- the event-driven coordination daemon: a long-lived
-//!   epoch loop with channel evolution, CSI aging, fault-injected ITS
+//!   epoch loop with channel evolution, CSI aging (the one simulation of
+//!   refresh policy on a drifting channel), fault-injected ITS
 //!   exchanges with degraded-session recovery, cell churn, amortized
 //!   evaluation and journaled kill-and-resume replay.
 
@@ -49,7 +50,6 @@ pub mod campus;
 pub mod churn;
 pub mod daemon;
 pub mod degradation;
-pub mod episode;
 pub mod figures;
 pub mod journal;
 pub mod json;
@@ -67,8 +67,9 @@ pub use ablations::{
     allocator_comparison, coherence_sweep, correlation_sweep, csi_aging_sweep, impairment_sweep,
 };
 pub use campus::{
-    evaluate_cluster, plan_campus, run_campus_suite, run_campus_suite_journaled,
+    evaluate_cluster, plan_campus, rotate_leaders, run_campus_suite, run_campus_suite_journaled,
     run_campus_suite_resumed, CampusParams, CampusPlan, CampusReport, CampusScheme, ClusterUnit,
+    Rotation,
 };
 pub use daemon::{
     run_daemon, run_daemon_journaled, run_daemon_resumed, CellSummary, DaemonConfig, DaemonReport,
@@ -85,7 +86,7 @@ pub use supervisor::{
     SuiteClock, SuiteConfig, SuiteHealth, SuiteReport, TopologyOutcome, TopologyRecord,
 };
 pub use telemetry::{
-    exported_counter, CampusMetrics, DaemonMetrics, JournalMetrics, SuiteObsClock, SuiteTelemetry,
+    exported_counter, CampusMetrics, DaemonMetrics, JournalMetrics, SuiteTelemetry,
     SupervisorMetrics,
 };
 pub use throughput::{

@@ -44,14 +44,14 @@ impl ReuseStats {
 /// single-antenna APs) Equi-SINR allocation on a topology and classifies
 /// the resulting subcarrier usage.
 pub fn concurrent_reuse(topology: &Topology, params: &ScenarioParams) -> ReuseStats {
-    let p = prepare(topology, params);
+    let est = prepare(topology, params);
     let noise = topology.noise_per_subcarrier_mw();
     let budget = topology.tx_budget_mw();
     let streams = topology.config.max_streams();
     let model = ThroughputModel::default();
 
-    let pre0 = beamform(&p.est[0][0], streams);
-    let pre1 = beamform(&p.est[1][1], streams);
+    let pre0 = beamform(&est[0][0], streams);
+    let pre1 = beamform(&est[1][1], streams);
     let evm = params.impairments.evm_factor();
     let cross = |est: &copa_channel::FreqChannel, pre: &copa_precoding::LinkPrecoding| {
         (0..pre.streams())
@@ -68,7 +68,7 @@ pub fn concurrent_reuse(topology: &Topology, params: &ScenarioParams) -> ReuseSt
     };
     let problem = ConcurrentProblem {
         own_gains: [pre0.stream_gains.clone(), pre1.stream_gains.clone()],
-        cross_gains: [cross(&p.est[0][1], &pre0), cross(&p.est[1][0], &pre1)],
+        cross_gains: [cross(&est[0][1], &pre0), cross(&est[1][0], &pre1)],
         noise_mw: noise,
         budgets_mw: [budget, budget],
     };

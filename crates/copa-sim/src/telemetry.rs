@@ -40,16 +40,6 @@ impl ObsClock for MonotonicClock {
     }
 }
 
-/// Adapts a borrowed [`SuiteClock`] into an [`ObsClock`], so scripted
-/// supervisor clocks can also drive span timing in tests.
-pub struct SuiteObsClock<'a>(pub &'a dyn SuiteClock);
-
-impl ObsClock for SuiteObsClock<'_> {
-    fn now_us(&self) -> u64 {
-        self.0.now_us()
-    }
-}
-
 /// Handles to the supervisor's scheduling metrics on a shared registry.
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisorMetrics {
@@ -368,19 +358,5 @@ mod tests {
             tel.registry().histogram_ref(tel.suite.attempt_us).count(),
             1
         );
-    }
-
-    #[test]
-    fn scripted_suite_clock_adapts_to_spans() {
-        struct Fixed;
-        impl SuiteClock for Fixed {
-            fn now_us(&self) -> u64 {
-                17
-            }
-            fn sleep_us(&self, _us: u64) {}
-        }
-        let fixed = Fixed;
-        let adapted = SuiteObsClock(&fixed);
-        assert_eq!(adapted.now_us(), 17);
     }
 }

@@ -34,8 +34,10 @@
 #   --campus-smoke  additionally run the dense-campus suite
 #                   (examples/dense_campus.rs): a 50-AP clustered run with
 #                   telemetry validated and a journaled 500-AP campus
-#                   byte-identical across 1/2/8 threads, then run the
-#                   hotpath bench's pair-cluster zero-allocation guard.
+#                   byte-identical across 1/2/8 threads; then the three-AP
+#                   leader rotation (examples/three_ap_cell.rs), which must
+#                   exit 0 and print its aggregate line; then the hotpath
+#                   bench's pair-cluster zero-allocation guard.
 #   --daemon-smoke  additionally run the daemon soak
 #                   (examples/daemon_soak.rs): ten simulated minutes of
 #                   the event-driven coordination loop with bounded
@@ -297,6 +299,13 @@ if [ "$CAMPUS_SMOKE" -eq 1 ]; then
     }
     printf '%s\n' "$out" | grep -q '^ok: 500-AP campus byte-identical' || {
         echo "campus smoke FAILED: 500-AP report diverged across thread counts" >&2
+        exit 1
+    }
+    echo "==> campus smoke: three-AP cell leader rotation"
+    out=$(cargo run --release --offline --example three_ap_cell)
+    printf '%s\n' "$out"
+    printf '%s\n' "$out" | grep -q '^  aggregate: ' || {
+        echo "campus smoke FAILED: three_ap_cell printed no aggregate line" >&2
         exit 1
     }
     echo "==> campus smoke: pair-cluster zero-allocation guard"

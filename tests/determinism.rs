@@ -500,19 +500,19 @@ fn batched_kernels_match_scalar_reference_on_engine_inputs() {
     let mut fallback_nulls = 0;
 
     for (n, t) in suite.iter().enumerate() {
-        let p = prepare(t, &params);
+        let est = prepare(t, &params);
         let (noise, budget) = (t.noise_per_subcarrier_mw(), t.tx_budget_mw());
         let dead = (11 * n) % DATA_SUBCARRIERS;
         // The engine's concurrent setups: no SDA, or AP `l` leads and the
         // other client keeps one antenna.
         for sda_leader in [None, Some(0), Some(1)] {
-            let mut est_own = [p.est[0][0].clone(), p.est[1][1].clone()];
-            let mut est_cross = [p.est[0][1].clone(), p.est[1][0].clone()];
+            let mut est_own = [est[0][0].clone(), est[1][1].clone()];
+            let mut est_cross = [est[0][1].clone(), est[1][0].clone()];
             let mut true_own = [t.links[0][0].clone(), t.links[1][1].clone()];
             let mut true_cross = [t.links[0][1].clone(), t.links[1][0].clone()];
             if let Some(l) = sda_leader {
                 let f = 1 - l;
-                let keep = [antenna_to_keep(&p.est[f][f])];
+                let keep = [antenna_to_keep(&est[f][f])];
                 est_own[f] = est_own[f].select_rx(&keep);
                 est_cross[l] = est_cross[l].select_rx(&keep);
                 true_own[f] = true_own[f].select_rx(&keep);

@@ -3,7 +3,7 @@
 
 use copa::channel::{AntennaConfig, MultipathProfile, TopologySampler};
 use copa::core::coordinator::{Coordinator, CsiCache};
-use copa::core::{prepare, DecoderMode, Engine, EvalRequest, PreparedScenario, ScenarioParams};
+use copa::core::{prepare, DecoderMode, Engine, EvalRequest, ScenarioParams};
 use copa::mac::csi_codec::{compress_csi, decompress_csi, raw_csi_bytes};
 use copa::mac::frames::{Addr, FrameError, ItsFrame};
 use copa::num::SimRng;
@@ -59,23 +59,19 @@ fn decisions_from_compressed_csi_stay_useful() {
         .remove(0);
     let params = ScenarioParams::default();
     let engine = Engine::new(params);
-    let p = prepare(&topo, &params);
-    let mut squeezed = PreparedScenario {
-        topology: p.topology.clone(),
-        est: p.est.clone(),
-        params,
-    };
+    let est = prepare(&topo, &params);
+    let mut squeezed = est.clone();
     for a in 0..2 {
         for c in 0..2 {
-            squeezed.est[a][c] =
-                decompress_csi(&compress_csi(&p.est[a][c])).expect("own encoding decodes");
+            squeezed[a][c] =
+                decompress_csi(&compress_csi(&est[a][c])).expect("own encoding decodes");
         }
     }
     let direct = engine
-        .run(&mut EvalRequest::prepared(&p).mode(DecoderMode::Single))
-        .expect("prepared scenario is valid");
+        .run(&mut EvalRequest::estimates(&topo, &est).mode(DecoderMode::Single))
+        .expect("prepared estimates are valid");
     let lossy = engine
-        .run(&mut EvalRequest::prepared(&squeezed).mode(DecoderMode::Single))
+        .run(&mut EvalRequest::estimates(&topo, &squeezed).mode(DecoderMode::Single))
         .expect("quantized CSI is still well-formed");
     let ratio = lossy.copa_fair.aggregate_bps() / direct.copa_fair.aggregate_bps();
     assert!(
@@ -94,25 +90,25 @@ fn stale_csi_hurts_nulling() {
         .remove(0);
     let params = ScenarioParams::default();
     let engine = Engine::new(params);
-    let p = prepare(&topo, &params);
+    let est = prepare(&topo, &params);
 
     // Fresh decision.
     let fresh = engine
-        .run(&mut EvalRequest::prepared(&p).mode(DecoderMode::Single))
-        .expect("prepared scenario is valid");
+        .run(&mut EvalRequest::estimates(&topo, &est).mode(DecoderMode::Single))
+        .expect("prepared estimates are valid");
     let fresh_null = fresh.vanilla_null.unwrap().aggregate_bps();
 
     // Let the true channels decorrelate (rho = 0.5: past coherence).
     let mut rng = SimRng::seed_from(1234);
     let profile = MultipathProfile::default();
-    let mut aged = p.clone();
+    let mut aged = topo.clone();
     for a in 0..2 {
         for c in 0..2 {
-            aged.topology.links[a][c] = aged.topology.links[a][c].evolve(&mut rng, 0.5, &profile);
+            aged.links[a][c] = aged.links[a][c].evolve(&mut rng, 0.5, &profile);
         }
     }
     let stale = engine
-        .run(&mut EvalRequest::prepared(&aged).mode(DecoderMode::Single))
+        .run(&mut EvalRequest::estimates(&aged, &est).mode(DecoderMode::Single))
         .expect("aged scenario is still well-formed");
     let stale_null = stale.vanilla_null.unwrap().aggregate_bps();
     assert!(
@@ -149,7 +145,7 @@ fn every_corrupted_exchange_frame_is_caught() {
         .suite(9, 1, AntennaConfig::CONSTRAINED_4X2)
         .remove(0);
     let params = ScenarioParams::default();
-    let p = prepare(&topo, &params);
+    let est = prepare(&topo, &params);
     let frames = vec![
         ItsFrame::Init {
             leader: Addr::from_id(1),
@@ -161,8 +157,8 @@ fn every_corrupted_exchange_frame_is_caught() {
             follower: Addr::from_id(2),
             client1: Addr::from_id(11),
             client2: Addr::from_id(12),
-            csi_to_client1: compress_csi(&p.est[1][0]),
-            csi_to_client2: compress_csi(&p.est[1][1]),
+            csi_to_client1: compress_csi(&est[1][0]),
+            csi_to_client2: compress_csi(&est[1][1]),
             airtime_us: 4210,
         },
     ];
