@@ -1,13 +1,18 @@
 //! The ITS coordination protocol, end to end.
 //!
-//! [`Coordinator`] drives the actual section 3.1 message flow between two AP
-//! objects: the Leader's ITS INIT, the Follower's ITS REQ carrying
-//! *compressed* CSI, the Leader's strategy computation, and the ITS ACK with
-//! the Follower's precoding matrices. Every frame is really encoded to
-//! bytes, CRC-protected, and decoded on the other side, and the Leader's
-//! decision is computed from the CSI that survived the compression pipeline
-//! -- so quantization loss genuinely flows into the chosen strategy, as it
-//! would over the air.
+//! [`exchange`] carries the section 3.1 message flow between two AP
+//! objects: the Leader's ITS INIT, the Follower's ITS REQ carrying its
+//! *compressed* CSI, and the ITS ACK announcing the Leader's decision
+//! (with the Follower's precoding matrices when it is concurrent). Every
+//! frame is really encoded to bytes, CRC-protected, and decoded on the
+//! other side under the fault plan.
+//!
+//! The exchange is transport only. Its caller evaluates the estimates the
+//! REQ carries once, and that evaluation is both the decision the ACK
+//! announces and what the cells serve. The decision uses the uncompressed
+//! estimates; codec loss sets the REQ's bytes and airtime, and a payload
+//! that fails to decompress is retransmitted. [`Coordinator`] wraps the
+//! exchange for callers without an evaluation of their own.
 
 use crate::engine::{Engine, EvalRequest, Evaluation};
 use crate::error::{CopaError, WireFault};
@@ -19,94 +24,8 @@ use copa_channel::{FreqChannel, Topology};
 use copa_mac::csi_codec::{compress_csi, decompress_csi};
 use copa_mac::frames::{Addr, Decision, ItsFrame};
 use copa_mac::timing::{
-    bulk_frame_us, control_frame_us, CW_MAX, CW_MIN, DIFS_US, SIFS_US, SLOT_US,
+    bulk_frame_us, control_frame_us, CW_MAX, CW_MIN, DIFS_US, SIFS_US, SLOT_US, TXOP_US,
 };
-use std::collections::HashMap;
-use std::sync::{PoisonError, RwLock};
-
-/// A CSI cache entry: the channel learned by overhearing, plus when.
-#[derive(Clone, Debug)]
-pub struct CsiEntry {
-    /// The (estimated) channel from the overheard sender.
-    pub channel: FreqChannel,
-    /// Cache timestamp in microseconds.
-    pub learned_at_us: f64,
-}
-
-/// Per-AP CSI table indexed by sender address (section 3.1 "Learning CSI").
-/// Shared between the AP's receive path and its coordination logic, hence
-/// the lock.
-#[derive(Default)]
-pub struct CsiCache {
-    entries: RwLock<HashMap<Addr, CsiEntry>>,
-}
-
-impl CsiCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records an overheard channel.
-    pub fn learn(&self, sender: Addr, channel: FreqChannel, now_us: f64) {
-        self.entries
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(
-                sender,
-                CsiEntry {
-                    channel,
-                    learned_at_us: now_us,
-                },
-            );
-    }
-
-    /// Applies `f` to the cached channel if it is still fresh (within one
-    /// coherence time), under a single read guard and without cloning the
-    /// channel.
-    pub fn with_fresh<R>(
-        &self,
-        sender: Addr,
-        now_us: f64,
-        coherence_us: f64,
-        f: impl FnOnce(&FreqChannel) -> R,
-    ) -> Option<R> {
-        let map = self.entries.read().unwrap_or_else(PoisonError::into_inner);
-        let e = map.get(&sender)?;
-        if now_us - e.learned_at_us <= coherence_us {
-            Some(f(&e.channel))
-        } else {
-            None
-        }
-    }
-
-    /// Copies the whole table out under one read guard, for callers that
-    /// would otherwise probe entry by entry (each probe taking its own
-    /// guard). Entries come back sorted by sender address so iteration
-    /// order is deterministic.
-    pub fn snapshot(&self) -> Vec<(Addr, CsiEntry)> {
-        let map = self.entries.read().unwrap_or_else(PoisonError::into_inner);
-        let mut all: Vec<(Addr, CsiEntry)> = map.iter().map(|(a, e)| (*a, e.clone())).collect();
-        all.sort_by_key(|(a, _)| *a);
-        all
-    }
-
-    /// Number of cached senders.
-    pub fn len(&self) -> usize {
-        self.entries
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// `true` if nothing has been overheard yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_empty()
-    }
-}
 
 /// A record of one exchanged frame.
 #[derive(Clone, Debug)]
@@ -134,7 +53,7 @@ pub struct ExchangeTrace {
     pub retries: u32,
     /// The decision the Leader sent in ITS ACK.
     pub decision: Strategy,
-    /// The Leader's full evaluation (computed from decompressed CSI).
+    /// The caller's evaluation the decision was taken from.
     pub evaluation: Evaluation,
 }
 
@@ -146,8 +65,8 @@ pub enum ExchangeOutcome {
     /// The retry budget ran out: both cells abandon coordination for this
     /// coherence interval and fall back to stock CSMA.
     Degraded {
-        /// The Leader's local evaluation (its CSMA outcome is what the
-        /// cells actually run).
+        /// The caller's evaluation (its CSMA outcome is what the cells
+        /// actually run).
         evaluation: Evaluation,
         /// Delivery attempts made before giving up.
         attempts: u32,
@@ -270,9 +189,176 @@ impl Airwave {
             self.retry(fault)?;
         }
     }
+
+    /// The INIT / REQ / ACK chain under the fault plan. Any error here is
+    /// terminal for the exchange: the shared retry budget is spent.
+    fn carry(
+        &mut self,
+        est: &[[FreqChannel; 2]; 2],
+        decision: Strategy,
+        leader: usize,
+        coherence_us: f64,
+    ) -> Result<(), CopaError> {
+        let follower = 1 - leader;
+        let ap = [Addr::from_id(1), Addr::from_id(2)];
+        let client = [Addr::from_id(11), Addr::from_id(12)];
+
+        // Step 2: ITS INIT from the Leader.
+        let init = ItsFrame::Init {
+            leader: ap[leader],
+            client: client[leader],
+            airtime_us: TXOP_US as u32,
+        };
+        let (init_leader, init_client) =
+            match self.send("ITS INIT", &init.encode(), control_frame_us)? {
+                ItsFrame::Init { leader, client, .. } => (leader, client),
+                // invariant: decode of an encoded INIT preserves the tag
+                _ => unreachable!("encoded an INIT"),
+            };
+
+        // Step 3: ITS REQ from the Follower, carrying compressed CSI from
+        // the Follower to both clients. Stale CSI forces a re-measurement
+        // before sending; a REQ whose CSI payload fails to decompress is
+        // retransmitted like any other garbled frame.
+        let req = ItsFrame::Req {
+            leader: init_leader,
+            follower: ap[follower],
+            client1: init_client,
+            client2: client[follower],
+            csi_to_client1: compress_csi(&est[follower][leader]),
+            csi_to_client2: compress_csi(&est[follower][follower]),
+            airtime_us: TXOP_US as u32,
+        }
+        .encode();
+        loop {
+            if self.faults.csi_is_stale() {
+                self.retry(CopaError::StaleCsi {
+                    age_us: 2.0 * coherence_us,
+                    coherence_us,
+                })?;
+                continue;
+            }
+            let (blob1, blob2) = match self.send("ITS REQ", &req, bulk_frame_us)? {
+                ItsFrame::Req {
+                    csi_to_client1,
+                    csi_to_client2,
+                    ..
+                } => (csi_to_client1, csi_to_client2),
+                // invariant: decode of an encoded REQ preserves the tag
+                _ => unreachable!("encoded a REQ"),
+            };
+            match decompress_csi(&blob1).and_then(|_| decompress_csi(&blob2)) {
+                Ok(_) => break,
+                Err(e) => self.retry(CopaError::CodecError {
+                    stage: "ITS REQ CSI payload",
+                    kind: WireFault::Csi(e),
+                })?,
+            }
+        }
+
+        // Step 5: ITS ACK with the decision the caller's evaluation made
+        // (step 4) and, when concurrent, the Follower's precoding matrices
+        // -- compressed with the same codec.
+        let decision = if decision.is_concurrent() {
+            let own = &est[follower][follower];
+            let pre = copa_precoding::beamforming::beamform(own, own.rx().min(own.tx()));
+            Decision::Concurrent {
+                precoder: compress_csi(&FreqChannel::from_matrices(pre.precoder)),
+                shut_down_antenna: None,
+            }
+        } else {
+            Decision::Sequential
+        };
+        let ack = ItsFrame::Ack {
+            leader: ap[leader],
+            follower: ap[follower],
+            client1: client[leader],
+            client2: client[follower],
+            decision,
+            airtime_us: TXOP_US as u32,
+        };
+        self.send("ITS ACK", &ack.encode(), bulk_frame_us)?;
+        Ok(())
+    }
 }
 
-/// Drives ITS exchanges over a topology.
+/// Runs one ITS exchange with AP `leader` as Leader over the medium
+/// described by `plan`, announcing the caller's `evaluation` of `est`.
+/// Never runs the engine.
+///
+/// The REQ carries `est`'s Follower rows through the CSI codec; the ACK
+/// carries `evaluation.copa_fair.strategy`. Every frame is retried with
+/// DCF-style backoff out of a shared budget (`plan.max_retries`); stale
+/// CSI (older than `coherence_us`) forces a re-measurement that also costs
+/// a retry. When the budget runs out the exchange does what the real
+/// protocol must: both cells give up on coordination for this coherence
+/// interval and run stock CSMA, reported as [`ExchangeOutcome::Degraded`]
+/// (carrying `evaluation` for its CSMA outcome) rather than an error.
+///
+/// `exchange_id` salts the fault stream, so a `(plan.seed, exchange_id)`
+/// pair replays bit-identically regardless of which thread runs it. The
+/// batch runners pass their flat topology index; the daemon passes
+/// [`FaultPlan::epoch_exchange_id`] of its `(cell, epoch)` key.
+///
+/// With `obs`, records ITS frames sent / retried / lost, the exchange
+/// verdict, and the control airtime histogram. All samples derive from
+/// *simulated* protocol time and the deterministic fault stream, so the
+/// results are bit-identical with or without observation.
+pub fn exchange(
+    est: &[[FreqChannel; 2]; 2],
+    evaluation: Evaluation,
+    leader: usize,
+    coherence_us: f64,
+    plan: &FaultPlan,
+    exchange_id: u64,
+    obs: Option<&ExchangeObs<'_>>,
+) -> ExchangeOutcome {
+    assert!(leader < 2); // allowlisted: caller-side API contract
+    let mut air = Airwave::new(plan.for_exchange(exchange_id));
+    let decision = evaluation.copa_fair.strategy;
+    let carried = air.carry(est, decision, leader, coherence_us);
+    if let Some(o) = obs {
+        let m = &o.metrics;
+        let verdict = match carried {
+            Ok(()) => m.exchanges_completed,
+            Err(_) => m.exchanges_degraded,
+        };
+        let delivered = air.frames.len() as u32;
+        o.sink.add(verdict, 1);
+        o.sink.add(m.frames_sent, u64::from(air.attempts));
+        o.sink.add(m.frames_retried, u64::from(air.retries_used));
+        o.sink.add(
+            m.frames_lost,
+            u64::from(air.attempts.saturating_sub(delivered)),
+        );
+        o.sink.record(m.airtime_us, air.airtime_us.max(0.0) as u64);
+    }
+    match carried {
+        Ok(()) => ExchangeOutcome::Coordinated(ExchangeTrace {
+            frames: air.frames,
+            control_airtime_us: air.airtime_us,
+            attempts: air.attempts,
+            retries: air.retries_used,
+            decision,
+            evaluation,
+        }),
+        Err(last) => ExchangeOutcome::Degraded {
+            evaluation,
+            attempts: air.attempts,
+            retries: air.retries_used,
+            control_airtime_us: air.airtime_us,
+            reason: CopaError::ExchangeFailed {
+                attempts: air.attempts,
+                retries: air.retries_used,
+                last: Box::new(last),
+            },
+        },
+    }
+}
+
+/// Runs ITS exchanges for callers without an evaluation of their own: it
+/// estimates a topology's CSI, evaluates it once, and carries that
+/// decision through [`exchange`].
 pub struct Coordinator {
     engine: Engine,
 }
@@ -281,11 +367,6 @@ impl Coordinator {
     /// Wraps a strategy engine.
     pub fn new(engine: Engine) -> Self {
         Self { engine }
-    }
-
-    /// Access to the wrapped engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
     }
 
     /// Runs one complete ITS exchange with AP `leader` as Leader over a
@@ -301,16 +382,10 @@ impl Coordinator {
         }
     }
 
-    /// Runs one ITS exchange over the medium described by `plan`.
-    ///
-    /// Every frame is retried with DCF-style backoff out of a shared budget
-    /// (`plan.max_retries`); stale cached CSI forces a re-measurement that
-    /// also costs a retry. When the budget runs out the exchange does what
-    /// the real protocol must: both cells give up on coordination for this
-    /// coherence interval and run stock CSMA, reported as
-    /// [`ExchangeOutcome::Degraded`] rather than an error. `exchange_id`
-    /// salts the fault stream, so a `(plan.seed, exchange_id)` pair replays
-    /// bit-identically regardless of which thread runs it.
+    /// Runs one ITS exchange over the medium described by `plan`: prepares
+    /// `topology`'s CSI with the engine's params, evaluates it once, and
+    /// runs [`exchange`] on that evaluation. Fails only when the evaluation
+    /// does; a spent retry budget is an [`ExchangeOutcome::Degraded`].
     pub fn run_exchange_with_faults(
         &self,
         topology: &Topology,
@@ -318,204 +393,20 @@ impl Coordinator {
         plan: &FaultPlan,
         exchange_id: u64,
     ) -> Result<ExchangeOutcome, CopaError> {
-        self.run_exchange_observed(topology, leader, plan, exchange_id, None)
-    }
-
-    /// [`Self::run_exchange_with_faults`] with an observation context:
-    /// records ITS frames sent / retried / lost, the exchange verdict,
-    /// and the control airtime histogram through the sink. All samples
-    /// derive from *simulated* protocol time and the deterministic fault
-    /// stream, so telemetry is a pure function of `(plan.seed,
-    /// exchange_id)` and the results are bit-identical with or without
-    /// observation.
-    ///
-    /// The batch runners pass their flat topology index as `exchange_id`;
-    /// the daemon passes [`FaultPlan::epoch_exchange_id`] of its
-    /// `(cell, epoch)` key, so every re-exchange a long-lived run
-    /// schedules replays bit-identically.
-    pub fn run_exchange_observed(
-        &self,
-        topology: &Topology,
-        leader: usize,
-        plan: &FaultPlan,
-        exchange_id: u64,
-        obs: Option<&ExchangeObs<'_>>,
-    ) -> Result<ExchangeOutcome, CopaError> {
-        assert!(leader < 2); // allowlisted: caller-side API contract
-        let est = prepare(topology, self.engine.params());
-        let mut air = Airwave::new(plan.for_exchange(exchange_id));
-        let outcome = match self.attempt_exchange(&est, topology, leader, &mut air) {
-            Ok(trace) => Ok(ExchangeOutcome::Coordinated(trace)),
-            Err(last) => {
-                // Coordination failed: both cells stay on stock CSMA for
-                // this coherence interval. The Leader can still evaluate
-                // its local view -- the CSMA outcome needs no exchange.
-                let evaluation = self
-                    .engine
-                    .run(&mut EvalRequest::estimates(topology, &est))?;
-                Ok(ExchangeOutcome::Degraded {
-                    evaluation,
-                    attempts: air.attempts,
-                    retries: air.retries_used,
-                    control_airtime_us: air.airtime_us,
-                    reason: CopaError::ExchangeFailed {
-                        attempts: air.attempts,
-                        retries: air.retries_used,
-                        last: Box::new(last),
-                    },
-                })
-            }
-        };
-        if let (Some(o), Ok(out)) = (obs, &outcome) {
-            let m = &o.metrics;
-            let (attempts, retries, delivered, airtime_us) = match out {
-                ExchangeOutcome::Coordinated(t) => {
-                    o.sink.add(m.exchanges_completed, 1);
-                    (
-                        t.attempts,
-                        t.retries,
-                        t.frames.len() as u32,
-                        t.control_airtime_us,
-                    )
-                }
-                ExchangeOutcome::Degraded {
-                    attempts,
-                    retries,
-                    control_airtime_us,
-                    ..
-                } => {
-                    o.sink.add(m.exchanges_degraded, 1);
-                    (
-                        *attempts,
-                        *retries,
-                        air.frames.len() as u32,
-                        *control_airtime_us,
-                    )
-                }
-            };
-            o.sink.add(m.frames_sent, u64::from(attempts));
-            o.sink.add(m.frames_retried, u64::from(retries));
-            o.sink
-                .add(m.frames_lost, u64::from(attempts.saturating_sub(delivered)));
-            o.sink.record(m.airtime_us, airtime_us.max(0.0) as u64);
-        }
-        outcome
-    }
-
-    /// One full coordination chain under the fault plan: INIT, REQ (with
-    /// CSI decompression), the Leader's evaluation, ACK. Any error here is
-    /// terminal for the exchange -- the shared retry budget is spent.
-    fn attempt_exchange(
-        &self,
-        est: &[[FreqChannel; 2]; 2],
-        topology: &Topology,
-        leader: usize,
-        air: &mut Airwave,
-    ) -> Result<ExchangeTrace, CopaError> {
-        let follower = 1 - leader;
         let params = self.engine.params();
-        let ap = [Addr::from_id(1), Addr::from_id(2)];
-        let client = [Addr::from_id(11), Addr::from_id(12)];
-
-        // Step 2: ITS INIT from the Leader.
-        let init = ItsFrame::Init {
-            leader: ap[leader],
-            client: client[leader],
-            airtime_us: copa_mac::timing::TXOP_US as u32,
-        };
-        let decoded_init = air.send("ITS INIT", &init.encode(), control_frame_us)?;
-        let (init_leader, init_client) = match decoded_init {
-            ItsFrame::Init { leader, client, .. } => (leader, client),
-            // invariant: decode of an encoded INIT preserves the tag
-            _ => unreachable!("encoded an INIT"),
-        };
-
-        // Step 3: ITS REQ from the Follower, carrying compressed CSI from
-        // the Follower to both clients. Stale cached CSI forces a
-        // re-measurement before sending; a REQ whose CSI payload fails to
-        // decompress is retransmitted like any other garbled frame.
-        let (csi1, csi2) = loop {
-            if air.faults.csi_is_stale() {
-                air.retry(CopaError::StaleCsi {
-                    age_us: 2.0 * params.coherence_us,
-                    coherence_us: params.coherence_us,
-                })?;
-                continue;
-            }
-            let req = ItsFrame::Req {
-                leader: init_leader,
-                follower: ap[follower],
-                client1: init_client,
-                client2: client[follower],
-                csi_to_client1: compress_csi(&est[follower][leader]),
-                csi_to_client2: compress_csi(&est[follower][follower]),
-                airtime_us: copa_mac::timing::TXOP_US as u32,
-            };
-            let decoded_req = air.send("ITS REQ", &req.encode(), bulk_frame_us)?;
-            let (blob1, blob2) = match decoded_req {
-                ItsFrame::Req {
-                    csi_to_client1,
-                    csi_to_client2,
-                    ..
-                } => (csi_to_client1, csi_to_client2),
-                // invariant: decode of an encoded REQ preserves the tag
-                _ => unreachable!("encoded a REQ"),
-            };
-            match (decompress_csi(&blob1), decompress_csi(&blob2)) {
-                (Ok(a), Ok(b)) => break (a, b),
-                (r1, r2) => {
-                    // invariant: this arm only matches when a side failed
-                    let e = r1.err().or_else(|| r2.err()).expect("one side failed");
-                    air.retry(CopaError::CodecError {
-                        stage: "ITS REQ CSI payload",
-                        kind: WireFault::Csi(e),
-                    })?;
-                }
-            }
-        };
-
-        // Step 4: the Leader computes the best joint strategy from what the
-        // REQ actually delivered (decompressed CSI, quantization and all).
-        let mut leaders_est = est.clone();
-        leaders_est[follower][leader] = csi1;
-        leaders_est[follower][follower] = csi2;
+        let est = prepare(topology, params);
         let evaluation = self
             .engine
-            .run(&mut EvalRequest::estimates(topology, &leaders_est))?;
-        let chosen = evaluation.copa_fair;
-
-        // Step 5: ITS ACK with the decision (and, when concurrent, the
-        // Follower's precoding matrices -- compressed with the same codec).
-        let decision = if chosen.strategy.is_concurrent() {
-            let own = &leaders_est[follower][follower];
-            let streams = topology.config.max_streams().min(own.rx().min(own.tx()));
-            let pre = copa_precoding::beamforming::beamform(own, streams);
-            let pre_as_channel = FreqChannel::from_matrices(pre.precoder.clone());
-            Decision::Concurrent {
-                precoder: compress_csi(&pre_as_channel),
-                shut_down_antenna: None,
-            }
-        } else {
-            Decision::Sequential
-        };
-        let ack = ItsFrame::Ack {
-            leader: ap[leader],
-            follower: ap[follower],
-            client1: client[leader],
-            client2: client[follower],
-            decision,
-            airtime_us: copa_mac::timing::TXOP_US as u32,
-        };
-        air.send("ITS ACK", &ack.encode(), bulk_frame_us)?;
-
-        Ok(ExchangeTrace {
-            frames: std::mem::take(&mut air.frames),
-            control_airtime_us: air.airtime_us,
-            attempts: air.attempts,
-            retries: air.retries_used,
-            decision: chosen.strategy,
+            .run(&mut EvalRequest::estimates(topology, &est))?;
+        Ok(exchange(
+            &est,
             evaluation,
-        })
+            leader,
+            params.coherence_us,
+            plan,
+            exchange_id,
+            None,
+        ))
     }
 }
 
@@ -523,74 +414,7 @@ impl Coordinator {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioParams;
-    use copa_channel::{AntennaConfig, MultipathProfile, TopologySampler};
-    use copa_num::SimRng;
-
-    #[test]
-    fn csi_cache_freshness() {
-        let cache = CsiCache::new();
-        assert!(cache.is_empty());
-        let ch = FreqChannel::random(
-            &mut SimRng::seed_from(1),
-            2,
-            4,
-            1.0,
-            &MultipathProfile::default(),
-        );
-        let a = Addr::from_id(7);
-        cache.learn(a, ch, 1000.0);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.with_fresh(a, 20_000.0, 30_000.0, |_| ()).is_some());
-        assert!(
-            cache.with_fresh(a, 40_000.0, 30_000.0, |_| ()).is_none(),
-            "stale beyond coherence"
-        );
-        assert!(cache
-            .with_fresh(Addr::from_id(9), 1000.0, 30_000.0, |_| ())
-            .is_none());
-    }
-
-    #[test]
-    fn csi_cache_with_fresh_avoids_clone() {
-        let cache = CsiCache::new();
-        let ch = FreqChannel::random(
-            &mut SimRng::seed_from(2),
-            2,
-            4,
-            1.0,
-            &MultipathProfile::default(),
-        );
-        let a = Addr::from_id(3);
-        cache.learn(a, ch, 0.0);
-        // Inspect under the guard without cloning the channel out.
-        let dims = cache.with_fresh(a, 10.0, 1000.0, |c| (c.rx(), c.tx()));
-        assert_eq!(dims, Some((2, 4)));
-        // Stale or unknown senders short-circuit to None without calling f.
-        assert!(cache.with_fresh(a, 5000.0, 1000.0, |_| ()).is_none());
-        assert!(cache
-            .with_fresh(Addr::from_id(4), 0.0, 1000.0, |_| ())
-            .is_none());
-    }
-
-    #[test]
-    fn csi_cache_snapshot_is_sorted_and_complete() {
-        let cache = CsiCache::new();
-        let mut rng = SimRng::seed_from(3);
-        for id in [9u8, 1, 5] {
-            let ch = FreqChannel::random(&mut rng, 1, 2, 1.0, &MultipathProfile::default());
-            cache.learn(Addr::from_id(id), ch, f64::from(id));
-        }
-        let snap = cache.snapshot();
-        assert_eq!(snap.len(), 3);
-        let ids: Vec<Addr> = snap.iter().map(|(a, _)| *a).collect();
-        assert_eq!(
-            ids,
-            vec![Addr::from_id(1), Addr::from_id(5), Addr::from_id(9)]
-        );
-        for (a, e) in &snap {
-            assert_eq!(e.learned_at_us, f64::from(a.0[5]));
-        }
-    }
+    use copa_channel::{AntennaConfig, TopologySampler};
 
     #[test]
     fn exchange_runs_end_to_end_4x2() {
@@ -613,22 +437,42 @@ mod tests {
     }
 
     #[test]
-    fn leader_decision_survives_csi_compression() {
-        // The decision computed from decompressed CSI should still deliver
-        // an outcome close to the uncompressed evaluation.
+    fn ack_announces_the_engines_decision() {
+        // The ACK carries the decision of one evaluation on the estimates
+        // the REQ carries: on this topology a concurrent one, so the ACK
+        // holds the Follower's precoder and outweighs a 34-byte sequential
+        // ACK.
         let topo = TopologySampler::default()
-            .suite(51, 1, AntennaConfig::CONSTRAINED_4X2)
+            .suite(7, 1, AntennaConfig::CONSTRAINED_4X2)
             .remove(0);
-        let engine = Engine::new(ScenarioParams::default());
-        let direct = engine
+        let params = ScenarioParams::default();
+        let direct = Engine::new(params)
             .run(&mut EvalRequest::topology(&topo))
             .expect("valid topology");
-        let coord = Coordinator::new(Engine::new(ScenarioParams::default()));
-        let trace = coord.run_exchange(&topo, 0).unwrap();
-        let ratio = trace.evaluation.copa_fair.aggregate_bps() / direct.copa_fair.aggregate_bps();
-        assert!(
-            ratio > 0.7,
-            "compression should not destroy the decision quality: ratio {ratio:.2}"
+        let trace = Coordinator::new(Engine::new(params))
+            .run_exchange(&topo, 0)
+            .expect("clean medium");
+        assert_eq!(trace.decision, direct.copa_fair.strategy);
+        assert!(trace.decision.is_concurrent(), "{}", trace.decision);
+        assert!(trace.frames[2].wire_bytes > 34, "concurrent ACK");
+    }
+
+    #[test]
+    fn spent_budget_serves_the_callers_csma_outcome() {
+        let topo = TopologySampler::default()
+            .suite(57, 1, AntennaConfig::CONSTRAINED_4X2)
+            .remove(0);
+        let params = ScenarioParams::default();
+        let est = prepare(&topo, &params);
+        let ev = Engine::new(params)
+            .run(&mut EvalRequest::estimates(&topo, &est))
+            .expect("valid topology");
+        let plan = FaultPlan::lossy(3, 1.0);
+        let outcome = exchange(&est, ev, 1, params.coherence_us, &plan, 0, None);
+        assert!(outcome.is_degraded());
+        assert_eq!(
+            outcome.chosen().aggregate_bps().to_bits(),
+            ev.csma.aggregate_bps().to_bits()
         );
     }
 

@@ -42,7 +42,7 @@ pub enum DecoderMode {
 }
 
 /// Full evaluation of one topology.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Evaluation {
     /// Every strategy evaluated, in menu order.
     pub outcomes: OutcomeVec,

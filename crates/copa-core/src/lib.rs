@@ -13,7 +13,8 @@
 //! * [`session`] -- long-lived per-cell coordination state: CSI aging and
 //!   the persistent engine session the event-driven daemon drives.
 //! * [`coordinator`] -- the ITS protocol driven end-to-end: two AP objects
-//!   exchanging real encoded frames with compressed CSI.
+//!   exchanging real encoded frames, the REQ carrying compressed CSI and
+//!   the ACK the caller's decision.
 //! * [`cluster`] -- interference graphs over N-cell campuses and the
 //!   deterministic greedy clustering/coloring that carves them into
 //!   coordination units. `copa_sim::campus` evaluates the units: pairs

@@ -104,9 +104,12 @@ pub enum SessionState {
 /// engine/coordinator split.
 ///
 /// Owns what survives between TXOPs — the CSI estimate slots written by the
-/// last exchange, the warmed [`EngineWorkspace`], the [`CsiAgeState`], the
-/// exchange ordinal and the degradation bout — so a long-lived run touches
-/// the allocator only while buffers grow toward their steady-state shapes.
+/// last measurement, the warmed [`EngineWorkspace`], the [`CsiAgeState`],
+/// the exchange ordinal and the degradation bout — so a long-lived run
+/// touches the allocator only while buffers grow toward their steady-state
+/// shapes. The daemon runs an exchange as [`CellSession::measure`], one
+/// [`CellSession::evaluate`] whose decision the ITS exchange carries, and
+/// [`CellSession::commit`] once the exchange delivered.
 pub struct CellSession {
     engine: Engine,
     ws: EngineWorkspace,
@@ -216,7 +219,9 @@ impl CellSession {
     /// `now_us` against `topology`" without replaying earlier exchanges:
     /// the daemon's journal-resume path. Earlier exchanges fully overwrite
     /// each other's estimate slots, so re-running only the last one
-    /// reproduces the live session bit for bit. Afterwards
+    /// reproduces the live session bit for bit. (A failed exchange's
+    /// uncommitted measurement is not restored: a degraded session
+    /// evaluates nothing before its recovery exchange re-measures.) Afterwards
     /// [`CellSession::exchanges`] reads `ordinal + 1`. Clears any
     /// degradation bout (exchanges do); a resume that checkpointed
     /// mid-degradation reinstates it afterwards via
@@ -226,17 +231,38 @@ impl CellSession {
         self.exchange(topology, now_us);
     }
 
-    /// Runs one CSI exchange against the current ground truth at `now_us`:
-    /// re-estimates every link into the session's slots and advances the
-    /// exchange ordinal. A successful exchange always ends any degradation
-    /// bout. Alloc-free once the slots are warm.
-    pub fn exchange(&mut self, topology: &Topology, now_us: u64) {
+    /// Draws the next exchange ordinal's CSI estimates of `topology` into
+    /// the session's slots without committing them: the ordinal, the CSI
+    /// age and any degradation bout stay as they are until
+    /// [`CellSession::commit`], so an exchange that fails re-measures under
+    /// the same ordinal when it is retried. Alloc-free once the slots are
+    /// warm.
+    pub fn measure(&mut self, topology: &Topology) {
         let mut params = *self.engine.params();
         params.seed = Self::exchange_seed(params.seed, self.exchanges);
         prepare_into(topology, &params, &mut self.est);
+    }
+
+    /// Commits the measured estimates as a completed exchange at `now_us`:
+    /// advances the exchange ordinal and the CSI age, and ends any
+    /// degradation bout.
+    pub fn commit(&mut self, now_us: u64) {
         self.exchanges += 1;
         self.age.mark_exchanged(now_us);
         self.degraded = None;
+    }
+
+    /// Runs one CSI exchange against the current ground truth at `now_us`:
+    /// [`CellSession::measure`] then [`CellSession::commit`].
+    pub fn exchange(&mut self, topology: &Topology, now_us: u64) {
+        self.measure(topology);
+        self.commit(now_us);
+    }
+
+    /// The CSI estimate slots: `est[a][c]` from AP `a` to client `c`, as the
+    /// last [`CellSession::measure`] left them.
+    pub fn estimates(&self) -> &[[FreqChannel; 2]; 2] {
+        &self.est
     }
 
     /// Whether the session must exchange before its next evaluation.
@@ -251,21 +277,15 @@ impl CellSession {
         }
     }
 
-    /// Evaluates the current ground truth under the session's (possibly
-    /// aged) CSI, reusing the persistent workspace.
-    ///
-    /// # Panics
-    /// Panics if called before the first [`CellSession::exchange`] — the
-    /// estimate slots would be empty.
+    /// Evaluates the current ground truth under the session's estimates
+    /// (freshly measured, or aged since the last exchange), reusing the
+    /// persistent workspace. Before the first measurement the slots are
+    /// empty and the evaluation fails with [`CopaError::DimensionMismatch`].
     pub fn evaluate(
         &mut self,
         topology: &Topology,
         obs: Option<EngineObs<'_>>,
     ) -> Result<Evaluation, CopaError> {
-        assert!(
-            self.exchanges > 0,
-            "evaluate before first exchange" // allowlisted: API contract
-        );
         let mut req = EvalRequest::estimates(topology, &self.est).workspace(&mut self.ws);
         if let Some(o) = obs {
             req = req.observe(o);
@@ -327,6 +347,23 @@ mod tests {
             ev.copa_fair.aggregate_bps().to_bits(),
             reference.copa_fair.aggregate_bps().to_bits()
         );
+    }
+
+    #[test]
+    fn evaluate_before_any_measurement_is_a_dimension_mismatch() {
+        let t = topo(36);
+        let mut s = CellSession::new(ScenarioParams::default());
+        assert!(matches!(
+            s.evaluate(&t, None),
+            Err(CopaError::DimensionMismatch { .. })
+        ));
+        // A measurement fills the slots without committing an exchange.
+        s.measure(&t);
+        assert!(s.evaluate(&t, None).is_ok());
+        assert_eq!(s.exchanges(), 0, "measure alone commits nothing");
+        assert_eq!(s.age().learned_at_us(), None);
+        s.commit(0);
+        assert_eq!(s.exchanges(), 1);
     }
 
     #[test]

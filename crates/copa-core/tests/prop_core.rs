@@ -1,18 +1,15 @@
-//! Property-based tests for the strategy engine, CSI cache and ITS
-//! coordinator, on the in-repo [`copa_num::prop`] harness.
+//! Property-based tests for the strategy engine and the ITS coordinator,
+//! on the in-repo [`copa_num::prop`] harness.
 
-use copa_channel::{AntennaConfig, FreqChannel, MultipathProfile, TopologySampler};
-use copa_core::coordinator::{Coordinator, CsiCache};
+use copa_channel::{AntennaConfig, TopologySampler};
+use copa_core::coordinator::Coordinator;
 use copa_core::{Engine, EvalRequest, ScenarioParams, Strategy};
-use copa_mac::frames::Addr;
 use copa_num::prop::{check, Gen};
-use copa_num::SimRng;
 use copa_num::{prop_assert, prop_assert_eq};
 
 /// Engine evaluations are expensive (full strategy menu per case), so the
 /// engine-level properties run fewer cases than the per-crate kernels.
 const ENGINE_CASES: usize = 6;
-const CACHE_CASES: usize = 32;
 
 const CONFIGS: [AntennaConfig; 3] = [
     AntennaConfig::SINGLE,
@@ -94,47 +91,6 @@ fn evaluation_is_pure() {
             prop_assert_eq!(x.per_client_bps[0].to_bits(), y.per_client_bps[0].to_bits());
             prop_assert_eq!(x.per_client_bps[1].to_bits(), y.per_client_bps[1].to_bits());
         }
-        Ok(())
-    });
-}
-
-#[test]
-fn csi_cache_freshness_window() {
-    check("csi_cache_freshness_window", CACHE_CASES, |g| {
-        let cache = CsiCache::new();
-        let sender = Addr::from_id(g.u8());
-        let learned_at = g.f64_in(0.0, 1e6);
-        let coherence = g.f64_in(1.0, 50_000.0);
-        let ch = FreqChannel::random(
-            &mut SimRng::seed_from(g.u64()),
-            1,
-            1,
-            1e-6,
-            &MultipathProfile::default(),
-        );
-        prop_assert!(cache.is_empty());
-        cache.learn(sender, ch.clone(), learned_at);
-        prop_assert_eq!(cache.len(), 1);
-        // Within the coherence window the entry is returned...
-        let dt = g.f64_in(0.0, 1.0) * coherence;
-        prop_assert!(cache
-            .with_fresh(sender, learned_at + dt, coherence, |_| ())
-            .is_some());
-        // ...after it, the entry is stale...
-        prop_assert!(cache
-            .with_fresh(sender, learned_at + coherence + 1.0, coherence, |_| ())
-            .is_none());
-        // ...and unknown senders never hit.
-        let other = Addr::from_id(sender.0[5].wrapping_add(1));
-        prop_assert!(cache
-            .with_fresh(other, learned_at, coherence, |_| ())
-            .is_none());
-        // Re-learning refreshes the timestamp instead of duplicating.
-        cache.learn(sender, ch, learned_at + 2.0 * coherence);
-        prop_assert_eq!(cache.len(), 1);
-        prop_assert!(cache
-            .with_fresh(sender, learned_at + 2.0 * coherence, coherence, |_| ())
-            .is_some());
         Ok(())
     });
 }

@@ -15,13 +15,15 @@
 //!   at-or-past [`DaemonConfig::staleness_us`], or churn — waking from an
 //!   idle span that crossed a coherence boundary, or a live membership
 //!   change), so evaluations scale with coherence blocks, not epochs;
-//! * with [`DaemonConfig::faults`] set, every scheduled exchange runs the
-//!   *real* ITS wire protocol through
-//!   [`Coordinator::run_exchange_observed`] under the fault stream of
-//!   [`FaultPlan::epoch_exchange_id`]`(cell, epoch)`: retries
-//!   charge DCF backoff airtime against the simulated clock (a lossy
-//!   exchange that spills past its epoch delays the next evaluation), and
-//!   a budget-exhausted exchange pins the session to CSMA
+//! * a scheduled exchange makes one decision: the session measures the
+//!   next ordinal's estimates and evaluates them once, and that
+//!   evaluation is what the cell serves. With [`DaemonConfig::faults`]
+//!   set, the *real* ITS wire protocol ([`exchange`]) carries the decision
+//!   under the fault stream of [`FaultPlan::epoch_exchange_id`]`(cell,
+//!   epoch)`: retries charge DCF backoff airtime against the simulated
+//!   clock (a lossy exchange that spills past its epoch delays serving
+//!   the decision), and a budget-exhausted exchange serves the
+//!   evaluation's CSMA outcome and pins the session to CSMA
 //!   ([`copa_core::SessionState::Degraded`]) until capped exponential
 //!   backoff lets a recovery exchange fire;
 //! * with [`DaemonConfig::churn`] set, a seeded membership process
@@ -55,8 +57,8 @@ use crate::traffic::{TrafficConfig, TrafficState};
 use copa_channel::evolution::{block_of, ChannelDrift};
 use copa_channel::faults::FaultPlan;
 use copa_channel::{ChannelScratch, MultipathProfile, Topology};
-use copa_core::coordinator::{Coordinator, ExchangeOutcome};
-use copa_core::{CellSession, CopaError, Engine, ScenarioParams, Strategy};
+use copa_core::coordinator::{exchange, ExchangeOutcome};
+use copa_core::{CellSession, CopaError, Evaluation, ScenarioParams, Strategy};
 use copa_mac::wire::{ByteReader, ByteWriter};
 use std::path::Path;
 
@@ -164,8 +166,6 @@ struct CellState {
     /// truth whenever the block or the population changes.
     folded: Topology,
     session: CellSession,
-    /// The ITS wire-protocol driver, present when `cfg.faults` is set.
-    coordinator: Option<Coordinator>,
     traffic: TrafficState,
     scratch: ChannelScratch,
     /// Base seed the run's churn process draws its ambient powers from.
@@ -239,9 +239,6 @@ impl CellState {
             truth: suite[idx].clone(),
             folded: suite[idx].clone(),
             session: CellSession::new(session_params),
-            coordinator: cfg
-                .faults
-                .map(|_| Coordinator::new(Engine::new(session_params))),
             traffic: TrafficState::new(params.seed, idx as u64, cfg.traffic),
             scratch: ChannelScratch::new(),
             base_seed: params.seed,
@@ -329,10 +326,34 @@ impl CellState {
         self.fold_dirty = false;
     }
 
-    /// Runs one scheduled CSI exchange at `t_us` of epoch `epoch`. With a
-    /// fault plan this is the real ITS wire protocol under the
-    /// `(cell, epoch)` fault stream; without one it is the oracle redraw.
-    /// Returns whether the cached decision must be re-evaluated.
+    /// Evaluates the session's estimates against the view the cell
+    /// coordinates over (noise-folded when churn is on), observed and
+    /// counted.
+    fn evaluate(
+        &mut self,
+        idx: usize,
+        use_folded: bool,
+        cfg: &DaemonConfig<'_>,
+    ) -> Result<Evaluation, CopaError> {
+        let view = if use_folded {
+            &self.folded
+        } else {
+            &self.truth
+        };
+        let ev = self
+            .session
+            .evaluate(view, cfg.telemetry.map(|t| t.engine_obs(idx as u32)))?;
+        self.evals += 1;
+        Ok(ev)
+    }
+
+    /// Runs one scheduled CSI exchange at `t_us` of epoch `epoch`: measures
+    /// the next ordinal's estimates and evaluates them once. With a fault
+    /// plan the real ITS wire protocol then carries that decision under the
+    /// `(cell, epoch)` fault stream; without one the exchange is the oracle
+    /// redraw and cannot fail. A delivered exchange commits the estimates
+    /// and returns its evaluation for [`CellState::step`] to serve; a
+    /// failed one serves the evaluation's CSMA outcome and returns `None`.
     fn run_exchange(
         &mut self,
         idx: usize,
@@ -340,68 +361,34 @@ impl CellState {
         t_us: u64,
         use_folded: bool,
         cfg: &DaemonConfig<'_>,
-    ) -> Result<bool, CopaError> {
+    ) -> Result<Option<Evaluation>, CopaError> {
         let was_degraded = self.session.degraded().is_some();
         if was_degraded {
             self.recovery_attempts += 1;
         }
-        let (Some(plan), Some(coord)) = (cfg.faults.as_ref(), self.coordinator.as_ref()) else {
-            // Oracle path: the exchange is instantaneous and infallible.
-            let view = if use_folded {
-                &self.folded
-            } else {
-                &self.truth
-            };
-            self.session.exchange(view, t_us);
-            self.exchanges_total += 1;
-            self.pending_churn = false;
-            self.last_exchange_epoch = epoch;
-            return Ok(true);
-        };
-        let exchange_id = FaultPlan::epoch_exchange_id(idx as u64, epoch);
         let view = if use_folded {
             &self.folded
         } else {
             &self.truth
         };
-        let obs = cfg.telemetry.map(|t| t.exchange_obs());
-        match coord.run_exchange_observed(view, 0, plan, exchange_id, obs.as_ref())? {
-            ExchangeOutcome::Coordinated(trace) => {
-                // The wire exchange delivered: refresh the session's CSI
-                // at this instant (the Leader's wire-side evaluation only
-                // shaped the ACK payload; the session evaluates its own
-                // estimates exactly like the oracle path, which keeps the
-                // zero plan bit-transparent).
-                self.session.exchange(view, t_us);
-                self.exchanges_total += 1;
-                self.pending_churn = false;
-                self.last_exchange_epoch = epoch;
-                if was_degraded {
-                    self.recoveries += 1;
-                    if let Some(t) = cfg.telemetry {
-                        t.sample(
-                            t.daemon.recovery_epochs,
-                            epoch.saturating_sub(self.degraded_since_epoch),
-                        );
-                    }
-                    self.degraded_since_epoch = NO_EXCHANGE;
-                }
-                // Retried frames burned real airtime on the shared medium:
-                // if the exchange spilled past this epoch, the follow-up
-                // evaluation waits until the control traffic drains. A
-                // clean exchange (retries = 0, sub-millisecond) never
-                // defers, keeping the zero plan bit-transparent.
-                let done_us = t_us + trace.control_airtime_us.max(0.0).ceil() as u64;
-                if trace.retries > 0 && done_us > t_us + cfg.epoch_us {
-                    self.eval_ready_us = done_us;
-                }
-                Ok(true)
-            }
-            ExchangeOutcome::Degraded {
-                evaluation,
-                control_airtime_us,
-                ..
-            } => {
+        self.session.measure(view);
+        let ev = self.evaluate(idx, use_folded, cfg)?;
+        let outcome = cfg.faults.as_ref().map(|plan| {
+            let obs = cfg.telemetry.map(|t| t.exchange_obs());
+            exchange(
+                self.session.estimates(),
+                ev,
+                0,
+                self.session.params().coherence_us,
+                plan,
+                FaultPlan::epoch_exchange_id(idx as u64, epoch),
+                obs.as_ref(),
+            )
+        });
+        match outcome {
+            Some(ExchangeOutcome::Degraded {
+                control_airtime_us, ..
+            }) => {
                 // Retry budget exhausted: pin to stock CSMA and back off.
                 // The failed exchange's airtime pushes the backoff start,
                 // so a lossy epoch visibly delays recovery.
@@ -414,13 +401,39 @@ impl CellState {
                     cfg.recovery_backoff_us,
                     cfg.recovery_backoff_cap,
                 );
-                self.last_mbps = evaluation.csma.aggregate_mbps();
+                self.last_mbps = ev.csma.aggregate_mbps();
                 self.last_strategy = Some(Strategy::Csma);
-                self.evals += 1;
                 self.cache_valid = true;
-                Ok(false)
+                return Ok(None);
             }
+            Some(ExchangeOutcome::Coordinated(trace)) => {
+                // Retried frames burned real airtime on the shared medium:
+                // if the exchange spilled past this epoch, serving its
+                // decision waits until the control traffic drains. A clean
+                // exchange (retries = 0, sub-millisecond) never defers,
+                // keeping the zero plan bit-transparent.
+                let done_us = t_us + trace.control_airtime_us.max(0.0).ceil() as u64;
+                if trace.retries > 0 && done_us > t_us + cfg.epoch_us {
+                    self.eval_ready_us = done_us;
+                }
+            }
+            None => {}
         }
+        self.session.commit(t_us);
+        self.exchanges_total += 1;
+        self.pending_churn = false;
+        self.last_exchange_epoch = epoch;
+        if was_degraded {
+            self.recoveries += 1;
+            if let Some(t) = cfg.telemetry {
+                t.sample(
+                    t.daemon.recovery_epochs,
+                    epoch.saturating_sub(self.degraded_since_epoch),
+                );
+            }
+            self.degraded_since_epoch = NO_EXCHANGE;
+        }
+        Ok(Some(ev))
     }
 
     /// One epoch of the event loop for this cell. Allocation-free once
@@ -471,8 +484,10 @@ impl CellState {
             if use_folded && self.fold_dirty {
                 self.refold();
             }
+            let mut exchanged = None;
             if self.session.needs_exchange(t_us, cfg.staleness_us, churned) {
-                dirty |= self.run_exchange(idx, epoch, t_us, use_folded, cfg)?;
+                exchanged = self.run_exchange(idx, epoch, t_us, use_folded, cfg)?;
+                dirty |= exchanged.is_some();
             }
             if self.session.degraded().is_some() {
                 // Pinned to CSMA: the decision is frozen until recovery
@@ -481,20 +496,13 @@ impl CellState {
                 self.degraded_epochs += 1;
             } else if dirty {
                 if t_us >= self.eval_ready_us {
-                    let view = if use_folded {
-                        &self.folded
-                    } else {
-                        &self.truth
-                    };
-                    let ev = match cfg.telemetry {
-                        Some(t) => self
-                            .session
-                            .evaluate(view, Some(t.engine_obs(idx as u32)))?,
-                        None => self.session.evaluate(view, None)?,
+                    // This epoch's exchange already evaluated the view.
+                    let ev = match exchanged {
+                        Some(ev) => ev,
+                        None => self.evaluate(idx, use_folded, cfg)?,
                     };
                     self.last_mbps = ev.copa_fair.aggregate_mbps();
                     self.last_strategy = Some(ev.copa_fair.strategy);
-                    self.evals += 1;
                     self.cache_valid = true;
                 } else {
                     // The exchange's control traffic is still draining:
@@ -1303,6 +1311,35 @@ mod tests {
             assert!(c.last_mbps > 0.0);
             assert!(c.last_strategy.is_some());
         }
+    }
+
+    #[test]
+    fn lossy_exchanges_evaluate_once_each() {
+        // An exchange evaluates its fresh estimates once, observed, and
+        // the wire protocol carries that decision: every engine run is a
+        // counted daemon evaluation, including the ones whose exchange
+        // ran out of retries and serves CSMA.
+        let params = ScenarioParams::default();
+        let suite = small_suite(3);
+        let tel = SuiteTelemetry::new();
+        let cfg = DaemonConfig {
+            epochs: 400,
+            staleness_us: 30_000,
+            force_active: true,
+            faults: Some(FaultPlan {
+                max_retries: 1,
+                ..FaultPlan::lossy(5, 0.45)
+            }),
+            telemetry: Some(&tel),
+            ..quick_cfg()
+        };
+        let report = run_daemon(&params, &suite, &cfg).expect("faults degrade, not fail");
+        assert!(report.degraded_cell_epochs > 0, "45% loss must degrade");
+        let doc = copa_obs::json::parse(&tel.to_json()).expect("registry JSON");
+        assert_eq!(
+            crate::telemetry::exported_counter(&doc, "engine.evaluations"),
+            report.evals
+        );
     }
 
     #[test]

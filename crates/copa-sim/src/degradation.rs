@@ -2,27 +2,29 @@
 //!
 //! The paper's experiments assume every coordination exchange lands. This
 //! runner re-runs a suite the way a deployment would experience it: each
-//! topology's ITS exchange runs through
-//! [`Coordinator::run_exchange_with_faults`] -- the same wire protocol,
-//! retry budget and delivery policy the daemon drives -- and a cell whose
-//! exchange exhausts the budget falls back to stock CSMA for that
-//! coherence interval. Per-suite [`DegradationStats`] quantify the damage.
+//! topology's decision crosses the air through [`exchange`] -- the same
+//! wire protocol, retry budget and delivery policy the daemon drives --
+//! and a cell whose exchange exhausts the budget falls back to stock CSMA
+//! for that coherence interval. Per-suite [`DegradationStats`] quantify
+//! the damage.
 //!
-//! Each topology's coordinator runs with the exact per-index seed of
-//! [`crate::runner::evaluate_parallel`]. As in the daemon, the Leader's
-//! decompressed-CSI evaluation only shapes the exchange: a coordinated
-//! topology reports the plain evaluation's COPA-fair outcome, a degraded
-//! one the CSMA outcome. A fault-free plan makes every exchange coordinate
-//! on the first attempt, so a zero-fault degraded run is bit-identical
-//! (per `f64::to_bits`) to plain suite evaluation.
+//! Each topology is estimated and evaluated once, with the exact per-index
+//! seed of [`crate::runner::evaluate_parallel`], on the pool worker's
+//! workspace; the exchange carries that evaluation's decision. A
+//! coordinated topology reports its COPA-fair outcome, a degraded one its
+//! CSMA outcome. A fault-free plan makes every exchange coordinate on the
+//! first attempt, so a zero-fault degraded run is bit-identical (per
+//! `f64::to_bits`) to plain suite evaluation.
 
 use crate::json::{Obj, ToJson};
 use crate::pool;
 use crate::runner::seed_for;
 use copa_channel::faults::FaultPlan;
-use copa_channel::Topology;
-use copa_core::coordinator::{Coordinator, ExchangeOutcome};
-use copa_core::{CopaError, Engine, EngineWorkspace, EvalRequest, ScenarioParams, Strategy};
+use copa_channel::{FreqChannel, Topology};
+use copa_core::coordinator::exchange;
+use copa_core::{
+    prepare_into, CopaError, Engine, EngineWorkspace, EvalRequest, ScenarioParams, Strategy,
+};
 
 /// Per-suite accounting of how coordination degraded under faults.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -75,34 +77,27 @@ impl ToJson for DegradedSuiteResult {
 
 /// Evaluates `suite` under `plan` with `threads` pool workers.
 ///
-/// Topology `idx` runs one exchange with AP 0 as Leader under the
-/// `(plan.seed, idx)` fault stream, on a coordinator seeded like
-/// [`crate::runner::evaluate_parallel`]'s evaluation of that index. Both
-/// are independent of which worker claims the topology, so throughputs and
-/// [`DegradationStats`] are bit-identical across thread counts. Evaluation
-/// errors propagate as the first failure in suite order without poisoning
-/// the worker pool.
+/// Topology `idx` is estimated and evaluated with the seed
+/// [`crate::runner::evaluate_parallel`] gives that index, and its decision
+/// crosses one exchange with AP 0 as Leader under the `(plan.seed, idx)`
+/// fault stream. Both are independent of which worker claims the topology,
+/// so throughputs and [`DegradationStats`] are bit-identical across thread
+/// counts. Evaluation errors propagate as the first failure in suite order
+/// without poisoning the worker pool.
 pub fn run_degraded_suite(
     params: &ScenarioParams,
     suite: &[Topology],
     plan: &FaultPlan,
     threads: usize,
 ) -> Result<DegradedSuiteResult, CopaError> {
-    let rows = pool::map(suite, threads, EngineWorkspace::new, |ws, idx, topology| {
+    let worker = || (EngineWorkspace::new(), <[[FreqChannel; 2]; 2]>::default());
+    let rows = pool::map(suite, threads, worker, |(ws, est), idx, topology| {
         let mut p = *params;
         p.seed = seed_for(params, idx);
-        let coord = Coordinator::new(Engine::new(p));
-        let outcome = coord.run_exchange_with_faults(topology, 0, plan, idx as u64)?;
-        let chosen = match &outcome {
-            ExchangeOutcome::Coordinated(_) => {
-                coord
-                    .engine()
-                    .run(&mut EvalRequest::topology(topology).workspace(ws))?
-                    .copa_fair
-            }
-            ExchangeOutcome::Degraded { evaluation, .. } => evaluation.csma,
-        };
-        Ok::<_, CopaError>((chosen, outcome.retries(), outcome.is_degraded()))
+        prepare_into(topology, &p, est);
+        let ev = Engine::new(p).run(&mut EvalRequest::estimates(topology, est).workspace(ws))?;
+        let outcome = exchange(est, ev, 0, p.coherence_us, plan, idx as u64, None);
+        Ok::<_, CopaError>((*outcome.chosen(), outcome.retries(), outcome.is_degraded()))
     });
     let mut result = DegradedSuiteResult {
         throughputs_mbps: Vec::with_capacity(rows.len()),
@@ -128,6 +123,7 @@ mod tests {
     use super::*;
     use crate::runner::evaluate_parallel;
     use copa_channel::{AntennaConfig, TopologySampler};
+    use copa_core::coordinator::Coordinator;
 
     fn suite(n: usize) -> Vec<Topology> {
         TopologySampler::default().suite(77, n, AntennaConfig::CONSTRAINED_4X2)

@@ -26,9 +26,11 @@
 //! exchange through the real wire protocol at 20% frame loss, plus a
 //! seeded membership process joining and leaving cells — and asserts the
 //! failure model end to end (`scripts/check.sh --chaos-smoke`): sessions
-//! degrade to CSMA and all of them recover, churn tears down and
-//! cold-starts sessions, a kill-and-resume replays byte-identically, and
-//! warmed epochs between exchanges still allocate nothing.
+//! degrade to CSMA and all of them recover, every engine run is one daemon
+//! evaluation (an exchange evaluates once and carries that decision), churn
+//! tears down and cold-starts sessions, a kill-and-resume replays
+//! byte-identically, and warmed epochs between exchanges still allocate
+//! nothing.
 //!
 //! The merged telemetry registry and the final report are printed as
 //! single JSON lines for the smoke harness (and the EXPERIMENTS.md
@@ -174,6 +176,16 @@ fn chaos_soak() {
     println!("{registry}");
     println!("{want}");
     println!("ok: chaos degradations observed and recovered");
+
+    // Each exchange evaluates once and carries that decision, so every
+    // engine run is a daemon evaluation, observed exactly once.
+    assert_eq!(
+        counter(&doc, "engine.evaluations"),
+        counter(&doc, "daemon.evals"),
+        "engine runs and daemon evaluations must agree"
+    );
+    assert_eq!(counter(&doc, "daemon.evals"), report.evals);
+    println!("ok: every daemon evaluation observed once");
 
     // --- 2. membership churn exercised ------------------------------------
     assert!(report.churn_events > 0, "the membership process must fire");

@@ -6,8 +6,9 @@
 //!
 //! Runs a real ITS INIT / REQ / ACK exchange between two APs: every frame is
 //! encoded to bytes (CRC and all), the REQ carries genuinely compressed CSI,
-//! and the Leader's strategy decision is computed from the CSI that survived
-//! compression. Also demonstrates the garbled-frame (collision) path.
+//! and the ACK announces the Leader's decision, one evaluation of the
+//! estimates the REQ carries. Also demonstrates the garbled-frame
+//! (collision) path.
 
 use copa::channel::{AntennaConfig, TopologySampler};
 use copa::core::coordinator::Coordinator;

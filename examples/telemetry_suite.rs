@@ -7,7 +7,7 @@
 //! Runs the canonical 30-topology 4x2 suite through the supervised runner
 //! with a [`SuiteTelemetry`] bundle attached and tracing enabled, then
 //! drives a handful of ITS exchanges (one clean, several over a lossy
-//! medium) through the observed coordinator so every layer's metrics are
+//! medium) through the observed exchange so every layer's metrics are
 //! populated. The merged registry JSON and the chrome-trace export are
 //! both re-parsed with the in-repo readers before anything is asserted on
 //! them -- the export formats are validated, not trusted. Prints the
@@ -15,9 +15,9 @@
 //! capture it, and exits nonzero if any layer recorded nothing.
 
 use copa::channel::faults::FaultPlan;
-use copa::channel::AntennaConfig;
-use copa::core::coordinator::{Coordinator, ExchangeOutcome};
-use copa::core::{Engine, ScenarioParams};
+use copa::channel::{AntennaConfig, Topology};
+use copa::core::coordinator::{exchange, ExchangeOutcome};
+use copa::core::{prepare, Engine, EvalRequest, ScenarioParams};
 use copa::obs::json::{parse, Value};
 use copa::obs::validate_chrome_trace;
 use copa::sim::json::ToJson;
@@ -44,21 +44,25 @@ fn main() {
     );
 
     // --- 2. ITS exchanges, observed: one clean, four lossy ----------------
-    let coordinator = Coordinator::new(Engine::new(params));
+    // Each exchange carries one evaluation of its topology's estimates,
+    // run unobserved so the engine counter stays the suite's own.
+    let engine = Engine::new(params);
     let obs = tel.exchange_obs();
-    let clean = coordinator
-        .run_exchange_observed(&suite[0], 0, &FaultPlan::none(0xA11CE), 0, Some(&obs))
-        .expect("clean exchange");
+    let observed_exchange = |topology: &Topology, plan: &FaultPlan, id: u64| {
+        let est = prepare(topology, &params);
+        let ev = engine
+            .run(&mut EvalRequest::estimates(topology, &est))
+            .expect("standard-suite topologies evaluate");
+        exchange(&est, ev, 0, params.coherence_us, plan, id, Some(&obs))
+    };
+    let clean = observed_exchange(&suite[0], &FaultPlan::none(0xA11CE), 0);
     assert!(
         matches!(clean, ExchangeOutcome::Coordinated(_)),
         "a fault-free exchange must coordinate"
     );
     let lossy = FaultPlan::lossy(0xA11CE, 0.25);
     for id in 1..5u64 {
-        let topology = &suite[id as usize];
-        coordinator
-            .run_exchange_observed(topology, 0, &lossy, id, Some(&obs))
-            .expect("lossy exchange resolves to Coordinated or Degraded");
+        observed_exchange(&suite[id as usize], &lossy, id);
     }
 
     // --- 3. validate the registry export with the in-repo reader ----------

@@ -47,7 +47,9 @@
 #                   (examples/daemon_soak.rs --chaos): the same ten
 #                   simulated minutes at 20% ITS frame loss with a seeded
 #                   membership process — sessions degrade to CSMA and all
-#                   recover, churn tears down / cold-starts sessions,
+#                   recover, every engine run is one daemon evaluation
+#                   (engine.evaluations == daemon.evals), churn tears
+#                   down / cold-starts sessions,
 #                   kill-and-resume stays byte-identical, and warmed
 #                   epochs between exchanges still allocate nothing.
 #   --waveform-smoke additionally run the waveform validation example
@@ -345,6 +347,10 @@ if [ "$CHAOS_SMOKE" -eq 1 ]; then
     printf '%s\n' "$out"
     printf '%s\n' "$out" | grep -q '^ok: chaos degradations observed and recovered' || {
         echo "chaos smoke FAILED: no degradation/recovery cycle observed" >&2
+        exit 1
+    }
+    printf '%s\n' "$out" | grep -q '^ok: every daemon evaluation observed once' || {
+        echo "chaos smoke FAILED: engine evaluations and daemon evaluations disagree" >&2
         exit 1
     }
     printf '%s\n' "$out" | grep -q '^ok: chaos churn events exercised' || {

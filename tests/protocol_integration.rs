@@ -2,8 +2,8 @@
 //! compression, the coordinator, CSI aging, and failure injection.
 
 use copa::channel::{AntennaConfig, MultipathProfile, TopologySampler};
-use copa::core::coordinator::{Coordinator, CsiCache};
-use copa::core::{prepare, DecoderMode, Engine, EvalRequest, ScenarioParams};
+use copa::core::coordinator::Coordinator;
+use copa::core::{prepare, CsiAgeState, DecoderMode, Engine, EvalRequest, ScenarioParams};
 use copa::mac::csi_codec::{compress_csi, decompress_csi, raw_csi_bytes};
 use copa::mac::frames::{Addr, FrameError, ItsFrame};
 use copa::num::SimRng;
@@ -124,19 +124,11 @@ fn stale_csi_hurts_nulling() {
 
 #[test]
 fn csi_cache_expiry_matches_coherence_budget() {
-    let cache = CsiCache::new();
-    let ch = copa::channel::FreqChannel::random(
-        &mut SimRng::seed_from(8),
-        2,
-        4,
-        1e-6,
-        &MultipathProfile::default(),
-    );
-    let addr = Addr::from_id(3);
+    let mut age = CsiAgeState::new();
     // Learned at t = 0, coherence 30 ms: fresh at 29 ms, stale at 31 ms.
-    cache.learn(addr, ch, 0.0);
-    assert!(cache.with_fresh(addr, 29_000.0, 30_000.0, |_| ()).is_some());
-    assert!(cache.with_fresh(addr, 31_000.0, 30_000.0, |_| ()).is_none());
+    age.mark_exchanged(0);
+    assert!(!age.needs_exchange(29_000, 30_000, false));
+    assert!(age.needs_exchange(31_000, 30_000, false));
 }
 
 #[test]
