@@ -6,7 +6,9 @@
 //! beamforming -> MMSE SINR -> rate) repeated 52 subcarriers x strategies
 //! x topologies. This bench pins that cost down with three views:
 //!
-//! 1. kernel timings (`svd_*`, `sinr_grid_*`) -- the per-subcarrier chain;
+//! 1. kernel timings (`svd_*`, `beamform_*`, `null_*`, `sinr_grid_*`) --
+//!    the per-subcarrier chain; the precoders run one `svd_into` per
+//!    subcarrier, the SINR grid the batched SoA kernels;
 //! 2. engine timings (`evaluate_*`) -- one full topology evaluation;
 //! 3. runner throughput (`suite_*`) -- a heterogeneous suite through
 //!    `evaluate_parallel`, reported as topologies/second.
@@ -23,7 +25,10 @@ use copa_channel::{AntennaConfig, MultipathProfile, TopologySampler};
 use copa_core::{Engine, EngineMetrics, EngineObs, EngineWorkspace, EvalRequest, ScenarioParams};
 use copa_num::{svd, CMat, SimRng};
 use copa_obs::{FrozenClock, NoopSink, Telemetry, WallClock};
-use copa_precoding::{beamform, mmse_sinr_grid, TxPowers, TxSide};
+use copa_precoding::{
+    beamform, beamform_with, mmse_sinr_grid, null_toward_with, LinkPrecoding, PrecodeScratch,
+    TxPowers, TxSide,
+};
 use copa_sim::json::{Obj, ToJson};
 use copa_sim::{
     evaluate_cluster, evaluate_guarded, evaluate_parallel, plan_campus, run_daemon, CampusParams,
@@ -113,6 +118,16 @@ fn main() {
     let own = copa_channel::FreqChannel::random(&mut rng, 2, 4, 1e-6, &profile);
     let cross = copa_channel::FreqChannel::random(&mut rng, 2, 4, 1e-7, &profile);
     let imp = copa_channel::Impairments::default();
+    // Warm precoders on one reused scratch and output slot, as the engine
+    // runs them.
+    let mut pws = PrecodeScratch::new();
+    let mut slot = LinkPrecoding::empty();
+    c.bench_function("beamform_4x2", |b| {
+        b.iter(|| beamform_with(black_box(&own), 2, &mut pws, &mut slot))
+    });
+    c.bench_function("null_4x2", |b| {
+        b.iter(|| null_toward_with(black_box(&own), &cross, 2, &mut pws, &mut slot))
+    });
     let pre = beamform(&own, 2);
     let int_pre = beamform(&cross, 2);
     let powers = TxPowers::equal(2, 31.6);

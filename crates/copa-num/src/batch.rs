@@ -1,12 +1,15 @@
 //! Batched structure-of-arrays kernels over many same-shape matrices.
 //!
-//! The OFDM hot path applies the same tiny-matrix operation (SVD, loaded
-//! inverse, multiply) to one matrix per data subcarrier — 52 independent
-//! problems of identical shape. [`CBatch`] stores all of them in split
-//! re/im `f64` planes with the *lane* (subcarrier) index fastest-moving:
-//! entry `(i, j)` of lane `l` lives at `plane[(i*cols + j)*lanes + l]`.
-//! Inner loops therefore walk contiguous `f64` slices across lanes and
-//! carry no per-subcarrier dispatch or allocation.
+//! The MMSE SINR chain applies the same tiny-matrix operations (loaded
+//! inverse, multiply, conjugate transpose) to one matrix per data
+//! subcarrier — 52 independent problems of identical shape. [`CBatch`]
+//! stores all of them in split re/im `f64` planes with the *lane*
+//! (subcarrier) index fastest-moving: entry `(i, j)` of lane `l` lives at
+//! `plane[(i*cols + j)*lanes + l]`. Inner loops therefore walk contiguous
+//! `f64` slices across lanes and carry no per-subcarrier dispatch or
+//! allocation. Precoding does not use this module: its per-subcarrier
+//! [`crate::svd::svd_into`] calls measured faster than [`svd_batch_into`],
+//! which stays only for perfbench's `num.svd_batch_us` probe.
 //!
 //! Every batched kernel replays, per lane, the exact floating-point op
 //! sequence of its scalar counterpart in [`crate::matrix`], [`crate::svd`]
@@ -274,18 +277,6 @@ impl SvdBatch {
     #[inline]
     pub fn s_at(&self, j: usize, l: usize) -> f64 {
         self.s[j * self.u.lanes() + l]
-    }
-
-    /// Numerical rank of lane `l` (same rule as [`crate::svd::Svd::rank`]).
-    pub fn rank_lane(&self, rel_tol: f64, l: usize) -> usize {
-        let n = self.v.cols();
-        let smax = if n == 0 { 0.0 } else { self.s_at(0, l) };
-        if smax == 0.0 {
-            return 0;
-        }
-        (0..n)
-            .take_while(|&j| self.s_at(j, l) > rel_tol * smax)
-            .count()
     }
 }
 

@@ -6,7 +6,6 @@
 
 use crate::precoder::{LinkPrecoding, PrecodeScratch};
 use copa_channel::FreqChannel;
-use copa_num::batch::svd_batch_into;
 use copa_num::svd::svd_into;
 
 /// Builds the SVD beamforming precoder for `streams` spatial streams from
@@ -28,55 +27,8 @@ pub fn beamform(est: &FreqChannel, streams: usize) -> LinkPrecoding {
 // alloc-free: begin beamform_with (per-subcarrier kernel -- no Vec::new / vec!)
 /// [`beamform`] writing into caller-owned buffers: after warm-up one scratch
 /// and one output slot serve every subcarrier of every link with zero heap
-/// allocation.
-///
-/// Batched implementation: all subcarriers are gathered into an SoA
-/// [`copa_num::batch::CBatch`] and decomposed by one [`svd_batch_into`] call.
-/// Each lane replays the scalar Jacobi kernel exactly, so the result is
-/// bit-identical to the [`beamform_scalar_with`] reference (checked by the
-/// tests here, by `crates/copa-num/tests/prop_batch.rs` and on engine
-/// inputs by `tests/determinism.rs`).
+/// allocation. Each subcarrier gets its own [`svd_into`] call.
 pub fn beamform_with(
-    est: &FreqChannel,
-    streams: usize,
-    ws: &mut PrecodeScratch,
-    out: &mut LinkPrecoding,
-) {
-    assert!(streams >= 1, "need at least one stream");
-    assert!(
-        streams <= est.rx().min(est.tx()),
-        "{} streams do not fit a {}x{} channel",
-        streams,
-        est.rx(),
-        est.tx()
-    );
-    let n_sub = est.iter().count();
-    out.reset_shape(n_sub, streams);
-    ws.h_b.reset(est.rx(), est.tx(), n_sub);
-    for (s, h) in est.iter().enumerate() {
-        ws.h_b.load_lane(s, h);
-    }
-    svd_batch_into(&ws.h_b, &mut ws.svd_b, &mut ws.dec_b);
-    let tx = est.tx();
-    for s in 0..n_sub {
-        let pre = &mut out.precoder[s];
-        pre.reset(tx, streams);
-        for i in 0..tx {
-            for k in 0..streams {
-                pre[(i, k)] = ws.dec_b.v.get(i, k, s);
-            }
-        }
-        for (k, gains) in out.stream_gains.iter_mut().enumerate() {
-            let sv = ws.dec_b.s_at(k, s);
-            gains[s] = sv * sv;
-        }
-    }
-}
-
-/// The per-subcarrier scalar reference for [`beamform_with`]: same
-/// semantics, same output bits. The engine never calls it; it stays public
-/// so `tests/determinism.rs` can check the batched kernel against it.
-pub fn beamform_scalar_with(
     est: &FreqChannel,
     streams: usize,
     ws: &mut PrecodeScratch,
@@ -175,45 +127,5 @@ mod tests {
         let mut rng = SimRng::seed_from(54);
         let est = ch(&mut rng, 2, 4);
         let _ = beamform(&est, 3);
-    }
-
-    #[test]
-    fn batched_is_bit_identical_to_scalar() {
-        for (seed, rx, tx, streams) in [
-            (60u64, 2usize, 4usize, 2usize),
-            (61, 2, 4, 1),
-            (62, 4, 2, 2),
-            (63, 1, 1, 1),
-            (64, 3, 3, 3),
-        ] {
-            let mut rng = SimRng::seed_from(seed);
-            let est = ch(&mut rng, rx, tx);
-            let mut ws = PrecodeScratch::new();
-            let mut batched = LinkPrecoding::empty();
-            beamform_with(&est, streams, &mut ws, &mut batched);
-            let mut scalar = LinkPrecoding::empty();
-            beamform_scalar_with(&est, streams, &mut ws, &mut scalar);
-            for s in 0..DATA_SUBCARRIERS {
-                let (b, c) = (&batched.precoder[s], &scalar.precoder[s]);
-                assert_eq!((b.rows(), b.cols()), (c.rows(), c.cols()));
-                for i in 0..b.rows() {
-                    for j in 0..b.cols() {
-                        assert_eq!(
-                            b[(i, j)].re.to_bits(),
-                            c[(i, j)].re.to_bits(),
-                            "seed={seed} s={s} ({i},{j}).re"
-                        );
-                        assert_eq!(b[(i, j)].im.to_bits(), c[(i, j)].im.to_bits());
-                    }
-                }
-                for k in 0..streams {
-                    assert_eq!(
-                        batched.stream_gains[k][s].to_bits(),
-                        scalar.stream_gains[k][s].to_bits(),
-                        "seed={seed} gain k={k} s={s}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -10,7 +10,6 @@
 
 use crate::precoder::{LinkPrecoding, PrecodeScratch};
 use copa_channel::FreqChannel;
-use copa_num::batch::svd_batch_into;
 use copa_num::svd::svd_into;
 
 /// Relative singular-value threshold separating signal space from nullspace.
@@ -43,90 +42,10 @@ pub fn null_toward(
 /// [`null_toward`] writing into caller-owned buffers. Returns `false` (with
 /// `out` untouched beyond its shape) when the problem is overconstrained.
 ///
-/// Batched implementation: victim SVD, nullspace projection and in-nullspace
-/// beamforming each run once across all subcarrier lanes. When the numerical
-/// nullity differs between subcarriers (possible only for degenerate
-/// channels) the kernel falls back to [`null_toward_scalar_with`]; either
-/// way the output is bit-identical to that scalar reference, because every
-/// batched lane replays the scalar op sequence exactly (checked on engine
-/// inputs, fallback included, by `tests/determinism.rs`).
+/// Each subcarrier takes its own nullspace: a subcarrier where the victim
+/// channel is degenerate has a larger nullity there, and is beamformed
+/// within that larger space.
 pub fn null_toward_with(
-    est_own: &FreqChannel,
-    est_victim: &FreqChannel,
-    streams: usize,
-    ws: &mut PrecodeScratch,
-    out: &mut LinkPrecoding,
-) -> bool {
-    assert_eq!(
-        est_own.tx(),
-        est_victim.tx(),
-        "both channels share the AP's antennas"
-    );
-    let tx = est_own.tx();
-    let dof = nulling_dof(tx, est_victim.rx());
-    if dof < streams as isize || streams == 0 || streams > est_own.rx() {
-        return false;
-    }
-
-    let n_sub = est_own.iter().count();
-    // Orthonormal bases of null(H_victim), one batched SVD for all lanes.
-    ws.vic_b.reset(est_victim.rx(), tx, n_sub);
-    for (s, h) in est_victim.iter().enumerate() {
-        ws.vic_b.load_lane(s, h);
-    }
-    svd_batch_into(&ws.vic_b, &mut ws.svd_b, &mut ws.vic_dec_b);
-    // The batched projection needs one common nullity across lanes; rank is
-    // computed with the same rule as `Svd::rank`, so any mismatch sends us
-    // to the scalar path with identical results.
-    let nullity = tx - ws.vic_dec_b.rank_lane(NULL_TOL, 0);
-    let uniform = (1..n_sub).all(|l| tx - ws.vic_dec_b.rank_lane(NULL_TOL, l) == nullity);
-    if !uniform {
-        return null_toward_scalar_with(est_own, est_victim, streams, ws, out);
-    }
-    debug_assert!(nullity >= streams);
-    let rank = tx - nullity;
-    // V0 = trailing columns of the victim's V (same copy order as
-    // `Svd::nullspace_into`: row-outer, column-inner).
-    ws.v0_b.reset(tx, nullity, n_sub);
-    for i in 0..tx {
-        for j in 0..nullity {
-            for l in 0..n_sub {
-                ws.v0_b.set(i, j, l, ws.vic_dec_b.v.get(i, rank + j, l));
-            }
-        }
-    }
-    // Beamform the projected channel H_own * V0 (rx_own x nullity).
-    ws.h_b.reset(est_own.rx(), tx, n_sub);
-    for (s, h) in est_own.iter().enumerate() {
-        ws.h_b.load_lane(s, h);
-    }
-    ws.h_b.mul_into(&ws.v0_b, &mut ws.h_eff_b);
-    svd_batch_into(&ws.h_eff_b, &mut ws.svd_b, &mut ws.dec_b);
-    ws.v1_b.reset(nullity, streams, n_sub);
-    for i in 0..nullity {
-        for k in 0..streams {
-            for l in 0..n_sub {
-                ws.v1_b.set(i, k, l, ws.dec_b.v.get(i, k, l));
-            }
-        }
-    }
-    ws.v0_b.mul_into(&ws.v1_b, &mut ws.pre_b);
-    out.reset_shape(n_sub, streams);
-    for s in 0..n_sub {
-        ws.pre_b.store_lane(s, &mut out.precoder[s]);
-        for (k, gains) in out.stream_gains.iter_mut().enumerate() {
-            let sv = ws.dec_b.s_at(k, s);
-            gains[s] = sv * sv;
-        }
-    }
-    true
-}
-
-/// The per-subcarrier scalar reference for [`null_toward_with`]: same
-/// semantics, same output bits. It is the batched kernel's fallback when
-/// nullity differs across subcarriers, and `tests/determinism.rs` checks
-/// the batched kernel against it.
-pub fn null_toward_scalar_with(
     est_own: &FreqChannel,
     est_victim: &FreqChannel,
     streams: usize,
@@ -170,7 +89,7 @@ mod tests {
     use super::*;
     use crate::beamforming::beamform;
     use copa_channel::MultipathProfile;
-    use copa_num::SimRng;
+    use copa_num::{CMat, SimRng};
     use copa_phy::ofdm::DATA_SUBCARRIERS;
 
     fn ch(rng: &mut SimRng, rx: usize, tx: usize) -> FreqChannel {
@@ -268,54 +187,37 @@ mod tests {
     }
 
     #[test]
-    fn batched_is_bit_identical_to_scalar() {
-        for (seed, rx, tx, vic_rx, streams) in [
-            (70u64, 2usize, 4usize, 2usize, 2usize),
-            (71, 2, 4, 2, 1),
-            (72, 1, 3, 2, 1),
-            (73, 2, 3, 1, 2),
-        ] {
-            let mut rng = SimRng::seed_from(seed);
-            let own = ch(&mut rng, rx, tx);
-            let victim = ch(&mut rng, vic_rx, tx);
-            let mut ws = PrecodeScratch::new();
-            let mut batched = LinkPrecoding::empty();
-            assert!(null_toward_with(
-                &own,
-                &victim,
-                streams,
-                &mut ws,
-                &mut batched
-            ));
-            let mut scalar = LinkPrecoding::empty();
-            assert!(null_toward_scalar_with(
-                &own,
-                &victim,
-                streams,
-                &mut ws,
-                &mut scalar
-            ));
-            for s in 0..DATA_SUBCARRIERS {
-                let (b, c) = (&batched.precoder[s], &scalar.precoder[s]);
-                assert_eq!((b.rows(), b.cols()), (c.rows(), c.cols()));
-                for i in 0..b.rows() {
-                    for j in 0..b.cols() {
-                        assert_eq!(
-                            b[(i, j)].re.to_bits(),
-                            c[(i, j)].re.to_bits(),
-                            "seed={seed} s={s} ({i},{j}).re"
-                        );
-                        assert_eq!(b[(i, j)].im.to_bits(), c[(i, j)].im.to_bits());
-                    }
-                }
-                for k in 0..streams {
-                    assert_eq!(
-                        batched.stream_gains[k][s].to_bits(),
-                        scalar.stream_gains[k][s].to_bits(),
-                        "seed={seed} gain k={k} s={s}"
-                    );
-                }
+    fn dead_victim_subcarrier_beamforms_there_and_nulls_elsewhere() {
+        // Where the victim channel is all zero its nullspace is the whole
+        // transmit space, so nulling must fall back to plain beamforming on
+        // that subcarrier while still nulling on every other one.
+        let mut rng = SimRng::seed_from(64);
+        let own = ch(&mut rng, 2, 4);
+        let dead = 17;
+        let victim = ch(&mut rng, 2, 4).map(|s, h| {
+            if s == dead {
+                CMat::zeros(h.rows(), h.cols())
+            } else {
+                h.clone()
             }
+        });
+        let pre = null_toward(&own, &victim, 2).expect("4x2 has enough DoF");
+        assert!(pre.columns_are_unit_norm(1e-9));
+        let bf = beamform(&own, 2);
+        for k in 0..2 {
+            let (got, want) = (pre.stream_gains[k][dead], bf.stream_gains[k][dead]);
+            assert!(
+                (got - want).abs() <= 1e-9 * want,
+                "stream {k} on the dead subcarrier: {got} vs beamforming {want}"
+            );
+        }
+        for s in (0..DATA_SUBCARRIERS).filter(|&s| s != dead) {
+            let at_victim = victim.at(s).matmul(&pre.precoder[s]);
+            assert!(
+                at_victim.max_abs() < 1e-8,
+                "residual at victim on subcarrier {s}: {}",
+                at_victim.max_abs()
+            );
         }
     }
 

@@ -1,13 +1,13 @@
 //! Precoding data model shared by beamforming, nulling and the allocators.
 
-use copa_num::batch::{CBatch, SvdBatch, SvdBatchScratch};
 use copa_num::matrix::CMat;
 use copa_num::svd::{Svd, SvdScratch};
 use copa_phy::ofdm::DATA_SUBCARRIERS;
 
 /// Reusable working storage for the per-subcarrier precoding kernels
 /// ([`crate::beamforming::beamform_with`] and
-/// [`crate::nulling::null_toward_with`]).
+/// [`crate::nulling::null_toward_with`]): one SVD scratch and the few
+/// small matrices a single subcarrier needs.
 ///
 /// One instance serves every subcarrier of every link of every topology a
 /// worker evaluates: the buffers grow to the largest shape in play and are
@@ -28,24 +28,6 @@ pub struct PrecodeScratch {
     pub(crate) v1: CMat,
     /// Selected column indices `0..streams`.
     pub(crate) cols: Vec<usize>,
-    /// SoA gather of the own channel (one lane per subcarrier).
-    pub(crate) h_b: CBatch,
-    /// SoA gather of the victim channel (nulling only).
-    pub(crate) vic_b: CBatch,
-    /// Batched Jacobi SVD working storage.
-    pub(crate) svd_b: SvdBatchScratch,
-    /// Output slot for the batched own-channel SVD.
-    pub(crate) dec_b: SvdBatch,
-    /// Output slot for the batched victim-channel SVD (nulling only).
-    pub(crate) vic_dec_b: SvdBatch,
-    /// Batched nullspace basis of the victim channel (`tx x dof` per lane).
-    pub(crate) v0_b: CBatch,
-    /// Batched projected channel `H_own * V0`.
-    pub(crate) h_eff_b: CBatch,
-    /// Batched beamformer within the nullspace.
-    pub(crate) v1_b: CBatch,
-    /// Batched composite precoder `V0 * V1`.
-    pub(crate) pre_b: CBatch,
 }
 
 impl PrecodeScratch {

@@ -6,9 +6,10 @@
 # succeed on a machine with no crates.io access at all. Before building,
 # it scans the sources: no registry dependencies, no allocation in marked
 # kernel regions, no unbudgeted panics, one worker pool (only
-# crates/copa-sim/src/pool.rs may spawn threads) and one ITS exchange loop
-# (only the coordinator decodes frames off the faulty medium). This script
-# is what CI runs; keep it green.
+# crates/copa-sim/src/pool.rs may spawn threads), one ITS exchange loop
+# (only the coordinator decodes frames off the faulty medium) and one
+# precoding kernel (the batched SoA kernels serve only the MMSE SINR
+# chain). This script is what CI runs; keep it green.
 #
 # Usage: scripts/check.sh [--bench-smoke] [--faults-smoke] [--resume-smoke]
 #                         [--obs-smoke] [--campus-smoke] [--daemon-smoke]
@@ -17,7 +18,8 @@
 #                   and leave its JSON lines in BENCH_hotpath.json; every
 #                   warmed-path alloc report must read exactly 0 (the bench
 #                   itself also hard-asserts this and the >= 540 topo/s
-#                   throughput floor).
+#                   throughput floor), and both precoding kernels
+#                   (beamform_4x2, null_4x2) must report a timing.
 #   --faults-smoke  additionally run one degraded-suite episode offline
 #                   (240 topologies, 20% ITS frame loss) and require its
 #                   exact DegradationStats line (retries and CSMA
@@ -83,7 +85,7 @@ for arg in "$@"; do
     esac
 done
 
-echo "==> 1/9 hermeticity: no registry dependencies in any Cargo.toml"
+echo "==> 1/10 hermeticity: no registry dependencies in any Cargo.toml"
 bad=0
 while IFS= read -r toml; do
     # Reject dotted dependency tables ([dependencies.foo]) outright --
@@ -116,7 +118,7 @@ if [ "$bad" -ne 0 ]; then
 fi
 echo "    ok: all dependencies are in-repo path deps"
 
-echo "==> 2/9 alloc-free kernel regions: no Vec::new / vec! / collect reintroduced"
+echo "==> 2/10 alloc-free kernel regions: no Vec::new / vec! / collect reintroduced"
 # Per-subcarrier kernels are bracketed by "alloc-free: begin <name>" /
 # "alloc-free: end <name>" markers. Inside those regions, constructs that
 # allocate per call are banned (`.collect(` and `.collect::<..>(` included:
@@ -139,7 +141,7 @@ if ! awk '
 fi
 echo "    ok: $(grep -rh 'alloc-free: begin' crates --include='*.rs' | wc -l | tr -d ' ') marked kernel regions are allocation-free"
 
-echo "==> 3/9 panic gate: no new unwrap()/panic! in library, example or test code"
+echo "==> 3/10 panic gate: no new unwrap()/panic! in library, example or test code"
 # Library (non-test) code must not panic on user-reachable paths: fallible
 # APIs return copa_core::CopaError, internal invariants use expect /
 # debug_assert! with an "// invariant:" comment. The few deliberate panic
@@ -172,7 +174,7 @@ if [ "$panic_bad" -ne 0 ]; then
 fi
 echo "    ok: library crates stay within the panic allowlist"
 
-echo "==> 4/9 one worker pool: thread fan-outs live only in copa-sim's pool"
+echo "==> 4/10 one worker pool: thread fan-outs live only in copa-sim's pool"
 # Every runner maps its work items through copa_sim::pool::map (work
 # stealing, one state per worker, results in item order, panics
 # re-raised). A second hand-rolled fan-out would fork that contract, so
@@ -186,7 +188,7 @@ if [ -n "$pool_sites" ]; then
 fi
 echo "    ok: crates/copa-sim/src/pool.rs is the only thread fan-out"
 
-echo "==> 5/9 one ITS exchange loop: only the coordinator decodes faulty deliveries"
+echo "==> 5/10 one ITS exchange loop: only the coordinator decodes faulty deliveries"
 # copa_core::Coordinator owns the ITS delivery policy (retry budget, stale
 # CSI re-measurement, CRC and CSI-codec failures). A second loop that
 # decodes frames off the faulty medium would drift from it, so outside
@@ -201,16 +203,32 @@ if [ -n "$its_sites" ]; then
 fi
 echo "    ok: copa-core's coordinator is the only ITS exchange loop"
 
-echo "==> 6/9 cargo fmt --check"
+echo "==> 6/10 one precoding kernel: SoA batches only in the SINR chain"
+# Beamforming and nulling run one svd_into per subcarrier: on the
+# engine's inputs that measured faster than the batched SoA SVD, and it
+# keeps no SoA scratch in every engine workspace. SoA stays only where it
+# measured faster, the MMSE SINR chain, so outside copa-num and sinr.rs
+# no library source may name a copa_num::batch item.
+soa_sites=$(grep -rnE '\b(copa_num|num)::batch\b|\b(CBatch|SvdBatch|SvdBatchScratch|svd_batch_into|inverse_loaded_batch_into|LuBatchScratch)\b' \
+    crates/*/src src --include='*.rs' \
+    | grep -vE '^crates/(copa-num/src/|copa-precoding/src/sinr\.rs:)' || true)
+if [ -n "$soa_sites" ]; then
+    printf '%s\n' "$soa_sites" >&2
+    echo "one-precoding-kernel gate FAILED: precode with svd_into per subcarrier; batch only the SINR chain" >&2
+    exit 1
+fi
+echo "    ok: only copa-num and the SINR chain name copa_num::batch items"
+
+echo "==> 7/10 cargo fmt --check"
 cargo fmt --check
 
-echo "==> 7/9 cargo build --release --offline (workspace, benches included)"
+echo "==> 8/10 cargo build --release --offline (workspace, benches included)"
 cargo build --release --offline --workspace --benches
 
-echo "==> 8/9 cargo test -q --offline (workspace)"
+echo "==> 9/10 cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
-echo "==> 9/9 deprecation gate: no in-repo callers of deprecated APIs"
+echo "==> 10/10 deprecation gate: no in-repo callers of deprecated APIs"
 # Deprecated shims exist only for downstream compatibility (none remain
 # today); new in-repo code must use the replacements. A separate target dir keeps -D deprecated from thrashing
 # the main build cache. #[allow(deprecated)] still works for the shims'
@@ -236,6 +254,12 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
                  evaluate_4x2_live_obs evaluate_pair_cluster_warm daemon_warm_epochs; do
         grep -q "\"name\":\"$guard\",\"allocs\":0}" BENCH_hotpath.json || {
             echo "bench smoke FAILED: warmed path '$guard' is not allocation-free" >&2
+            exit 1
+        }
+    done
+    for kernel in beamform_4x2 null_4x2; do
+        grep -q "\"type\":\"bench\",\"name\":\"$kernel\"" BENCH_hotpath.json || {
+            echo "bench smoke FAILED: precoding kernel timing '$kernel' missing" >&2
             exit 1
         }
     done
