@@ -21,7 +21,7 @@
 //! trajectory across PRs.
 
 use copa_bench::harness::{black_box, Criterion};
-use copa_channel::{AntennaConfig, MultipathProfile, TopologySampler};
+use copa_channel::{AntennaConfig, MultipathProfile, Topology, TopologySampler};
 use copa_core::{Engine, EngineMetrics, EngineObs, EngineWorkspace, EvalRequest, ScenarioParams};
 use copa_num::{svd, CMat, SimRng};
 use copa_obs::{FrozenClock, NoopSink, Telemetry, WallClock};
@@ -67,6 +67,15 @@ fn count_allocs(mut f: impl FnMut()) -> u64 {
     ALLOC_COUNT.load(Ordering::Relaxed) - before
 }
 
+/// Allocations of one evaluation of `topo` on `ws`, after the same
+/// evaluation has warmed it.
+fn warm_allocs(engine: &Engine, topo: &Topology, ws: &mut EngineWorkspace) -> u64 {
+    let _ = engine.run(&mut EvalRequest::topology(topo).workspace(ws));
+    count_allocs(|| {
+        let _ = black_box(engine.run(&mut EvalRequest::topology(topo).workspace(ws)));
+    })
+}
+
 /// One `{"type":"alloc",...}` JSON line (same spirit as the bench lines).
 struct AllocReport {
     name: String,
@@ -94,7 +103,7 @@ fn report_allocs(name: &str, allocs: u64) {
 
 /// A deliberately heterogeneous suite: mixed antenna configs so topology
 /// costs differ and a static chunking of the suite would idle workers.
-fn mixed_suite(per_config: usize) -> Vec<copa_channel::Topology> {
+fn mixed_suite(per_config: usize) -> Vec<Topology> {
     let sampler = TopologySampler::default();
     let mut suite = sampler.suite(0xB0_07, per_config, AntennaConfig::CONSTRAINED_4X2);
     suite.extend(sampler.suite(0xB0_08, per_config, AntennaConfig::SINGLE));
@@ -161,6 +170,17 @@ fn main() {
                 .expect("valid topology")
         })
     });
+    let plus_engine = Engine::new(ScenarioParams {
+        include_mercury: true,
+        ..params
+    });
+    c.bench_function("evaluate_4x2_copa_plus", |b| {
+        b.iter(|| {
+            plus_engine
+                .run(&mut EvalRequest::topology(black_box(&t4x2)))
+                .expect("valid topology")
+        })
+    });
 
     // Allocations for one evaluation (median-free single shot is stable:
     // the count is deterministic). Warm up once so one-time lazy init is
@@ -175,11 +195,27 @@ fn main() {
     report_allocs("evaluate_4x2", allocs);
 
     let mut ws = EngineWorkspace::new();
-    let _ = engine.run(&mut EvalRequest::topology(&t4x2).workspace(&mut ws));
-    let allocs_warm = count_allocs(|| {
-        let _ = black_box(engine.run(&mut EvalRequest::topology(&t4x2).workspace(&mut ws)));
-    });
+    let allocs_warm = warm_allocs(&engine, &t4x2, &mut ws);
     report_allocs("evaluate_4x2_warm_ws", allocs_warm);
+
+    // The same guard on COPA+ (the pooled Mercury kernel) and on 1x1, whose
+    // evaluations take the shut-down-antenna (SDA) path with one antenna:
+    // each warmed evaluation must be allocation-free as well.
+    let t1x1 = TopologySampler::default()
+        .suite(0xE0, 1, AntennaConfig::SINGLE)
+        .remove(0);
+    for (name, eng, topo) in [
+        ("evaluate_4x2_copa_plus_warm_ws", &plus_engine, &t4x2),
+        ("evaluate_1x1_warm_ws", &engine, &t1x1),
+        ("evaluate_1x1_copa_plus_warm_ws", &plus_engine, &t1x1),
+    ] {
+        let allocs = warm_allocs(eng, topo, &mut EngineWorkspace::new());
+        report_allocs(name, allocs);
+        assert_eq!(
+            allocs, 0,
+            "{name}: a warmed evaluation must be allocation-free (got {allocs})"
+        );
+    }
 
     // Supervision guard: the supervisor's per-topology `catch_unwind`
     // wrapper must be free -- same warmed workspace, same topology, and

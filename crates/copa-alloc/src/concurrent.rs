@@ -11,7 +11,7 @@
 //! previously found").
 
 use crate::stream::{
-    equi_sinr_into, mercury_best, AllocScratch, StreamAllocation, StreamProblem, StreamProblemRef,
+    equi_sinr_into, mercury_best_into, AllocScratch, StreamAllocation, StreamProblemRef,
 };
 use copa_phy::link::ThroughputModel;
 use copa_phy::ofdm::DATA_SUBCARRIERS;
@@ -55,6 +55,11 @@ pub struct ConcurrentSolution {
     pub predicted_bps: [f64; 2],
     /// Iterations actually executed.
     pub iterations: usize,
+    /// The round (1-based) whose prediction was kept as the best.
+    pub best_round: usize,
+    /// Constellation solves the Mercury allocator ran over the whole game
+    /// (0 for Equi-SINR; see [`mercury_best_into`]).
+    pub mercury_solves: usize,
     /// Whether the loop reached a fixed point before the cap.
     pub converged: bool,
 }
@@ -127,11 +132,9 @@ impl<'a> ConcurrentProblemRef<'a> {
 }
 
 /// Reusable scratch for [`allocate_concurrent_into`]: grows to the largest
-/// problem shape once, then steady-state allocation-free on the Equi-SINR
-/// path. The Mercury path reads the process-wide MMSE curve table and
-/// still allocates per stream (an owned [`StreamProblem`] and each
-/// mercury/waterfilling call's per-subcarrier vectors), though not inside
-/// its bisection steps.
+/// problem shape once, then steady-state allocation-free with either
+/// allocator (Mercury reads the process-wide MMSE curve table and keeps
+/// its buffers in the shared [`AllocScratch`]).
 #[derive(Clone, Debug, Default)]
 pub struct ConcurrentScratch {
     interference: Vec<f64>,
@@ -142,8 +145,9 @@ pub struct ConcurrentScratch {
 }
 
 /// Allocates all streams of AP `ap` given the peer's powers; returns the
-/// predicted aggregate goodput. Pooled counterpart of the old
-/// `ConcurrentProblem::allocate_ap`, same op sequence.
+/// predicted aggregate goodput and the Mercury constellation solves run.
+/// Pooled counterpart of the old `ConcurrentProblem::allocate_ap`, same op
+/// sequence.
 #[allow(clippy::too_many_arguments)]
 fn allocate_ap_into(
     problem: &ConcurrentProblemRef<'_>,
@@ -156,32 +160,27 @@ fn allocate_ap_into(
     alloc: &mut AllocScratch,
     stream_out: &mut StreamAllocation,
     out_powers: &mut TxPowers,
-) -> f64 {
+) -> (f64, usize) {
     let streams = problem.streams(ap);
     problem.interference_into(ap, peer_powers, interference);
     let per_stream_budget = problem.budgets_mw[ap] / streams as f64;
     out_powers.powers.truncate(streams);
     out_powers.powers.resize_with(streams, Vec::new);
     let mut predicted = 0.0;
+    let mut solves = 0;
     for k in 0..streams {
+        let stream_problem = StreamProblemRef {
+            gains: &problem.own_gains[ap][k],
+            noise_mw: problem.noise_mw,
+            interference_mw: Some(interference),
+            budget_mw: per_stream_budget,
+        };
         match kind {
             AllocatorKind::EquiSinr => {
-                let stream_problem = StreamProblemRef {
-                    gains: &problem.own_gains[ap][k],
-                    noise_mw: problem.noise_mw,
-                    interference_mw: Some(interference),
-                    budget_mw: per_stream_budget,
-                };
-                equi_sinr_into(&stream_problem, model, airtime, alloc, stream_out);
+                equi_sinr_into(&stream_problem, model, airtime, alloc, stream_out)
             }
             AllocatorKind::Mercury => {
-                let stream_problem = StreamProblem {
-                    gains: problem.own_gains[ap][k].clone(),
-                    noise_mw: problem.noise_mw,
-                    interference_mw: interference.clone(),
-                    budget_mw: per_stream_budget,
-                };
-                *stream_out = mercury_best(&stream_problem, model, airtime);
+                solves += mercury_best_into(&stream_problem, model, airtime, alloc, stream_out)
             }
         }
         predicted += stream_out.throughput_bps;
@@ -189,7 +188,7 @@ fn allocate_ap_into(
         row.clear();
         row.extend_from_slice(&stream_out.powers);
     }
-    predicted
+    (predicted, solves)
 }
 
 /// Runs the Figure 6 iteration and returns the best solution found.
@@ -238,10 +237,12 @@ pub fn allocate_concurrent_into(
     let mut best: Option<[f64; 2]> = None;
     let mut converged = false;
     let mut iterations = 0;
+    let mut best_round = 0;
+    let mut solves = 0;
 
     for _ in 0..MAX_ITERATIONS {
         iterations += 1;
-        let t0 = allocate_ap_into(
+        let (t0, s0) = allocate_ap_into(
             problem,
             0,
             &current[1],
@@ -253,7 +254,7 @@ pub fn allocate_concurrent_into(
             stream_out,
             &mut next[0],
         );
-        let t1 = allocate_ap_into(
+        let (t1, s1) = allocate_ap_into(
             problem,
             1,
             &current[0],
@@ -265,6 +266,7 @@ pub fn allocate_concurrent_into(
             stream_out,
             &mut next[1],
         );
+        solves += s0 + s1;
 
         // Track the best aggregate prediction (iteration can regress).
         let total = t0 + t1;
@@ -272,6 +274,7 @@ pub fn allocate_concurrent_into(
             out.powers[0].copy_from(&next[0]);
             out.powers[1].copy_from(&next[1]);
             best = Some([t0, t1]);
+            best_round = iterations;
         }
 
         if powers_close(current, next) {
@@ -286,6 +289,8 @@ pub fn allocate_concurrent_into(
 
     out.predicted_bps = best.expect("at least one iteration ran");
     out.iterations = iterations;
+    out.best_round = best_round;
+    out.mercury_solves = solves;
     out.converged = converged;
 }
 

@@ -59,14 +59,6 @@ impl StreamProblem {
     fn floor(&self, s: usize) -> f64 {
         self.noise_mw + self.interference_mw[s]
     }
-
-    /// SINR under equal power split (the stock-802.11 reference point).
-    pub fn equal_power_sinrs(&self) -> Vec<f64> {
-        let p = self.budget_mw / self.len() as f64;
-        (0..self.len())
-            .map(|s| p * self.gains[s] / self.floor(s))
-            .collect()
-    }
 }
 
 /// Result of allocating one stream.
@@ -94,7 +86,8 @@ impl StreamAllocation {
 
 impl Default for StreamAllocation {
     /// An empty allocation, used as a reusable output slot for
-    /// [`equi_sinr_into`] (buffers grow on first use, then are reused).
+    /// [`equi_sinr_into`] and [`mercury_best_into`] (buffers grow on first
+    /// use, then are reused).
     fn default() -> Self {
         Self {
             powers: Vec::new(),
@@ -106,9 +99,9 @@ impl Default for StreamAllocation {
     }
 }
 
-/// Borrowed view of a [`StreamProblem`]: the zero-allocation entry point
-/// ([`equi_sinr_into`]) takes this so the engine can point straight into its
-/// pooled gain/interference buffers. `interference_mw: None` is bit-identical
+/// Borrowed view of a [`StreamProblem`]: the zero-allocation entry points
+/// ([`equi_sinr_into`], [`mercury_best_into`]) take this so the engine can
+/// point straight into its pooled gain/interference buffers. `interference_mw: None` is bit-identical
 /// to an all-zeros interference vector (`floor` computes `noise + 0.0` either
 /// way).
 #[derive(Clone, Copy, Debug)]
@@ -150,13 +143,29 @@ impl<'a> StreamProblemRef<'a> {
     }
 }
 
-/// Reusable scratch for [`equi_sinr_into`]: grows to the subcarrier count
-/// once, then steady-state allocation-free.
+/// Reusable scratch for [`equi_sinr_into`] and [`mercury_best_into`]: grows
+/// to the subcarrier count once, then steady-state allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct AllocScratch {
     order: Vec<usize>,
     quality: Vec<f64>,
     ratio: Vec<f64>,
+    waterfill: WaterfillScratch,
+    /// [`mercury_best_into`]'s solve in progress and its best solve so far.
+    candidate: StreamAllocation,
+    best: StreamAllocation,
+}
+
+/// The buffers of one constellation's mercury/waterfilling solve.
+#[derive(Clone, Debug, Default)]
+struct WaterfillScratch {
+    quality: Vec<f64>,
+    /// Grid-index brackets of the bisection (see [`mercury_waterfilling`]).
+    lower: Vec<usize>,
+    upper: Vec<usize>,
+    at_mid: Vec<usize>,
+    /// SINRs of the subcarriers left active.
+    active: Vec<f64>,
 }
 
 /// Algorithm 1 / Equi-SINR: sort subcarriers by SINR-per-unit-power, try
@@ -213,6 +222,7 @@ pub fn equi_sinr_into(
         order,
         quality,
         ratio,
+        ..
     } = scratch;
     quality.clear();
     quality.extend((0..n).map(|s| problem.gains[s] / problem.floor(s)));
@@ -352,16 +362,34 @@ pub fn equal_power(
     model: &ThroughputModel,
     airtime: f64,
 ) -> StreamAllocation {
+    let mut out = StreamAllocation::default();
+    equal_power_into(
+        &StreamProblemRef::from_problem(problem),
+        model,
+        airtime,
+        &mut out,
+    );
+    out
+}
+
+/// [`equal_power`] into a reused output slot.
+fn equal_power_into(
+    problem: &StreamProblemRef<'_>,
+    model: &ThroughputModel,
+    airtime: f64,
+    out: &mut StreamAllocation,
+) {
     let n = problem.len();
-    let sinrs = problem.equal_power_sinrs();
-    let choice = model.best(&sinrs, airtime);
-    StreamAllocation {
-        powers: vec![problem.budget_mw / n as f64; n],
-        sinrs,
-        throughput_bps: choice.goodput_bps,
-        mcs: choice.mcs,
-        dropped: 0,
-    }
+    let p = problem.budget_mw / n as f64;
+    out.powers.clear();
+    out.powers.resize(n, p);
+    out.sinrs.clear();
+    out.sinrs
+        .extend((0..n).map(|s| p * problem.gains[s] / problem.floor(s)));
+    let choice = model.best(&out.sinrs, airtime);
+    out.throughput_bps = choice.goodput_bps;
+    out.mcs = choice.mcs;
+    out.dropped = 0;
 }
 
 /// Classic Gaussian waterfilling: `p_j = max(0, mu - floor_j / g_j)`.
@@ -413,13 +441,124 @@ pub fn mercury_waterfilling(
     model: &ThroughputModel,
     airtime: f64,
 ) -> StreamAllocation {
+    let mut scratch = WaterfillScratch::default();
+    let mut out = StreamAllocation::default();
+    waterfill_into(
+        &StreamProblemRef::from_problem(problem),
+        curve,
+        model,
+        airtime,
+        &mut scratch,
+        &mut out,
+    );
+    out
+}
+
+/// Iterated mercury/waterfilling over all four constellations' curves
+/// ([`MmseCurve::all`]), with additional explicit drop counts layered on
+/// top (the paper's COPA+ uses "iterated mercury/waterfilling (including
+/// subcarrier selection)").
+pub fn mercury_best(
+    problem: &StreamProblem,
+    model: &ThroughputModel,
+    airtime: f64,
+) -> StreamAllocation {
+    let mut scratch = AllocScratch::default();
+    let mut out = StreamAllocation::default();
+    mercury_best_into(
+        &StreamProblemRef::from_problem(problem),
+        model,
+        airtime,
+        &mut scratch,
+        &mut out,
+    );
+    out
+}
+
+/// Zero-allocation [`mercury_best`]: writes the best of Equi-SINR and the
+/// four constellations' mercury/waterfilling solves into `out`, and returns
+/// how many constellations it solved (1 to 4).
+///
+/// The choice is [`mercury_best`]'s: the first strict maximum over the
+/// curves in [`MmseCurve::all`] order, kept only when it is `>=` the
+/// Equi-SINR goodput. Equi-SINR runs first, and a curve whose goodput cap
+/// is *strictly* below that floor is never solved. This skips only solves
+/// that cannot change the result, so the output is the same bits:
+///
+/// * **The cap bounds the solve.** A constellation's solve scores
+///   `rate(m, active) * (1 - FER) * airtime` for some MCS `m` of that
+///   modulation and `active <= len` subcarriers. Its cap is
+///   `top.phy_rate_bps_with(len) * airtime`, with `top` the modulation's
+///   fastest MCS. Round-to-nearest is monotone and `0 <= 1 - FER <= 1`, so
+///   the score is `<=` the cap in floating point too (the argument
+///   [`ThroughputModel::best_flat_above`] rests on).
+/// * **A skipped curve cannot matter.** Its goodput is below Equi-SINR, so
+///   it can neither be returned nor be the first strict maximum of a curve
+///   set whose maximum is returned. Ties with the floor are solved, so
+///   they still go to Mercury.
+/// * **The equal-power fallback.** When no subcarrier has a positive
+///   quality, every curve returns the same equal-power allocation, whose
+///   MCS comes from the whole table. The 64-QAM cap bounds it, and every
+///   solved curve returns its bits, so skipping the others changes nothing.
+/// * **64-QAM is always solved.** Its cap also bounds Equi-SINR, so at
+///   least one solve runs, and the skip saves at most three of the four.
+// alloc-free: begin mercury_best_into
+pub fn mercury_best_into(
+    problem: &StreamProblemRef<'_>,
+    model: &ThroughputModel,
+    airtime: f64,
+    scratch: &mut AllocScratch,
+    out: &mut StreamAllocation,
+) -> usize {
+    equi_sinr_into(problem, model, airtime, scratch, out);
+    let AllocScratch {
+        waterfill,
+        candidate,
+        best,
+        ..
+    } = scratch;
+    let mut solves = 0;
+    for curve in MmseCurve::all() {
+        let cap = top_mcs_of(curve.modulation()).phy_rate_bps_with(problem.len()) * airtime;
+        if cap < out.throughput_bps {
+            continue;
+        }
+        waterfill_into(problem, curve, model, airtime, waterfill, candidate);
+        if solves == 0 || candidate.throughput_bps > best.throughput_bps {
+            core::mem::swap(candidate, best);
+        }
+        solves += 1;
+    }
+    if solves > 0 && best.throughput_bps >= out.throughput_bps {
+        core::mem::swap(out, best);
+    }
+    solves
+}
+
+/// One constellation's mercury/waterfilling solve ([`mercury_waterfilling`])
+/// on reused buffers.
+fn waterfill_into(
+    problem: &StreamProblemRef<'_>,
+    curve: &MmseCurve,
+    model: &ThroughputModel,
+    airtime: f64,
+    scratch: &mut WaterfillScratch,
+    out: &mut StreamAllocation,
+) {
     let n = problem.len();
-    let quality: Vec<f64> = (0..n)
-        .map(|s| problem.gains[s].max(1e-300) / problem.floor(s))
-        .collect();
+    let WaterfillScratch {
+        quality,
+        lower,
+        upper,
+        at_mid,
+        active,
+    } = scratch;
+    quality.clear();
+    quality.extend((0..n).map(|s| problem.gains[s].max(1e-300) / problem.floor(s)));
     let q_max = quality.iter().cloned().fold(0.0, f64::max);
     if q_max <= 0.0 {
-        return equal_power(problem, model, airtime);
+        equal_power_into(problem, model, airtime, out);
+        return;
     }
 
     // Bisect lambda in (0, q_max): smaller lambda -> more power used.
@@ -433,19 +572,18 @@ pub fn mercury_waterfilling(
     // near it (BPSK at high SNR), no step ever evaluates it.
     let nodes = curve.mmse_nodes();
     let grid = nodes.len();
-    let mut lower = vec![0; n];
-    let mut upper: Vec<usize> = quality
-        .iter()
-        .map(|&q| {
-            if q <= lo {
-                0
-            } else {
-                nodes.partition_point(|&m| m >= lo / q)
-            }
-        })
-        .collect();
-    let mut at_mid = vec![0; n];
-    // alloc-free: begin mercury_bisection
+    lower.clear();
+    lower.resize(n, 0);
+    upper.clear();
+    upper.extend(quality.iter().map(|&q| {
+        if q <= lo {
+            0
+        } else {
+            nodes.partition_point(|&m| m >= lo / q)
+        }
+    }));
+    at_mid.clear();
+    at_mid.resize(n, 0);
     for _ in 0..80 {
         let mid = (lo * hi).sqrt();
         // `lo * hi` can underflow or overflow and put `mid` outside
@@ -470,65 +608,60 @@ pub fn mercury_waterfilling(
         }
         if used > problem.budget_mw {
             lo = mid;
-            core::mem::swap(&mut upper, &mut at_mid);
+            core::mem::swap(upper, at_mid);
         } else {
             hi = mid;
-            core::mem::swap(&mut lower, &mut at_mid);
+            core::mem::swap(lower, at_mid);
         }
         if hi / lo < 1.0 + 1e-12 {
             break;
         }
     }
-    // alloc-free: end mercury_bisection
     let lambda = (lo * hi).sqrt();
-    let mut powers: Vec<f64> = quality
-        .iter()
-        .map(|&q| {
-            if q <= lambda {
-                0.0
-            } else {
-                curve.mmse_inverse(lambda / q) / q
-            }
-        })
-        .collect();
+    out.powers.clear();
+    out.powers.extend(quality.iter().map(|&q| {
+        if q <= lambda {
+            0.0
+        } else {
+            curve.mmse_inverse(lambda / q) / q
+        }
+    }));
     // Normalize exactly to the budget.
-    let used: f64 = powers.iter().sum();
+    let used: f64 = out.powers.iter().sum();
     if used > 0.0 {
         let scale = problem.budget_mw / used;
-        for p in powers.iter_mut() {
+        for p in out.powers.iter_mut() {
             *p *= scale;
         }
     }
-    finish_for_modulation(problem, powers, curve.modulation(), model, airtime)
-}
 
-/// Iterated mercury/waterfilling over all four constellations' curves
-/// ([`MmseCurve::all`]), with additional explicit drop counts layered on
-/// top (the paper's COPA+ uses "iterated mercury/waterfilling (including
-/// subcarrier selection)").
-pub fn mercury_best(
-    problem: &StreamProblem,
-    model: &ThroughputModel,
-    airtime: f64,
-) -> StreamAllocation {
-    let mut best: Option<StreamAllocation> = None;
-    for curve in MmseCurve::all() {
-        let alloc = mercury_waterfilling(problem, curve, model, airtime);
-        if best
-            .as_ref()
-            .map(|b| alloc.throughput_bps > b.throughput_bps)
-            .unwrap_or(true)
-        {
-            best = Some(alloc);
-        }
-    }
-    // Also consider the Equi-SINR solution; mercury is not always better
-    // once the single-MCS constraint and FER model are applied.
-    let eq = equi_sinr(problem, model, airtime);
-    match best {
-        Some(b) if b.throughput_bps >= eq.throughput_bps => b,
-        _ => eq,
-    }
+    // Rate selection restricted to the curve's constellation.
+    out.sinrs.clear();
+    out.sinrs
+        .extend((0..n).map(|s| out.powers[s] * problem.gains[s] / problem.floor(s)));
+    active.clear();
+    active.extend(out.sinrs.iter().cloned().filter(|&x| x > 0.0));
+    let modulation = curve.modulation();
+    let choice = Mcs::TABLE
+        .iter()
+        .filter(|m| m.modulation == modulation)
+        .map(|&m| model.evaluate(m, active, airtime))
+        .max_by(|a, b| a.goodput_bps.total_cmp(&b.goodput_bps))
+        .expect("every modulation appears in the MCS table");
+    out.throughput_bps = choice.goodput_bps;
+    out.mcs = choice.mcs;
+    out.dropped = n - active.len();
+}
+// alloc-free: end mercury_best_into
+
+/// The fastest MCS of `modulation`: its PHY rate caps the goodput of any
+/// solve restricted to that constellation.
+fn top_mcs_of(modulation: Modulation) -> Mcs {
+    *Mcs::TABLE
+        .iter()
+        .rev()
+        .find(|m| m.modulation == modulation)
+        .expect("every modulation appears in the MCS table")
 }
 
 /// Evaluates a raw power vector: computes SINRs, picks the best MCS
@@ -545,33 +678,6 @@ fn finish(
     let active: Vec<f64> = sinrs.iter().cloned().filter(|&x| x > 0.0).collect();
     let choice = model.best(&active, airtime);
     let dropped = problem.len() - active.len();
-    StreamAllocation {
-        powers,
-        sinrs,
-        throughput_bps: choice.goodput_bps,
-        mcs: choice.mcs,
-        dropped,
-    }
-}
-
-fn finish_for_modulation(
-    problem: &StreamProblem,
-    powers: Vec<f64>,
-    modulation: Modulation,
-    model: &ThroughputModel,
-    airtime: f64,
-) -> StreamAllocation {
-    let sinrs: Vec<f64> = (0..problem.len())
-        .map(|s| powers[s] * problem.gains[s] / problem.floor(s))
-        .collect();
-    let active: Vec<f64> = sinrs.iter().cloned().filter(|&x| x > 0.0).collect();
-    let dropped = problem.len() - active.len();
-    let choice = Mcs::TABLE
-        .iter()
-        .filter(|m| m.modulation == modulation)
-        .map(|&m| model.evaluate(m, &active, airtime))
-        .max_by(|a, b| a.goodput_bps.total_cmp(&b.goodput_bps))
-        .expect("every modulation appears in the MCS table");
     StreamAllocation {
         powers,
         sinrs,
@@ -948,6 +1054,33 @@ mod tests {
         }
     }
 
+    fn finish_for_modulation(
+        problem: &StreamProblem,
+        powers: Vec<f64>,
+        modulation: Modulation,
+        model: &ThroughputModel,
+        airtime: f64,
+    ) -> StreamAllocation {
+        let sinrs: Vec<f64> = (0..problem.len())
+            .map(|s| powers[s] * problem.gains[s] / problem.floor(s))
+            .collect();
+        let active: Vec<f64> = sinrs.iter().cloned().filter(|&x| x > 0.0).collect();
+        let dropped = problem.len() - active.len();
+        let choice = Mcs::TABLE
+            .iter()
+            .filter(|m| m.modulation == modulation)
+            .map(|&m| model.evaluate(m, &active, airtime))
+            .max_by(|a, b| a.goodput_bps.total_cmp(&b.goodput_bps))
+            .expect("every modulation appears in the MCS table");
+        StreamAllocation {
+            powers,
+            sinrs,
+            throughput_bps: choice.goodput_bps,
+            mcs: choice.mcs,
+            dropped,
+        }
+    }
+
     /// The mercury/waterfilling bisection before per-subcarrier index
     /// brackets (every step collects a fresh power vector from full-grid
     /// inverses), kept verbatim as the bit-identity oracle for the
@@ -1061,6 +1194,65 @@ mod tests {
         assert!(
             underflowing >= 20,
             "only {underflowing} underflowing problems"
+        );
+    }
+
+    /// `mercury_best` before it skipped constellations (every curve solved
+    /// through the reference bisection, then Equi-SINR), kept verbatim as
+    /// the bit-identity oracle for the pruned kernel. Also says whether a
+    /// Mercury curve won.
+    fn reference_mercury_best(
+        problem: &StreamProblem,
+        model: &ThroughputModel,
+        airtime: f64,
+    ) -> (StreamAllocation, bool) {
+        let mut best: Option<StreamAllocation> = None;
+        for curve in MmseCurve::all() {
+            let alloc = reference_mercury_waterfilling(problem, curve, model, airtime);
+            if best
+                .as_ref()
+                .map(|b| alloc.throughput_bps > b.throughput_bps)
+                .unwrap_or(true)
+            {
+                best = Some(alloc);
+            }
+        }
+        let eq = equi_sinr(problem, model, airtime);
+        match best {
+            Some(b) if b.throughput_bps >= eq.throughput_bps => (b, true),
+            _ => (eq, false),
+        }
+    }
+
+    #[test]
+    fn pruned_mercury_best_is_bit_identical_to_reference() {
+        let model = ThroughputModel::default();
+        let mut scratch = AllocScratch::default();
+        let mut out = StreamAllocation::default();
+        let (mut skipping, mut solving_all, mut mercury_wins, mut cases) = (0, 0, 0, 0);
+        for seed in 0..240 {
+            let (p, _) = mercury_problem(seed);
+            for &airtime in &[1.0, 0.88] {
+                let ctx = format!("seed {seed} at {airtime}");
+                let (want, mercury_won) = reference_mercury_best(&p, &model, airtime);
+                assert_allocs_bit_identical(&mercury_best(&p, &model, airtime), &want, &ctx);
+                let r = StreamProblemRef::from_problem(&p);
+                let solves = mercury_best_into(&r, &model, airtime, &mut scratch, &mut out);
+                assert_allocs_bit_identical(&out, &want, &format!("{ctx}, reused scratch"));
+                assert!((1..=4).contains(&solves), "{ctx}: {solves} solves");
+                skipping += (solves < 4) as usize;
+                solving_all += (solves == 4) as usize;
+                mercury_wins += mercury_won as usize;
+                cases += 1;
+            }
+        }
+        assert!(
+            skipping > 0 && solving_all > 0,
+            "{skipping} of {cases} cases skip a curve, {solving_all} skip none"
+        );
+        assert!(
+            mercury_wins > 0 && mercury_wins < cases,
+            "Mercury won {mercury_wins} of {cases} cases"
         );
     }
 

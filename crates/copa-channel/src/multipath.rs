@@ -371,6 +371,24 @@ impl FreqChannel {
             }
         }
     }
+
+    /// Pooled [`FreqChannel::select_rx`]: writes the receive-antenna subset
+    /// into `out`'s reused buffers (the same entries, so bit-identical).
+    pub fn select_rx_into(&self, rows: &[usize], out: &mut FreqChannel) {
+        out.rx = rows.len();
+        out.tx = self.tx;
+        out.subcarriers.truncate(self.subcarriers.len());
+        out.subcarriers
+            .resize_with(self.subcarriers.len(), CMat::default);
+        for (src, dst) in self.subcarriers.iter().zip(&mut out.subcarriers) {
+            dst.reset(rows.len(), self.tx);
+            for (i, &r) in rows.iter().enumerate() {
+                for j in 0..self.tx {
+                    dst[(i, j)] = src[(r, j)];
+                }
+            }
+        }
+    }
     // alloc-free: end freq_channel_into
 
     /// Applies `f` to every subcarrier matrix, producing a new channel.
@@ -455,15 +473,9 @@ impl FreqChannel {
     /// Restricts the channel to a subset of receive antennas (COPA's
     /// shut-down-antenna move for overconstrained nulling).
     pub fn select_rx(&self, rows: &[usize]) -> FreqChannel {
-        FreqChannel {
-            rx: rows.len(),
-            tx: self.tx,
-            subcarriers: self
-                .subcarriers
-                .iter()
-                .map(|m| m.select_rows(rows))
-                .collect(),
-        }
+        let mut out = FreqChannel::empty();
+        self.select_rx_into(rows, &mut out);
+        out
     }
 }
 
@@ -592,6 +604,26 @@ mod tests {
         for s in 0..DATA_SUBCARRIERS {
             for t in 0..3 {
                 assert_eq!(one.at(s)[(0, t)], ch.at(s)[(1, t)]);
+            }
+        }
+    }
+
+    #[test]
+    fn select_rx_into_reuses_one_slot_across_shapes() {
+        let mut rng = SimRng::seed_from(8);
+        let ch = FreqChannel::random(&mut rng, 3, 2, 1.0, &MultipathProfile::default());
+        let mut pooled = FreqChannel::empty();
+        for rows in [&[2, 0][..], &[1], &[0, 1, 2]] {
+            ch.select_rx_into(rows, &mut pooled);
+            assert_eq!((pooled.rx(), pooled.tx()), (rows.len(), 2));
+            for s in 0..DATA_SUBCARRIERS {
+                let m = pooled.at(s);
+                assert_eq!((m.rows(), m.cols()), (rows.len(), 2));
+                for (i, &r) in rows.iter().enumerate() {
+                    for t in 0..2 {
+                        assert_eq!(m[(i, t)], ch.at(s)[(r, t)], "rows {rows:?}, subcarrier {s}");
+                    }
+                }
             }
         }
     }

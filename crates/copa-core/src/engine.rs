@@ -14,10 +14,10 @@ use crate::strategy::{Outcome, OutcomeVec, Strategy};
 use crate::telemetry::{phase_span, EngineObs};
 use copa_alloc::concurrent::{
     allocate_concurrent_into, AllocatorKind, ConcurrentProblemRef, ConcurrentScratch,
-    ConcurrentSolution,
+    ConcurrentSolution, MAX_ITERATIONS,
 };
 use copa_alloc::stream::{
-    equi_sinr_into, mercury_best, AllocScratch, StreamAllocation, StreamProblem, StreamProblemRef,
+    equi_sinr_into, mercury_best_into, AllocScratch, StreamAllocation, StreamProblemRef,
 };
 use copa_channel::{FreqChannel, Topology};
 use copa_mac::overhead::{airtime_efficiency, OverheadConfig, Scheme};
@@ -118,6 +118,11 @@ struct WorkBuffers {
     /// `None` = not yet computed; `Some(feasible)` afterwards.
     null_state: [Option<bool>; 3],
     null_pre: [[LinkPrecoding; 2]; 3],
+    /// SDA-reduced channels, memoized per evaluation and keyed by the
+    /// leader: `[est own, est cross, true own, true cross]`, each restricted
+    /// to the antenna the follower's client keeps.
+    sda_valid: [bool; 2],
+    sda_rx: [[FreqChannel; 4]; 2],
     /// Pooled power-allocation buffers.
     seq_powers: TxPowers,
     alloc: AllocScratch,
@@ -126,6 +131,36 @@ struct WorkBuffers {
     cross_gains: [Vec<Vec<f64>>; 2],
     conc_scratch: ConcurrentScratch,
     conc_sol: ConcurrentSolution,
+    tally: WorkTally,
+}
+
+/// Deterministic work counts of one evaluation, tallied in the workspace
+/// and flushed to the registry once per [`Engine::run`], so the allocation
+/// kernels touch no atomics.
+#[derive(Default)]
+struct WorkTally {
+    mercury_streams: u64,
+    mercury_solves: u64,
+    /// `fig6_rounds[r]`: Figure 6 games that ran `r` rounds.
+    fig6_rounds: [u64; MAX_ITERATIONS + 1],
+    /// `fig6_best_round[r]`: Figure 6 games that kept round `r`'s prediction.
+    fig6_best_round: [u64; MAX_ITERATIONS + 1],
+}
+
+impl WorkTally {
+    fn flush(&self, o: &EngineObs<'_>) {
+        let m = &o.metrics;
+        o.sink.add(m.mercury_streams, self.mercury_streams);
+        o.sink.add(m.mercury_solves, self.mercury_solves);
+        for r in 1..=MAX_ITERATIONS {
+            for _ in 0..self.fig6_rounds[r] {
+                o.sink.record(m.fig6_rounds, r as u64);
+            }
+            for _ in 0..self.fig6_best_round[r] {
+                o.sink.record(m.fig6_best_round, r as u64);
+            }
+        }
+    }
 }
 
 impl EngineWorkspace {
@@ -282,6 +317,7 @@ impl Engine {
         let ev = self.eval_all(&view, req.mode, buf, obs);
         if let Some(o) = obs {
             o.sink.add(o.metrics.evaluations, 1);
+            buf.tally.flush(o);
         }
         Ok(ev)
     }
@@ -329,9 +365,11 @@ impl Engine {
         ws: &mut WorkBuffers,
         obs: Option<&EngineObs<'_>>,
     ) -> Evaluation {
-        // New topology: every memoized precoder is stale.
+        // New topology: every memoized precoder and SDA channel is stale.
         ws.bf_valid = [false; 2];
         ws.null_state = [None; 3];
+        ws.sda_valid = [false; 2];
+        ws.tally = WorkTally::default();
 
         let csma = self.eval_sequential(p, Strategy::Csma, mode, ws, obs);
         let copa_seq = self.eval_sequential(p, Strategy::CopaSeq, mode, ws, obs);
@@ -450,6 +488,7 @@ impl Engine {
             seq_powers,
             alloc,
             stream_out,
+            tally,
             ..
         } = ws;
         let mut per_client = [0.0; 2];
@@ -474,28 +513,20 @@ impl Engine {
                 "allocation",
                 || match strategy {
                     Strategy::Csma => seq_powers.set_equal(streams, budget),
-                    Strategy::SeqMercury => self.alloc_streams_into(
-                        seq_pre,
-                        noise,
-                        budget,
-                        None,
-                        AllocatorKind::Mercury,
-                        eff,
-                        alloc,
-                        stream_out,
-                        seq_powers,
-                    ),
-                    _ => self.alloc_streams_into(
-                        seq_pre,
-                        noise,
-                        budget,
-                        None,
-                        AllocatorKind::EquiSinr,
-                        eff,
-                        alloc,
-                        stream_out,
-                        seq_powers,
-                    ),
+                    _ => {
+                        let kind = if strategy.is_mercury() {
+                            AllocatorKind::Mercury
+                        } else {
+                            AllocatorKind::EquiSinr
+                        };
+                        let solves = self.alloc_streams_into(
+                            seq_pre, noise, budget, None, kind, eff, alloc, stream_out, seq_powers,
+                        );
+                        if kind == AllocatorKind::Mercury {
+                            tally.mercury_streams += seq_pre.streams() as u64;
+                            tally.mercury_solves += solves as u64;
+                        }
+                    }
                 },
             );
             let own = TxSide {
@@ -524,8 +555,9 @@ impl Engine {
 
     /// Allocates every stream of one AP independently (used by sequential
     /// strategies; `interference` per subcarrier if any), writing into the
-    /// pooled `out`. The equi-SINR path is allocation-free after warm-up;
-    /// mercury (off by default) still builds owned problems.
+    /// pooled `out`; returns the Mercury constellation solves run (0 for
+    /// Equi-SINR). Both allocators borrow the precoder's gains and are
+    /// allocation-free after warm-up.
     #[allow(clippy::too_many_arguments)]
     fn alloc_streams_into(
         &self,
@@ -538,37 +570,29 @@ impl Engine {
         alloc: &mut AllocScratch,
         stream_out: &mut StreamAllocation,
         out: &mut TxPowers,
-    ) {
+    ) -> usize {
         let streams = pre.streams();
         out.powers.truncate(streams);
         out.powers.resize_with(streams, Vec::new);
+        let model = &self.params.model;
+        let mut solves = 0;
         for k in 0..streams {
+            let problem = StreamProblemRef {
+                gains: &pre.stream_gains[k],
+                noise_mw: noise,
+                interference_mw: interference,
+                budget_mw: budget / streams as f64,
+            };
             match kind {
-                AllocatorKind::EquiSinr => {
-                    let problem = StreamProblemRef {
-                        gains: &pre.stream_gains[k],
-                        noise_mw: noise,
-                        interference_mw: interference,
-                        budget_mw: budget / streams as f64,
-                    };
-                    equi_sinr_into(&problem, &self.params.model, eff, alloc, stream_out);
-                    out.powers[k].clear();
-                    out.powers[k].extend_from_slice(&stream_out.powers);
-                }
+                AllocatorKind::EquiSinr => equi_sinr_into(&problem, model, eff, alloc, stream_out),
                 AllocatorKind::Mercury => {
-                    let problem = StreamProblem {
-                        gains: pre.stream_gains[k].clone(),
-                        noise_mw: noise,
-                        interference_mw: interference
-                            .map(|v| v.to_vec())
-                            .unwrap_or_else(|| vec![0.0; DATA_SUBCARRIERS]),
-                        budget_mw: budget / streams as f64,
-                    };
-                    let a = mercury_best(&problem, &self.params.model, eff);
-                    out.powers[k] = a.powers;
+                    solves += mercury_best_into(&problem, model, eff, alloc, stream_out)
                 }
             }
+            out.powers[k].clear();
+            out.powers[k].extend_from_slice(&stream_out.powers);
         }
+        solves
     }
 
     /// Concurrent strategies. Returns `None` when the precoders are
@@ -649,29 +673,6 @@ impl Engine {
             Strategy::VanillaNull | Strategy::ConcurrentNull | Strategy::ConcurrentNullMercury
         );
 
-        // Estimated channels, with the SDA row reduction applied to every
-        // channel *into* the reduced client. Borrowed in place -- only the
-        // SDA path materializes (four reduced) channels.
-        let mut est_own: [&FreqChannel; 2] = [p.est[0][0], p.est[1][1]];
-        let mut est_cross: [&FreqChannel; 2] = [p.est[0][1], p.est[1][0]]; // [i] = AP i -> other client
-        let mut true_own: [&FreqChannel; 2] = [&topo.links[0][0], &topo.links[1][1]];
-        let mut true_cross: [&FreqChannel; 2] = [&topo.links[0][1], &topo.links[1][0]];
-        let reduced: [FreqChannel; 4];
-        if let Some(leader) = sda_leader {
-            let follower = 1 - leader;
-            let keep = antenna_to_keep(p.est[follower][follower]);
-            reduced = [
-                est_own[follower].select_rx(&[keep]),
-                est_cross[leader].select_rx(&[keep]),
-                true_own[follower].select_rx(&[keep]),
-                true_cross[leader].select_rx(&[keep]),
-            ];
-            est_own[follower] = &reduced[0];
-            est_cross[leader] = &reduced[1];
-            true_own[follower] = &reduced[2];
-            true_cross[leader] = &reduced[3];
-        }
-
         let WorkBuffers {
             pre: pre_scratch,
             sinr: sinr_scratch,
@@ -681,14 +682,42 @@ impl Engine {
             bf_pre,
             null_state,
             null_pre,
+            sda_valid,
+            sda_rx,
             eq_powers,
             cross_gains,
             conc_scratch,
             conc_sol,
             cg_w,
             cg_hw,
+            tally,
             ..
         } = ws;
+
+        // Estimated channels, with the SDA row reduction applied to every
+        // channel *into* the reduced client. Borrowed in place -- only the
+        // SDA path reads (four reduced) channels, built once per leader.
+        let mut est_own: [&FreqChannel; 2] = [p.est[0][0], p.est[1][1]];
+        let mut est_cross: [&FreqChannel; 2] = [p.est[0][1], p.est[1][0]]; // [i] = AP i -> other client
+        let mut true_own: [&FreqChannel; 2] = [&topo.links[0][0], &topo.links[1][1]];
+        let mut true_cross: [&FreqChannel; 2] = [&topo.links[0][1], &topo.links[1][0]];
+        if let Some(leader) = sda_leader {
+            let follower = 1 - leader;
+            if !sda_valid[leader] {
+                let keep = [antenna_to_keep(p.est[follower][follower])];
+                let reduced = &mut sda_rx[leader];
+                est_own[follower].select_rx_into(&keep, &mut reduced[0]);
+                est_cross[leader].select_rx_into(&keep, &mut reduced[1]);
+                true_own[follower].select_rx_into(&keep, &mut reduced[2]);
+                true_cross[leader].select_rx_into(&keep, &mut reduced[3]);
+                sda_valid[leader] = true;
+            }
+            let reduced = &sda_rx[leader];
+            est_own[follower] = &reduced[0];
+            est_cross[leader] = &reduced[1];
+            true_own[follower] = &reduced[2];
+            true_cross[leader] = &reduced[3];
+        }
 
         // Precoders: most streams each side can sustain. Both the nulling
         // precoders (shared by vanilla nulling and COPA's concurrent
@@ -814,6 +843,14 @@ impl Engine {
                         conc_scratch,
                         conc_sol,
                     );
+                    tally.fig6_rounds[conc_sol.iterations] += 1;
+                    tally.fig6_best_round[conc_sol.best_round] += 1;
+                    if kind == AllocatorKind::Mercury {
+                        // Every round allocates every stream of both APs.
+                        let streams = pres[0].streams() + pres[1].streams();
+                        tally.mercury_streams += (conc_sol.iterations * streams) as u64;
+                        tally.mercury_solves += conc_sol.mercury_solves as u64;
+                    }
                 }
             },
         );
@@ -1016,6 +1053,41 @@ mod tests {
             plus.aggregate_mbps(),
             ev.copa.aggregate_mbps()
         );
+    }
+
+    #[test]
+    fn observed_copa_plus_evaluation_counts_its_allocation_work() {
+        use crate::telemetry::EngineMetrics;
+        use copa_obs::{FrozenClock, Telemetry};
+
+        let e = Engine::new(ScenarioParams {
+            include_mercury: true,
+            ..Default::default()
+        });
+        let t = topo(11, AntennaConfig::CONSTRAINED_4X2);
+        let mut tel = Telemetry::new();
+        let metrics = EngineMetrics::register(&mut tel);
+        let clock = FrozenClock(0);
+        let obs = EngineObs::new(&tel, &clock, metrics);
+        e.run(&mut EvalRequest::topology(&t).observe(obs))
+            .expect("valid topology");
+
+        // Every Mercury stream solves 1 to 4 constellations, and on a 4x2
+        // evaluation some stream skips at least one.
+        let streams = tel.counter_value(metrics.mercury_streams);
+        let solves = tel.counter_value(metrics.mercury_solves);
+        assert!(
+            streams > 0 && streams <= solves && solves < 4 * streams,
+            "{streams} Mercury streams ran {solves} solves"
+        );
+        let rounds = tel.histogram_ref(metrics.fig6_rounds);
+        let best = tel.histogram_ref(metrics.fig6_best_round);
+        assert!(rounds.count() > 0, "no Figure 6 game recorded");
+        assert_eq!(rounds.count(), best.count(), "one kept round per game");
+        for h in [rounds, best] {
+            assert!(h.min() >= Some(1) && h.max() <= Some(MAX_ITERATIONS as u64));
+        }
+        assert!(best.sum() <= rounds.sum(), "a kept round is a round run");
     }
 
     #[test]

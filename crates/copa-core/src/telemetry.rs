@@ -30,6 +30,14 @@ pub struct EngineMetrics {
     pub allocation_us: HistogramId,
     /// Ground-truth MMSE SINR evaluation at the clients.
     pub sinr_us: HistogramId,
+    /// Per-stream Mercury allocations (COPA+ only).
+    pub mercury_streams: CounterId,
+    /// Constellation bisections those allocations ran (1 to 4 each).
+    pub mercury_solves: CounterId,
+    /// Rounds each Figure 6 concurrent-allocation game ran.
+    pub fig6_rounds: HistogramId,
+    /// The round (1-based) whose prediction each Figure 6 game kept.
+    pub fig6_best_round: HistogramId,
 }
 
 impl EngineMetrics {
@@ -41,6 +49,10 @@ impl EngineMetrics {
             precoding_us: tel.histogram("engine.precoding_us"),
             allocation_us: tel.histogram("engine.allocation_us"),
             sinr_us: tel.histogram("engine.sinr_us"),
+            mercury_streams: tel.counter("engine.mercury_streams"),
+            mercury_solves: tel.counter("engine.mercury_solves"),
+            fig6_rounds: tel.histogram("engine.fig6_rounds"),
+            fig6_best_round: tel.histogram("engine.fig6_best_round"),
         }
     }
 }

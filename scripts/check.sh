@@ -16,10 +16,12 @@
 #                         [--chaos-smoke] [--waveform-smoke]
 #   --bench-smoke   additionally run the hotpath benchmark in --quick mode
 #                   and leave its JSON lines in BENCH_hotpath.json; every
-#                   warmed-path alloc report must read exactly 0 (the bench
+#                   warmed-path alloc report must read exactly 0, plain
+#                   and COPA+ 4x2 and 1x1 evaluations included (the bench
 #                   itself also hard-asserts this and the >= 540 topo/s
 #                   throughput floor), and both precoding kernels
-#                   (beamform_4x2, null_4x2) must report a timing.
+#                   (beamform_4x2, null_4x2) and the COPA+ evaluation
+#                   (evaluate_4x2_copa_plus) must report a timing.
 #   --faults-smoke  additionally run one degraded-suite episode offline
 #                   (240 topologies, 20% ITS frame loss) and require its
 #                   exact DegradationStats line (retries and CSMA
@@ -250,16 +252,17 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # Hard alloc gate: every warmed-path alloc report must read exactly 0.
     # (The bench asserts this too; re-checking the emitted JSON keeps the
     # gate honest even if the bench's own asserts are ever refactored.)
-    for guard in evaluate_4x2_warm_ws evaluate_4x2_guarded evaluate_4x2_noop_obs \
+    for guard in evaluate_4x2_warm_ws evaluate_4x2_copa_plus_warm_ws evaluate_1x1_warm_ws \
+                 evaluate_1x1_copa_plus_warm_ws evaluate_4x2_guarded evaluate_4x2_noop_obs \
                  evaluate_4x2_live_obs evaluate_pair_cluster_warm daemon_warm_epochs; do
         grep -q "\"name\":\"$guard\",\"allocs\":0}" BENCH_hotpath.json || {
             echo "bench smoke FAILED: warmed path '$guard' is not allocation-free" >&2
             exit 1
         }
     done
-    for kernel in beamform_4x2 null_4x2; do
+    for kernel in beamform_4x2 null_4x2 evaluate_4x2_copa_plus; do
         grep -q "\"type\":\"bench\",\"name\":\"$kernel\"" BENCH_hotpath.json || {
-            echo "bench smoke FAILED: precoding kernel timing '$kernel' missing" >&2
+            echo "bench smoke FAILED: timing line '$kernel' missing" >&2
             exit 1
         }
     done

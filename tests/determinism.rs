@@ -4,7 +4,7 @@
 //! stop being reproducible across machines and thread counts.
 
 use copa::channel::{AntennaConfig, TopologySampler};
-use copa::core::{Engine, EvalRequest, Evaluation, ScenarioParams};
+use copa::core::{Engine, EngineWorkspace, EvalRequest, Evaluation, ScenarioParams};
 use copa::sim::{evaluate_parallel, evaluate_serial};
 
 /// Byte-exact fingerprint of an evaluation: every outcome's strategy and
@@ -122,6 +122,42 @@ fn mercury_variants_are_deterministic_too() {
                 "topology {i}: 1-thread vs {threads}-thread runs must be byte-identical"
             );
             assert!(x.copa_plus.is_some(), "mercury outcomes requested");
+        }
+    }
+}
+
+#[test]
+fn copa_plus_reused_workspace_matches_fresh() {
+    // One workspace carried across COPA+ evaluations of different shapes
+    // (SDA nulling, single antennas, full-rank nulling, SDA again) must
+    // give each the bits of a fresh workspace: no pooled Mercury candidate
+    // or best allocation, and no memoized SDA channel, may leak from one
+    // evaluation into the next.
+    let engine = Engine::new(ScenarioParams {
+        include_mercury: true,
+        ..Default::default()
+    });
+    let sampler = TopologySampler::default();
+    let mut ws = EngineWorkspace::new();
+    for (seed, cfg) in [
+        (0xC3A, AntennaConfig::OVERCONSTRAINED_3X2),
+        (0xC1A, AntennaConfig::SINGLE),
+        (0xC4A, AntennaConfig::CONSTRAINED_4X2),
+        (0xC3B, AntennaConfig::OVERCONSTRAINED_3X2),
+    ] {
+        for (i, t) in sampler.suite(seed, 2, cfg).iter().enumerate() {
+            let fresh = engine
+                .run(&mut EvalRequest::topology(t))
+                .expect("valid topology");
+            let reused = engine
+                .run(&mut EvalRequest::topology(t).workspace(&mut ws))
+                .expect("valid topology");
+            assert_eq!(
+                fingerprint(&reused),
+                fingerprint(&fresh),
+                "suite {seed:#x} topology {i}: a reused workspace changed the result"
+            );
+            assert!(reused.copa_plus.is_some(), "mercury outcomes requested");
         }
     }
 }
