@@ -198,16 +198,22 @@ fn main() {
     let allocs_warm = warm_allocs(&engine, &t4x2, &mut ws);
     report_allocs("evaluate_4x2_warm_ws", allocs_warm);
 
-    // The same guard on COPA+ (the pooled Mercury kernel) and on 1x1, whose
-    // evaluations take the shut-down-antenna (SDA) path with one antenna:
+    // The same guard on COPA+ (the pooled Mercury kernel), on 1x1, whose
+    // evaluations take the shut-down-antenna (SDA) path with one antenna,
+    // and on 3x2, whose SDA setups switch between one and two streams:
     // each warmed evaluation must be allocation-free as well.
     let t1x1 = TopologySampler::default()
         .suite(0xE0, 1, AntennaConfig::SINGLE)
+        .remove(0);
+    let t3x2 = TopologySampler::default()
+        .suite(0xE0, 1, AntennaConfig::OVERCONSTRAINED_3X2)
         .remove(0);
     for (name, eng, topo) in [
         ("evaluate_4x2_copa_plus_warm_ws", &plus_engine, &t4x2),
         ("evaluate_1x1_warm_ws", &engine, &t1x1),
         ("evaluate_1x1_copa_plus_warm_ws", &plus_engine, &t1x1),
+        ("evaluate_3x2_warm_ws", &engine, &t3x2),
+        ("evaluate_3x2_copa_plus_warm_ws", &plus_engine, &t3x2),
     ] {
         let allocs = warm_allocs(eng, topo, &mut EngineWorkspace::new());
         report_allocs(name, allocs);

@@ -15,7 +15,7 @@ use crate::stream::{
 };
 use copa_phy::link::ThroughputModel;
 use copa_phy::ofdm::DATA_SUBCARRIERS;
-use copa_precoding::TxPowers;
+use copa_precoding::{reshape_rows, TxPowers};
 
 /// Which per-stream allocator the iteration uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,9 +36,9 @@ pub enum AllocatorKind {
 #[derive(Clone, Debug)]
 pub struct ConcurrentProblem {
     /// Own-link effective gains, `[ap][stream][subcarrier]`.
-    pub own_gains: [Vec<Vec<f64>>; 2],
+    pub own_gains: [Vec<[f64; DATA_SUBCARRIERS]>; 2],
     /// Cross-link leakage gains, `[ap][stream][subcarrier]`.
-    pub cross_gains: [Vec<Vec<f64>>; 2],
+    pub cross_gains: [Vec<[f64; DATA_SUBCARRIERS]>; 2],
     /// Per-subcarrier noise, mW.
     pub noise_mw: f64,
     /// Per-AP total power budgets, mW.
@@ -78,11 +78,8 @@ impl ConcurrentProblem {
     /// Interference at AP `i`'s client on each subcarrier, given the peer's
     /// current powers.
     #[cfg(test)]
-    fn interference_at(&self, ap: usize, peer_powers: &TxPowers) -> Vec<f64> {
-        let r = ConcurrentProblemRef::from_problem(self);
-        let mut inter = Vec::new();
-        r.interference_into(ap, peer_powers, &mut inter);
-        inter
+    fn interference_at(&self, ap: usize, peer_powers: &TxPowers) -> [f64; DATA_SUBCARRIERS] {
+        ConcurrentProblemRef::from_problem(self).interference(ap, peer_powers)
     }
 }
 
@@ -92,9 +89,9 @@ impl ConcurrentProblem {
 #[derive(Clone, Copy, Debug)]
 pub struct ConcurrentProblemRef<'a> {
     /// Own-link effective gains, `[ap][stream][subcarrier]`.
-    pub own_gains: [&'a [Vec<f64>]; 2],
+    pub own_gains: [&'a [[f64; DATA_SUBCARRIERS]]; 2],
     /// Cross-link leakage gains, `[ap][stream][subcarrier]`.
-    pub cross_gains: [&'a [Vec<f64>]; 2],
+    pub cross_gains: [&'a [[f64; DATA_SUBCARRIERS]]; 2],
     /// Per-subcarrier noise, mW.
     pub noise_mw: f64,
     /// Per-AP total power budgets, mW.
@@ -118,16 +115,16 @@ impl<'a> ConcurrentProblemRef<'a> {
     }
 
     /// Interference at AP `i`'s client on each subcarrier, given the peer's
-    /// current powers (pooled: `out` is cleared and refilled).
-    fn interference_into(&self, ap: usize, peer_powers: &TxPowers, out: &mut Vec<f64>) {
+    /// current powers.
+    fn interference(&self, ap: usize, peer_powers: &TxPowers) -> [f64; DATA_SUBCARRIERS] {
         let peer = 1 - ap;
-        out.clear();
-        out.resize(DATA_SUBCARRIERS, 0.0);
+        let mut out = [0.0; DATA_SUBCARRIERS];
         for (k, row) in peer_powers.powers.iter().enumerate() {
             for (s, &q) in row.iter().enumerate() {
                 out[s] += q * self.cross_gains[peer][k][s];
             }
         }
+        out
     }
 }
 
@@ -137,7 +134,6 @@ impl<'a> ConcurrentProblemRef<'a> {
 /// its buffers in the shared [`AllocScratch`]).
 #[derive(Clone, Debug, Default)]
 pub struct ConcurrentScratch {
-    interference: Vec<f64>,
     alloc: AllocScratch,
     stream_out: StreamAllocation,
     current: [TxPowers; 2],
@@ -156,23 +152,21 @@ fn allocate_ap_into(
     kind: AllocatorKind,
     model: &ThroughputModel,
     airtime: f64,
-    interference: &mut Vec<f64>,
     alloc: &mut AllocScratch,
     stream_out: &mut StreamAllocation,
     out_powers: &mut TxPowers,
 ) -> (f64, usize) {
     let streams = problem.streams(ap);
-    problem.interference_into(ap, peer_powers, interference);
+    let interference = problem.interference(ap, peer_powers);
     let per_stream_budget = problem.budgets_mw[ap] / streams as f64;
-    out_powers.powers.truncate(streams);
-    out_powers.powers.resize_with(streams, Vec::new);
+    reshape_rows(&mut out_powers.powers, streams, 0.0);
     let mut predicted = 0.0;
     let mut solves = 0;
     for k in 0..streams {
         let stream_problem = StreamProblemRef {
             gains: &problem.own_gains[ap][k],
             noise_mw: problem.noise_mw,
-            interference_mw: Some(interference),
+            interference_mw: Some(&interference),
             budget_mw: per_stream_budget,
         };
         match kind {
@@ -184,9 +178,7 @@ fn allocate_ap_into(
             }
         }
         predicted += stream_out.throughput_bps;
-        let row = &mut out_powers.powers[k];
-        row.clear();
-        row.extend_from_slice(&stream_out.powers);
+        out_powers.powers[k].copy_from_slice(&stream_out.powers);
     }
     (predicted, solves)
 }
@@ -224,7 +216,6 @@ pub fn allocate_concurrent_into(
     out: &mut ConcurrentSolution,
 ) {
     let ConcurrentScratch {
-        interference,
         alloc,
         stream_out,
         current,
@@ -249,7 +240,6 @@ pub fn allocate_concurrent_into(
             kind,
             model,
             airtime,
-            interference,
             alloc,
             stream_out,
             &mut next[0],
@@ -261,7 +251,6 @@ pub fn allocate_concurrent_into(
             kind,
             model,
             airtime,
-            interference,
             alloc,
             stream_out,
             &mut next[1],
@@ -315,10 +304,8 @@ mod tests {
 
     const NOISE: f64 = 1e-9 / 52.0;
 
-    fn fading(rng: &mut SimRng, mean: f64) -> Vec<f64> {
-        (0..DATA_SUBCARRIERS)
-            .map(|_| -rng.uniform().max(1e-12).ln() * mean)
-            .collect()
+    fn fading(rng: &mut SimRng, mean: f64) -> [f64; DATA_SUBCARRIERS] {
+        core::array::from_fn(|_| -rng.uniform().max(1e-12).ln() * mean)
     }
 
     fn symmetric_problem(seed: u64, cross_db_below: f64) -> ConcurrentProblem {

@@ -21,14 +21,13 @@ use copa_alloc::stream::{
 };
 use copa_channel::{FreqChannel, Topology};
 use copa_mac::overhead::{airtime_efficiency, OverheadConfig, Scheme};
-use copa_num::matrix::CMat;
 use copa_num::svd::{cond_into, Svd, SvdScratch};
 use copa_phy::ofdm::DATA_SUBCARRIERS;
 use copa_precoding::beamforming::beamform_with;
 use copa_precoding::nulling::null_toward_with;
 use copa_precoding::sda::antenna_to_keep;
 use copa_precoding::sinr::{active_cells_into, mmse_sinr_grid_with, SinrScratch, TxSide};
-use copa_precoding::{LinkPrecoding, PrecodeScratch, TxPowers};
+use copa_precoding::{cross_gains_into, reshape_rows, LinkPrecoding, PrecodeScratch, TxPowers};
 
 /// How the receiver decodes (section 4.6): one decoder for the whole frame
 /// (stock 802.11) or one decoder per coding rate, enabling per-subcarrier
@@ -96,13 +95,9 @@ struct WorkBuffers {
     /// MMSE SINR scratch.
     sinr: SinrScratch,
     /// SINR grid output slot (`streams x DATA_SUBCARRIERS`).
-    grid: Vec<Vec<f64>>,
+    grid: Vec<[f64; DATA_SUBCARRIERS]>,
     /// Active-cell SINR list output slot.
     cells: Vec<f64>,
-    /// Cross-gain scratch: one precoder column.
-    cg_w: CMat,
-    /// Cross-gain scratch: channel times column.
-    cg_hw: CMat,
     /// SVD scratch for the conditioning quarantine check.
     cond_svd: SvdScratch,
     /// SVD output slot for the conditioning quarantine check.
@@ -128,7 +123,7 @@ struct WorkBuffers {
     alloc: AllocScratch,
     stream_out: StreamAllocation,
     eq_powers: [TxPowers; 2],
-    cross_gains: [Vec<Vec<f64>>; 2],
+    cross_gains: [Vec<[f64; DATA_SUBCARRIERS]>; 2],
     conc_scratch: ConcurrentScratch,
     conc_sol: ConcurrentSolution,
     tally: WorkTally,
@@ -277,6 +272,8 @@ impl Engine {
     /// borrows the request's workspace or allocates a fresh one, and
     /// evaluates every strategy. This is the engine's single entry point.
     pub fn run(&self, req: &mut EvalRequest<'_>) -> Result<Evaluation, CopaError> {
+        let (EvalInput::Topology(topology) | EvalInput::Estimates { topology, .. }) = req.input;
+        validate_topology(topology)?;
         let obs = req.obs;
         let obs = obs.as_ref();
         let mut fresh;
@@ -572,8 +569,7 @@ impl Engine {
         out: &mut TxPowers,
     ) -> usize {
         let streams = pre.streams();
-        out.powers.truncate(streams);
-        out.powers.resize_with(streams, Vec::new);
+        reshape_rows(&mut out.powers, streams, 0.0);
         let model = &self.params.model;
         let mut solves = 0;
         for k in 0..streams {
@@ -589,8 +585,7 @@ impl Engine {
                     solves += mercury_best_into(&problem, model, eff, alloc, stream_out)
                 }
             }
-            out.powers[k].clear();
-            out.powers[k].extend_from_slice(&stream_out.powers);
+            out.powers[k].copy_from_slice(&stream_out.powers);
         }
         solves
     }
@@ -688,8 +683,6 @@ impl Engine {
             cross_gains,
             conc_scratch,
             conc_sol,
-            cg_w,
-            cg_hw,
             tally,
             ..
         } = ws;
@@ -813,22 +806,15 @@ impl Engine {
                     } else {
                         AllocatorKind::EquiSinr
                     };
-                    cross_gain_grid_into(
-                        est_cross[0],
-                        &pres[0],
-                        evm,
-                        cg_w,
-                        cg_hw,
-                        &mut cross_gains[0],
-                    );
-                    cross_gain_grid_into(
-                        est_cross[1],
-                        &pres[1],
-                        evm,
-                        cg_w,
-                        cg_hw,
-                        &mut cross_gains[1],
-                    );
+                    for i in 0..2 {
+                        cross_gains_into(
+                            est_cross[i],
+                            &pres[i],
+                            evm,
+                            pre_scratch,
+                            &mut cross_gains[i],
+                        );
+                    }
                     let problem = ConcurrentProblemRef {
                         own_gains: [&pres[0].stream_gains, &pres[1].stream_gains],
                         cross_gains: [&cross_gains[0], &cross_gains[1]],
@@ -893,38 +879,28 @@ impl Engine {
     }
 }
 
-// alloc-free: begin cross_gain_grid (per-subcarrier kernel -- no vec! / .to_vec / with_capacity)
-/// Predicted gain of each of `pre`'s streams at the victim behind the cross
-/// channel `hx`: residual nulling leakage plus the EVM floor the radio specs
-/// promise. The outer `streams x DATA_SUBCARRIERS` grid lands in the pooled
-/// `out` (rows cleared and refilled, capacity retained across topologies);
-/// the per-subcarrier matrix products go through caller-owned scratch.
-fn cross_gain_grid_into(
-    hx: &FreqChannel,
-    pre: &LinkPrecoding,
-    evm: f64,
-    w: &mut CMat,
-    hw: &mut CMat,
-    out: &mut Vec<Vec<f64>>,
-) {
-    let streams = pre.streams();
-    out.truncate(streams);
-    out.resize_with(streams, Default::default);
-    for (k, row) in out.iter_mut().enumerate() {
-        row.clear();
-        for s in 0..DATA_SUBCARRIERS {
-            pre.precoder[s].column_into(k, w);
-            hx.at(s).mul_into(w, hw);
-            let leak = hw.frobenius_norm_sqr();
-            let evm_floor = evm * hx.at(s).frobenius_norm_sqr() / hx.tx() as f64;
-            row.push(leak + evm_floor);
-        }
-    }
-}
-// alloc-free: end cross_gain_grid
-
 /// Static channel-matrix names for error context (indexed `[i][j]`).
 const EST_NAMES: [[&str; 2]; 2] = [["est[0][0]", "est[0][1]"], ["est[1][0]", "est[1][1]"]];
+
+/// Rejects a topology whose true links disagree with its antenna config:
+/// every `links[a][c]` must be `client_antennas x ap_antennas`, both at
+/// least 1. Every such channel carries all `DATA_SUBCARRIERS` subcarriers,
+/// which the fixed-width rows of the precoding data model rely on.
+fn validate_topology(topology: &Topology) -> Result<(), CopaError> {
+    let cfg = topology.config;
+    let expected = (cfg.client_antennas, cfg.ap_antennas);
+    for link in topology.links.iter().flatten() {
+        let got = (link.rx(), link.tx());
+        if got != expected || expected.0 == 0 || expected.1 == 0 {
+            return Err(CopaError::DimensionMismatch {
+                context: "true link vs antenna config",
+                expected,
+                got,
+            });
+        }
+    }
+    Ok(())
+}
 
 /// Rejects caller-supplied estimates the numerics cannot digest: estimated
 /// CSI whose shape disagrees with the true link it estimates, and channels
@@ -1132,6 +1108,30 @@ mod tests {
         match e.run(&mut EvalRequest::estimates(&t, &est)) {
             Err(CopaError::DimensionMismatch { got, .. }) => assert_eq!(got.0, 1),
             other => panic!("expected DimensionMismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_topology_is_a_typed_error_in_both_lanes() {
+        let e = engine();
+        let mut t = topo(53, AntennaConfig::CONSTRAINED_4X2);
+        t.links = Default::default();
+        let est: [[FreqChannel; 2]; 2] = Default::default();
+        for run in [
+            e.run(&mut EvalRequest::topology(&t)),
+            e.run(&mut EvalRequest::estimates(&t, &est)),
+        ] {
+            match run {
+                Err(CopaError::DimensionMismatch {
+                    context,
+                    expected,
+                    got,
+                }) => {
+                    assert_eq!(context, "true link vs antenna config");
+                    assert_eq!((expected, got), ((2, 4), (0, 0)));
+                }
+                other => panic!("expected DimensionMismatch, got {other:?}"),
+            }
         }
     }
 

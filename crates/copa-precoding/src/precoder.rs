@@ -1,13 +1,30 @@
 //! Precoding data model shared by beamforming, nulling and the allocators.
+//!
+//! Every per-stream grid (stream gains, cross gains, powers, SINRs) is
+//! `streams x DATA_SUBCARRIERS`: a [`FreqChannel`] always carries the 52
+//! data subcarriers, so each stream's row is a fixed
+//! `[f64; DATA_SUBCARRIERS]` array and only the stream count varies. Pooled
+//! grids change their stream count through [`reshape_rows`] alone.
 
+use copa_channel::FreqChannel;
 use copa_num::matrix::CMat;
 use copa_num::svd::{Svd, SvdScratch};
 use copa_phy::ofdm::DATA_SUBCARRIERS;
 
+/// Reshapes a pooled `streams x DATA_SUBCARRIERS` grid in place to `streams`
+/// rows that all read `fill`. The reserve is exact, so a grid keeps the one
+/// allocation sized by the most streams it has held, however its stream
+/// count moves.
+pub fn reshape_rows(rows: &mut Vec<[f64; DATA_SUBCARRIERS]>, streams: usize, fill: f64) {
+    rows.clear();
+    rows.reserve_exact(streams);
+    rows.resize(streams, [fill; DATA_SUBCARRIERS]);
+}
+
 /// Reusable working storage for the per-subcarrier precoding kernels
-/// ([`crate::beamforming::beamform_with`] and
-/// [`crate::nulling::null_toward_with`]): one SVD scratch and the few
-/// small matrices a single subcarrier needs.
+/// ([`crate::beamforming::beamform_with`],
+/// [`crate::nulling::null_toward_with`] and [`cross_gains_into`]): one SVD
+/// scratch and the few small matrices a single subcarrier needs.
 ///
 /// One instance serves every subcarrier of every link of every topology a
 /// worker evaluates: the buffers grow to the largest shape in play and are
@@ -28,6 +45,10 @@ pub struct PrecodeScratch {
     pub(crate) v1: CMat,
     /// Selected column indices `0..streams`.
     pub(crate) cols: Vec<usize>,
+    /// One precoder column (cross gains).
+    col: CMat,
+    /// Cross channel times that column.
+    h_col: CMat,
 }
 
 impl PrecodeScratch {
@@ -50,7 +71,7 @@ pub struct LinkPrecoding {
     /// Per-subcarrier precoding matrices (`tx x streams`, unit-norm columns).
     pub precoder: Vec<CMat>,
     /// `stream_gains[k][s]`: nominal gain of stream `k` on subcarrier `s`.
-    pub stream_gains: Vec<Vec<f64>>,
+    pub stream_gains: Vec<[f64; DATA_SUBCARRIERS]>,
 }
 
 impl LinkPrecoding {
@@ -68,12 +89,7 @@ impl LinkPrecoding {
     pub(crate) fn reset_shape(&mut self, n_sub: usize, streams: usize) {
         self.precoder.truncate(n_sub);
         self.precoder.resize_with(n_sub, CMat::default);
-        self.stream_gains.truncate(streams);
-        self.stream_gains.resize_with(streams, Vec::new);
-        for g in &mut self.stream_gains {
-            g.clear();
-            g.resize(n_sub, 0.0);
-        }
+        reshape_rows(&mut self.stream_gains, streams, 0.0);
     }
 
     /// Number of spatial streams.
@@ -101,7 +117,7 @@ impl LinkPrecoding {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TxPowers {
     /// `powers[k][s]`: power of stream `k` on subcarrier `s`, mW.
-    pub powers: Vec<Vec<f64>>,
+    pub powers: Vec<[f64; DATA_SUBCARRIERS]>,
 }
 
 impl TxPowers {
@@ -113,32 +129,24 @@ impl TxPowers {
         p
     }
 
-    /// Pooled [`TxPowers::equal`]: reshapes in place, reusing row buffers.
+    /// Pooled [`TxPowers::equal`]: reshapes in place through [`reshape_rows`].
     pub fn set_equal(&mut self, streams: usize, budget_mw: f64) {
         assert!(streams > 0);
         let per = budget_mw / (streams * DATA_SUBCARRIERS) as f64;
-        self.powers.truncate(streams);
-        self.powers.resize_with(streams, Vec::new);
-        for row in &mut self.powers {
-            row.clear();
-            row.resize(DATA_SUBCARRIERS, per);
-        }
+        reshape_rows(&mut self.powers, streams, per);
     }
 
-    /// Pooled deep copy (reuses this value's row buffers).
+    /// Pooled deep copy (reuses this value's allocation).
     pub fn copy_from(&mut self, other: &TxPowers) {
-        self.powers.truncate(other.powers.len());
-        self.powers.resize_with(other.powers.len(), Vec::new);
-        for (dst, src) in self.powers.iter_mut().zip(&other.powers) {
-            dst.clear();
-            dst.extend_from_slice(src);
-        }
+        self.powers.clear();
+        self.powers.reserve_exact(other.powers.len());
+        self.powers.extend_from_slice(&other.powers);
     }
 
     /// All-zero allocation (an AP that stays silent).
     pub fn silent(streams: usize) -> Self {
         Self {
-            powers: vec![vec![0.0; DATA_SUBCARRIERS]; streams],
+            powers: vec![[0.0; DATA_SUBCARRIERS]; streams],
         }
     }
 
@@ -173,9 +181,47 @@ impl TxPowers {
     }
 }
 
+// alloc-free: begin cross_gains_into (per-subcarrier kernel -- no vec! / .to_vec / with_capacity)
+/// Predicted gain of each of `pre`'s streams at the victim behind the cross
+/// channel `hx`: residual nulling leakage plus the EVM floor the radio specs
+/// promise. `out` is reshaped through [`reshape_rows`]; the per-subcarrier
+/// matrix products go through `ws`.
+pub fn cross_gains_into(
+    hx: &FreqChannel,
+    pre: &LinkPrecoding,
+    evm: f64,
+    ws: &mut PrecodeScratch,
+    out: &mut Vec<[f64; DATA_SUBCARRIERS]>,
+) {
+    reshape_rows(out, pre.streams(), 0.0);
+    for (k, row) in out.iter_mut().enumerate() {
+        for (s, gain) in row.iter_mut().enumerate() {
+            pre.precoder[s].column_into(k, &mut ws.col);
+            hx.at(s).mul_into(&ws.col, &mut ws.h_col);
+            let leak = ws.h_col.frobenius_norm_sqr();
+            let evm_floor = evm * hx.at(s).frobenius_norm_sqr() / hx.tx() as f64;
+            *gain = leak + evm_floor;
+        }
+    }
+}
+// alloc-free: end cross_gains_into
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reshape_keeps_the_allocation_across_stream_counts() {
+        let mut rows = Vec::new();
+        reshape_rows(&mut rows, 2, 1.5);
+        let ptr = rows.as_ptr();
+        for (streams, fill) in [(1, 2.5), (2, 3.5)] {
+            reshape_rows(&mut rows, streams, fill);
+            assert_eq!(rows.len(), streams);
+            assert_eq!((rows.as_ptr(), rows.capacity()), (ptr, 2));
+            assert!(rows.iter().flatten().all(|&x| x == fill));
+        }
+    }
 
     #[test]
     fn equal_split_conserves_budget() {

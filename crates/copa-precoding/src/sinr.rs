@@ -7,7 +7,7 @@
 //! actually experiences, including transmit-EVM noise and the carrier
 //! leakage of dropped subcarriers.
 
-use crate::precoder::{LinkPrecoding, TxPowers};
+use crate::precoder::{reshape_rows, LinkPrecoding, TxPowers};
 use copa_channel::{FreqChannel, Impairments};
 use copa_num::batch::{inverse_loaded_batch_into, CBatch, LuBatchScratch};
 use copa_num::complex::ONE;
@@ -319,7 +319,7 @@ pub fn mmse_sinr_grid(
     interferer: Option<&TxSide>,
     noise_mw: f64,
     imp: &Impairments,
-) -> Vec<Vec<f64>> {
+) -> Vec<[f64; DATA_SUBCARRIERS]> {
     let mut ws = SinrScratch::new();
     let mut grid = Vec::new();
     mmse_sinr_grid_with(own, interferer, noise_mw, imp, &mut ws, &mut grid);
@@ -344,16 +344,11 @@ pub fn mmse_sinr_grid_with(
     noise_mw: f64,
     imp: &Impairments,
     ws: &mut SinrScratch,
-    grid: &mut Vec<Vec<f64>>,
+    grid: &mut Vec<[f64; DATA_SUBCARRIERS]>,
 ) {
     let streams = own.precoding.streams();
     let rx = own.channel.rx();
-    grid.truncate(streams);
-    grid.resize_with(streams, Vec::new);
-    for row in grid.iter_mut() {
-        row.clear();
-        row.resize(DATA_SUBCARRIERS, 0.0);
-    }
+    reshape_rows(grid, streams, 0.0);
 
     let lanes = DATA_SUBCARRIERS;
     ws.h_own_b.reset(rx, own.channel.tx(), lanes);
@@ -424,16 +419,11 @@ pub fn mmse_sinr_grid_scalar_with(
     noise_mw: f64,
     imp: &Impairments,
     ws: &mut SinrScratch,
-    grid: &mut Vec<Vec<f64>>,
+    grid: &mut Vec<[f64; DATA_SUBCARRIERS]>,
 ) {
     let streams = own.precoding.streams();
     let rx = own.channel.rx();
-    grid.truncate(streams);
-    grid.resize_with(streams, Vec::new);
-    for row in grid.iter_mut() {
-        row.clear();
-        row.resize(DATA_SUBCARRIERS, 0.0);
-    }
+    reshape_rows(grid, streams, 0.0);
 
     for s in 0..DATA_SUBCARRIERS {
         // Base covariance: thermal noise + own EVM + interferer everything.
@@ -491,14 +481,14 @@ pub fn received_power_per_subcarrier(tx: &TxSide, imp: &Impairments) -> Vec<f64>
 
 /// Collects the SINRs of all active (stream, subcarrier) cells into the
 /// flat vector the throughput model consumes.
-pub fn active_cells(grid: &[Vec<f64>], powers: &TxPowers) -> Vec<f64> {
+pub fn active_cells(grid: &[[f64; DATA_SUBCARRIERS]], powers: &TxPowers) -> Vec<f64> {
     let mut out = Vec::new();
     active_cells_into(grid, powers, &mut out);
     out
 }
 
 /// [`active_cells`] appending into a caller-owned buffer (cleared first).
-pub fn active_cells_into(grid: &[Vec<f64>], powers: &TxPowers, out: &mut Vec<f64>) {
+pub fn active_cells_into(grid: &[[f64; DATA_SUBCARRIERS]], powers: &TxPowers, out: &mut Vec<f64>) {
     out.clear();
     for (k, row) in grid.iter().enumerate() {
         for (s, &sinr) in row.iter().enumerate() {
@@ -576,8 +566,9 @@ mod tests {
         };
         let dirty = mmse_sinr_grid(&own, Some(&int), NOISE, &imp);
 
-        let mean =
-            |g: &Vec<Vec<f64>>| g.iter().flatten().sum::<f64>() / (2.0 * DATA_SUBCARRIERS as f64);
+        let mean = |g: &Vec<[f64; DATA_SUBCARRIERS]>| {
+            g.iter().flatten().sum::<f64>() / (2.0 * DATA_SUBCARRIERS as f64)
+        };
         assert!(
             mean(&dirty) < mean(&clean) * 0.8,
             "interference should reduce SINR: {} vs {}",
@@ -758,9 +749,14 @@ mod tests {
 
     #[test]
     fn active_cells_respects_dropping() {
-        let grid = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]];
+        let row = |head: [f64; 3]| {
+            let mut r = [0.0; DATA_SUBCARRIERS];
+            r[..3].copy_from_slice(&head);
+            r
+        };
+        let grid = vec![row([1.0, 2.0, 3.0]), row([4.0, 5.0, 6.0])];
         let powers = TxPowers {
-            powers: vec![vec![1.0, 0.0, 1.0], vec![0.0, 1.0, 1.0]],
+            powers: vec![row([1.0, 0.0, 1.0]), row([0.0, 1.0, 1.0])],
         };
         let cells = active_cells(&grid, &powers);
         assert_eq!(cells, vec![1.0, 3.0, 5.0, 6.0]);

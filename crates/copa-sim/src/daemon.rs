@@ -51,7 +51,7 @@ use crate::journal::{load_journal_raw, JournalWriter};
 use crate::json::{Obj, ToJson};
 use crate::pool;
 use crate::runner::seed_for;
-use crate::supervisor::{resolve_clock, Journal, MonotonicClock, SuiteClock};
+use crate::supervisor::Journal;
 use crate::telemetry::SuiteTelemetry;
 use crate::traffic::{TrafficConfig, TrafficState};
 use copa_channel::evolution::{block_of, ChannelDrift};
@@ -95,10 +95,8 @@ pub struct DaemonConfig<'a> {
     /// deterministic stand-in for "the daemon was killed" in resume
     /// tests. `None` runs to `epochs`.
     pub stop_after: Option<u64>,
-    /// Clock for wall-time telemetry samples; `None` uses real time.
-    /// Simulated time never reads it.
-    pub clock: Option<&'a dyn SuiteClock>,
-    /// Telemetry bundle the daemon streams into after every round.
+    /// Telemetry bundle the daemon streams into after every round; its
+    /// clock times the rounds. Simulated time never reads a clock.
     pub telemetry: Option<&'a SuiteTelemetry>,
     /// Fault plan the ITS wire exchanges run under. `None` is the oracle
     /// path: CSI redraws happen instantly and nothing can fail.
@@ -129,7 +127,6 @@ impl Default for DaemonConfig<'_> {
             traffic: TrafficConfig::default(),
             force_active: false,
             stop_after: None,
-            clock: None,
             telemetry: None,
             faults: None,
             churn: None,
@@ -928,15 +925,13 @@ fn drive(
         drift: &drift,
         churn,
     };
-    let fallback = MonotonicClock::new();
-    let clock = resolve_clock(cfg.clock, &fallback);
     let end = cfg.stop_after.map_or(cfg.epochs, |s| s.min(cfg.epochs));
     let round = cfg.checkpoint_every.max(1);
     let mut flushed = Flushed::default();
     let mut epoch = start_epoch;
     while epoch < end {
         let upto = (epoch + round).min(end);
-        let round_start = clock.now_us();
+        let round_start = cfg.telemetry.map_or(0, |t| t.clock().now_us());
         run_round(cells, epoch, upto, &ctx, cfg)?;
         epoch = upto;
         if let Some(w) = journal.as_deref_mut() {
@@ -946,7 +941,7 @@ fn drive(
             }
         }
         if let Some(t) = cfg.telemetry {
-            let round_us = clock.now_us().saturating_sub(round_start);
+            let round_us = t.clock().now_us().saturating_sub(round_start);
             flush_telemetry(t, cells, epoch, &mut flushed, round_us);
         }
     }

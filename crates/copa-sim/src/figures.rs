@@ -15,7 +15,7 @@ use copa_phy::ofdm::DATA_SUBCARRIERS;
 use copa_precoding::beamforming::beamform;
 use copa_precoding::nulling::null_toward;
 use copa_precoding::sinr::{active_cells, mmse_sinr_grid, received_power_per_subcarrier, TxSide};
-use copa_precoding::TxPowers;
+use copa_precoding::{cross_gains_into, PrecodeScratch, TxPowers};
 
 /// Figure 2: received power per subcarrier at two antennas from one send
 /// antenna with equal power allocation.
@@ -240,22 +240,13 @@ pub fn fig7(topo: &Topology, params: &ScenarioParams) -> Fig7 {
 
     // COPA's concurrent Equi-SINR allocation.
     let evm = params.impairments.evm_factor();
-    let cross = |est: &FreqChannel, pre: &copa_precoding::LinkPrecoding| -> Vec<Vec<f64>> {
-        (0..pre.streams())
-            .map(|k| {
-                (0..DATA_SUBCARRIERS)
-                    .map(|s| {
-                        let w = pre.precoder[s].column(k);
-                        est.at(s).matmul(&w).frobenius_norm_sqr()
-                            + evm * est.at(s).frobenius_norm_sqr() / est.tx() as f64
-                    })
-                    .collect()
-            })
-            .collect()
-    };
+    let mut ws = PrecodeScratch::new();
+    let mut cross_gains = [Vec::new(), Vec::new()];
+    cross_gains_into(&est[0][1], &null0, evm, &mut ws, &mut cross_gains[0]);
+    cross_gains_into(&est[1][0], &null1, evm, &mut ws, &mut cross_gains[1]);
     let problem = ConcurrentProblem {
         own_gains: [null0.stream_gains.clone(), null1.stream_gains.clone()],
-        cross_gains: [cross(&est[0][1], &null0), cross(&est[1][0], &null1)],
+        cross_gains,
         noise_mw: noise,
         budgets_mw: [budget, budget],
     };
@@ -266,7 +257,7 @@ pub fn fig7(topo: &Topology, params: &ScenarioParams) -> Fig7 {
         TxPowers::equal(streams, budget),
     ];
 
-    let grid_for = |powers: &[TxPowers; 2]| -> Vec<Vec<f64>> {
+    let grid_for = |powers: &[TxPowers; 2]| {
         let own = TxSide {
             channel: &topo.links[0][0],
             precoding: &null0,

@@ -40,18 +40,8 @@ pub const VERSION: u8 = 1;
 /// Header size: magic + version + segment + suite_len + seed + crc.
 const HEADER_LEN: usize = 4 + 1 + 4 + 4 + 8 + 4;
 
-/// CRC-32 (IEEE 802.3 polynomial, bitwise): the record and header checksum.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+/// The record and header checksum: the ITS frame codec's CRC-32.
+pub use copa_mac::frames::crc32;
 
 /// Record status tags (part of the on-disk format: never renumber).
 const STATUS_DONE: u8 = 0;
@@ -600,13 +590,6 @@ mod tests {
 
     fn temp_prefix(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("copa-journal-{tag}-{}", std::process::id()))
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use copa_core::{prepare, ScenarioParams};
 use copa_phy::link::ThroughputModel;
 use copa_phy::ofdm::DATA_SUBCARRIERS;
 use copa_precoding::beamforming::beamform;
+use copa_precoding::{cross_gains_into, PrecodeScratch};
 
 /// Per-topology subcarrier usage classification of a concurrent solution.
 #[derive(Clone, Debug)]
@@ -53,22 +54,13 @@ pub fn concurrent_reuse(topology: &Topology, params: &ScenarioParams) -> ReuseSt
     let pre0 = beamform(&est[0][0], streams);
     let pre1 = beamform(&est[1][1], streams);
     let evm = params.impairments.evm_factor();
-    let cross = |est: &copa_channel::FreqChannel, pre: &copa_precoding::LinkPrecoding| {
-        (0..pre.streams())
-            .map(|k| {
-                (0..DATA_SUBCARRIERS)
-                    .map(|s| {
-                        let w = pre.precoder[s].column(k);
-                        est.at(s).matmul(&w).frobenius_norm_sqr()
-                            + evm * est.at(s).frobenius_norm_sqr() / est.tx() as f64
-                    })
-                    .collect()
-            })
-            .collect()
-    };
+    let mut ws = PrecodeScratch::new();
+    let mut cross_gains = [Vec::new(), Vec::new()];
+    cross_gains_into(&est[0][1], &pre0, evm, &mut ws, &mut cross_gains[0]);
+    cross_gains_into(&est[1][0], &pre1, evm, &mut ws, &mut cross_gains[1]);
     let problem = ConcurrentProblem {
         own_gains: [pre0.stream_gains.clone(), pre1.stream_gains.clone()],
-        cross_gains: [cross(&est[0][1], &pre0), cross(&est[1][0], &pre1)],
+        cross_gains,
         noise_mw: noise,
         budgets_mw: [budget, budget],
     };

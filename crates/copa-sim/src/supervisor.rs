@@ -484,17 +484,6 @@ fn default_eval<'p>(
     }
 }
 
-/// The injected clock, or real time from `fallback`.
-pub(crate) fn resolve_clock<'a>(
-    clock: Option<&'a dyn SuiteClock>,
-    fallback: &'a MonotonicClock,
-) -> &'a dyn SuiteClock {
-    match clock {
-        Some(c) => c,
-        None => fallback,
-    }
-}
-
 /// Where a run checkpoints: nowhere, a fresh journal at a prefix (any
 /// previous journal there is wiped first), or the journal a killed run
 /// left at a prefix.
@@ -546,7 +535,7 @@ where
     let limit = cfg.stop_after.map_or(suite.len(), |s| s.min(suite.len()));
     let todo: Vec<usize> = (0..limit).filter(|&idx| !done[idx]).collect();
     let fallback = MonotonicClock::new();
-    let clock = resolve_clock(cfg.clock, &fallback);
+    let clock = cfg.clock.unwrap_or(&fallback);
     let journal = writer.map(Mutex::new);
     let fresh = pool::map(todo, cfg.threads, EngineWorkspace::new, |ws, _, idx| {
         let rec = supervise_one(idx, &suite[idx], cfg, clock, ws, eval);

@@ -501,7 +501,7 @@ fn batched_kernels_match_scalar_reference_on_engine_inputs() {
         LinkPrecoding, PrecodeScratch, SinrScratch, TxPowers, TxSide,
     };
 
-    fn grid_bits(g: &[Vec<f64>]) -> Vec<u64> {
+    fn grid_bits(g: &[[f64; DATA_SUBCARRIERS]]) -> Vec<u64> {
         g.concat().iter().map(|x| x.to_bits()).collect()
     }
 
