@@ -2,7 +2,7 @@
 //! baseband pipeline (Monte-Carlo), plus throughput of the bit pipeline.
 
 use copa_bench::harness::{black_box, Criterion};
-use copa_phy::baseband::Chain;
+use copa_phy::baseband::{Chain, ChainScratch, FlatSymbols};
 use copa_phy::mcs::Mcs;
 use copa_phy::modulation::Modulation;
 use copa_sim::validation::{validate_coded_chain, validate_uncoded_ber};
@@ -54,11 +54,15 @@ fn main() {
     print_reproduction();
     let mut c = Criterion::default().configure_from_args().sample_size(20);
     c.bench_function("bit_true_tx_rx_mcs7_8symbols", |b| {
-        let chain = Chain::new(Mcs::TABLE[7]);
+        let chain = Chain::new(Mcs::TABLE[7], 1);
         let payload = vec![1u8; chain.payload_capacity(8)];
+        let mut scratch = ChainScratch::new();
+        let mut frame = FlatSymbols::new();
+        let mut decoded = Vec::new();
         b.iter(|| {
-            let frame = chain.transmit(&payload);
-            black_box(chain.receive(&frame.symbols, payload.len()))
+            chain.transmit_into(&payload, &mut scratch, &mut frame);
+            chain.receive_into(frame.as_slice(), payload.len(), &mut scratch, &mut decoded);
+            black_box(decoded.len())
         })
     });
     c.final_summary();

@@ -881,22 +881,42 @@ impl Engine {
 
 /// Static channel-matrix names for error context (indexed `[i][j]`).
 const EST_NAMES: [[&str; 2]; 2] = [["est[0][0]", "est[0][1]"], ["est[1][0]", "est[1][1]"]];
+/// Static true-link names for error context (indexed `[a][c]`).
+const LINK_NAMES: [[&str; 2]; 2] = [
+    ["links[0][0]", "links[0][1]"],
+    ["links[1][0]", "links[1][1]"],
+];
 
 /// Rejects a topology whose true links disagree with its antenna config:
 /// every `links[a][c]` must be `client_antennas x ap_antennas`, both at
 /// least 1. Every such channel carries all `DATA_SUBCARRIERS` subcarriers,
-/// which the fixed-width rows of the precoding data model rely on.
+/// which the fixed-width rows of the precoding data model rely on. A true
+/// link with a non-finite entry (or one whose power overflows) is a
+/// [`CopaError::SingularChannel`], as for estimates; an all-zero true link
+/// stays valid.
 fn validate_topology(topology: &Topology) -> Result<(), CopaError> {
     let cfg = topology.config;
     let expected = (cfg.client_antennas, cfg.ap_antennas);
-    for link in topology.links.iter().flatten() {
-        let got = (link.rx(), link.tx());
-        if got != expected || expected.0 == 0 || expected.1 == 0 {
-            return Err(CopaError::DimensionMismatch {
-                context: "true link vs antenna config",
-                expected,
-                got,
-            });
+    for (a, row) in topology.links.iter().enumerate() {
+        for (c, link) in row.iter().enumerate() {
+            let got = (link.rx(), link.tx());
+            if got != expected || expected.0 == 0 || expected.1 == 0 {
+                return Err(CopaError::DimensionMismatch {
+                    context: "true link vs antenna config",
+                    expected,
+                    got,
+                });
+            }
+            if let Some(s) = link
+                .iter()
+                .position(|m| !m.frobenius_norm_sqr().is_finite())
+            {
+                return Err(CopaError::SingularChannel {
+                    context: LINK_NAMES[a][c],
+                    subcarrier: s,
+                    cond: f64::INFINITY,
+                });
+            }
         }
     }
     Ok(())
@@ -1131,6 +1151,46 @@ mod tests {
                     assert_eq!((expected, got), ((2, 4), (0, 0)));
                 }
                 other => panic!("expected DimensionMismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_true_links_are_a_typed_error_in_both_lanes() {
+        // One poisoned entry on one subcarrier of a true own or cross link:
+        // both lanes must refuse it before any kernel sees it.
+        let e = engine();
+        let clean = topo(5, AntennaConfig::CONSTRAINED_4X2);
+        let mut est: [[FreqChannel; 2]; 2] = Default::default();
+        prepare_into(&clean, e.params(), &mut est);
+        for bad in [f64::NAN, f64::INFINITY, 1e200] {
+            for (c, name) in [(0, "links[0][0]"), (1, "links[0][1]")] {
+                let mut t = clean.clone();
+                t.links[0][c] = t.links[0][c].map(|s, m| {
+                    let mut m = m.clone();
+                    if s == 7 {
+                        m[(0, 0)] = copa_num::complex::C64::real(bad);
+                    }
+                    m
+                });
+                for run in [
+                    e.run(&mut EvalRequest::topology(&t)),
+                    e.run(&mut EvalRequest::estimates(&t, &est)),
+                ] {
+                    match run {
+                        Err(CopaError::SingularChannel {
+                            context,
+                            subcarrier,
+                            cond,
+                        }) => {
+                            assert_eq!((context, subcarrier), (name, 7), "{bad:e}");
+                            assert_eq!(cond, f64::INFINITY);
+                        }
+                        other => {
+                            panic!("{name} = {bad:e}: expected SingularChannel, got {other:?}")
+                        }
+                    }
+                }
             }
         }
     }

@@ -4,8 +4,9 @@
 //! The paper's throughput predictor turns measured SINR into uncoded BER and
 //! then into coded BER "for 802.11n's different coding rates" using the
 //! standard convolutional-code analysis (Tse & Viswanath). We implement the
-//! same union bound, plus a real K=7 (133, 171) encoder and hard-decision
-//! Viterbi decoder so tests can validate the analytic model bit-by-bit.
+//! same union bound, plus a real K=7 (133, 171) encoder and one Viterbi
+//! decoder over hard or soft bit LLRs, so tests can validate the analytic
+//! model bit-by-bit.
 
 use crate::modulation::Modulation;
 
@@ -49,12 +50,6 @@ impl CodeRate {
 
     /// Puncturing pattern pairs `(keep_a, keep_b)` per input bit, cycling.
     /// `a` is the output of generator 133, `b` of generator 171.
-    /// (Public alias for the soft decoder.)
-    pub fn puncture_pattern_public(self) -> &'static [(bool, bool)] {
-        self.puncture_pattern()
-    }
-
-    /// Puncturing pattern pairs `(keep_a, keep_b)` per input bit, cycling.
     fn puncture_pattern(self) -> &'static [(bool, bool)] {
         match self {
             CodeRate::R12 => &[(true, true)],
@@ -124,6 +119,22 @@ const G0: u32 = 0o133;
 const G1: u32 = 0o171;
 const STATES: usize = 1 << (CONSTRAINT_LENGTH - 1); // 64
 
+/// Generator outputs `(a, b)` (133, 171) of every shift-register value
+/// `(state << 1) | input`.
+const OUTPUTS: [(usize, usize); 2 * STATES] = {
+    let mut t = [(0, 0); 2 * STATES];
+    let mut reg = 0;
+    while reg < t.len() {
+        let r = reg as u32;
+        t[reg] = (
+            ((r & G0).count_ones() & 1) as usize,
+            ((r & G1).count_ones() & 1) as usize,
+        );
+        reg += 1;
+    }
+    t
+};
+
 /// Encodes `bits` with the K=7 (133,171) code at `rate`, appending
 /// `CONSTRAINT_LENGTH - 1` zero tail bits to terminate the trellis.
 ///
@@ -156,16 +167,15 @@ pub fn coded_len(info_len: usize, rate: CodeRate) -> usize {
 /// no allocation once `out` has capacity).
 pub fn encode_append(bits: &[u8], rate: CodeRate, out: &mut Vec<u8>) {
     let pattern = rate.puncture_pattern();
-    let mut state: u32 = 0;
+    let mut state = 0usize;
     for (i, &bit) in bits
         .iter()
         .chain(std::iter::repeat(&0u8).take(CONSTRAINT_LENGTH - 1))
         .enumerate()
     {
         debug_assert!(bit <= 1);
-        let reg = (state << 1) | bit as u32;
-        let a = (reg & G0).count_ones() & 1;
-        let b = (reg & G1).count_ones() & 1;
+        let reg = (state << 1) | bit as usize;
+        let (a, b) = OUTPUTS[reg];
         let (keep_a, keep_b) = pattern[i % pattern.len()];
         if keep_a {
             out.push(a as u8);
@@ -173,31 +183,39 @@ pub fn encode_append(bits: &[u8], rate: CodeRate, out: &mut Vec<u8>) {
         if keep_b {
             out.push(b as u8);
         }
-        state = reg & ((1 << (CONSTRAINT_LENGTH - 1)) - 1);
+        state = reg & (STATES - 1);
     }
 }
 // alloc-free: end encode_append
 
-/// Hard-decision Viterbi decoder matching [`encode`] (same rate, same
-/// termination). Returns the decoded information bits (tail removed).
+/// Hard-decision Viterbi decoding of on-air coded bits: each bit enters
+/// [`viterbi_decode_into`] as a unit LLR (`+1` for a 0, `-1` for a 1).
+/// Returns the decoded information bits (tail removed).
 ///
 /// # Panics
 /// Panics if `coded` is shorter than the encoder would have produced for
 /// `info_len` bits.
 pub fn viterbi_decode(coded: &[u8], info_len: usize, rate: CodeRate) -> Vec<u8> {
-    let mut scratch = ViterbiScratch::new();
+    let llrs: Vec<f64> = coded.iter().map(|&b| hard_llr(b)).collect();
     let mut out = Vec::with_capacity(info_len);
-    viterbi_decode_into(coded, info_len, rate, &mut scratch, &mut out);
+    viterbi_decode_into(&llrs, info_len, rate, &mut ViterbiScratch::new(), &mut out);
     out
 }
 
-/// Reusable state for [`viterbi_decode_into`]: path metrics and the full
-/// predecessor matrix. Buffers grow to the longest frame decoded, then the
-/// warmed Monte-Carlo loop never touches the allocator.
+/// A hard bit as a unit log-likelihood ratio: `+1` for a 0, `-1` for a 1.
+pub(crate) fn hard_llr(bit: u8) -> f64 {
+    if bit == 0 {
+        1.0
+    } else {
+        -1.0
+    }
+}
+
+/// Reusable state for [`viterbi_decode_into`]: the full predecessor matrix.
+/// It grows to the longest frame decoded, then the warmed Monte-Carlo loop
+/// never touches the allocator.
 #[derive(Clone, Debug, Default)]
 pub struct ViterbiScratch {
-    metric: Vec<u32>,
-    next: Vec<u32>,
     /// Flat `total_steps x STATES` predecessor matrix.
     pred: Vec<u8>,
 }
@@ -209,85 +227,81 @@ impl ViterbiScratch {
     }
 }
 
+/// Branch costs `[cost if the coded bit is 0, cost if it is 1]` of one
+/// received LLR (positive favours 0): the hypothesis the LLR disfavours
+/// pays its magnitude.
+fn branch_costs(llr: f64) -> [f64; 2] {
+    [(-llr).max(0.0), llr.max(0.0)]
+}
+
 // alloc-free: begin viterbi_decode_into (kernel -- caller-owned scratch)
-/// [`viterbi_decode`] writing into a caller-owned buffer with all working
-/// state in `scratch`. Bit-identical to the owned version (same metrics,
-/// same tie-breaking, same traceback).
+/// The Viterbi decoder matching [`encode`] (same rate, same termination),
+/// over one LLR per *transmitted* coded bit (punctured positions absent),
+/// `llr = log P(bit=0 | y) - log P(bit=1 | y)`. Writes the decoded
+/// information bits into `out`, with all working state in `scratch`.
+///
+/// One trellis serves hard and soft decoding. Path metrics accumulate as
+/// `(metric + cost_a) + cost_b`; a punctured position costs `+0.0`, which
+/// leaves a (never negative-zero) metric unchanged. On unit LLRs (`±1`)
+/// every metric is a small integer, exact in `f64`, so hard decoding makes
+/// the Hamming-distance decisions. Ties keep the lower-numbered
+/// predecessor.
 ///
 /// # Panics
-/// Panics if `coded` is shorter than the encoder would have produced for
+/// Panics if `llrs` is shorter than the encoder would have produced for
 /// `info_len` bits.
 pub fn viterbi_decode_into(
-    coded: &[u8],
+    llrs: &[f64],
     info_len: usize,
     rate: CodeRate,
     scratch: &mut ViterbiScratch,
     out: &mut Vec<u8>,
 ) {
+    assert!(
+        llrs.len() >= coded_len(info_len, rate),
+        "coded sequence too short"
+    );
     let pattern = rate.puncture_pattern();
     let total_steps = info_len + CONSTRAINT_LENGTH - 1;
 
-    const INF: u32 = u32::MAX / 2;
-    scratch.metric.clear();
-    scratch.metric.resize(STATES, INF);
-    scratch.metric[0] = 0;
-    scratch.next.clear();
-    scratch.next.resize(STATES, INF);
+    const INF: f64 = f64::MAX / 4.0;
+    let mut metric = [INF; STATES];
+    metric[0] = 0.0;
+    let mut next = [INF; STATES];
     scratch.pred.clear();
     scratch.pred.resize(total_steps * STATES, 0);
 
-    // Walk the puncture pattern to find which coded positions exist;
-    // erased positions contribute no metric.
     let mut idx = 0usize;
-    for i in 0..total_steps {
-        let (keep_a, keep_b) = pattern[i % pattern.len()];
-        let ra = if keep_a {
-            let v = coded.get(idx).copied();
+    let mut take = |keep: bool| {
+        if keep {
             idx += 1;
-            v
+            branch_costs(llrs[idx - 1])
         } else {
-            None
-        };
-        let rb = if keep_b {
-            let v = coded.get(idx).copied();
-            idx += 1;
-            v
-        } else {
-            None
-        };
-        assert!(
-            (!keep_a || ra.is_some()) && (!keep_b || rb.is_some()),
-            "coded sequence too short"
-        );
-
-        let choice = &mut scratch.pred[i * STATES..(i + 1) * STATES];
-        for v in scratch.next.iter_mut() {
-            *v = INF;
+            [0.0; 2]
         }
-        for s in 0..STATES {
-            if scratch.metric[s] == INF {
+    };
+    for (i, choice) in scratch.pred.chunks_exact_mut(STATES).enumerate() {
+        let (keep_a, keep_b) = pattern[i % pattern.len()];
+        let cost_a = take(keep_a);
+        let cost_b = take(keep_b);
+        next.fill(INF);
+        for (s, &from) in metric.iter().enumerate() {
+            if from >= INF {
                 continue;
             }
-            for bit in 0..2u32 {
-                let reg = ((s as u32) << 1) | bit;
-                let a = ((reg & G0).count_ones() & 1) as u8;
-                let b = ((reg & G1).count_ones() & 1) as u8;
-                let ns = (reg & (STATES as u32 - 1)) as usize;
-                let mut m = scratch.metric[s];
-                if let Some(ra) = ra {
-                    m += (ra != a) as u32;
-                }
-                if let Some(rb) = rb {
-                    m += (rb != b) as u32;
-                }
-                if m < scratch.next[ns] {
-                    scratch.next[ns] = m;
+            for bit in 0..2 {
+                let reg = (s << 1) | bit;
+                let (a, b) = OUTPUTS[reg];
+                let ns = reg & (STATES - 1);
+                let m = (from + cost_a[a]) + cost_b[b];
+                if m < next[ns] {
+                    next[ns] = m;
                     // Predecessor state fits in u8 for K=7 (64 states).
                     choice[ns] = s as u8;
                 }
             }
         }
-        std::mem::swap(&mut scratch.metric, &mut scratch.next);
+        std::mem::swap(&mut metric, &mut next);
     }
 
     // Terminated trellis: trace back from state 0.
@@ -588,10 +602,84 @@ mod tests {
                     }
                 }
                 let owned = viterbi_decode(&coded, info, rate);
-                viterbi_decode_into(&coded, info, rate, &mut scratch, &mut out);
+                let llrs: Vec<f64> = coded.iter().map(|&b| hard_llr(b)).collect();
+                viterbi_decode_into(&llrs, info, rate, &mut scratch, &mut out);
                 assert_eq!(owned, out, "rate {rate}, {info} info bits");
             }
         }
+    }
+
+    fn confident_llrs(coded: &[u8], confidence: f64) -> Vec<f64> {
+        coded.iter().map(|&b| hard_llr(b) * confidence).collect()
+    }
+
+    fn decode_llrs(llrs: &[f64], info_len: usize, rate: CodeRate) -> Vec<u8> {
+        let mut out = Vec::new();
+        viterbi_decode_into(llrs, info_len, rate, &mut ViterbiScratch::new(), &mut out);
+        out
+    }
+
+    #[test]
+    fn soft_decoder_inverts_encoder_with_confident_llrs() {
+        let mut rng = SimRng::seed_from(1);
+        for rate in CodeRate::ALL {
+            let bits: Vec<u8> = (0..150).map(|_| (rng.next_u64() & 1) as u8).collect();
+            let coded = encode(&bits, rate);
+            let decoded = decode_llrs(&confident_llrs(&coded, 4.0), bits.len(), rate);
+            assert_eq!(decoded, bits, "rate {rate}");
+        }
+    }
+
+    #[test]
+    fn weak_llrs_are_overruled_by_strong_ones() {
+        // Flip a few bits but mark them low-confidence: the decoder still
+        // recovers the payload.
+        let mut rng = SimRng::seed_from(2);
+        let bits: Vec<u8> = (0..200).map(|_| (rng.next_u64() & 1) as u8).collect();
+        let coded = encode(&bits, CodeRate::R12);
+        let mut llrs = confident_llrs(&coded, 4.0);
+        for &pos in &[5usize, 50, 100, 150, 200, 250] {
+            llrs[pos] = -llrs[pos] * 0.1; // wrong, but weak
+        }
+        assert_eq!(decode_llrs(&llrs, bits.len(), CodeRate::R12), bits);
+    }
+
+    #[test]
+    fn soft_beats_hard_on_noisy_channel() {
+        // The classic ~2 dB soft-decision gain: at an SNR where hard
+        // decoding leaves errors, soft decoding leaves fewer.
+        use crate::mapper::Mapper;
+        let mut rng = SimRng::seed_from(4);
+        let mapper = Mapper::new(Modulation::Qpsk);
+        let rate = CodeRate::R12;
+        let n = 3000;
+        let bits: Vec<u8> = (0..n).map(|_| (rng.next_u64() & 1) as u8).collect();
+        let coded = encode(&bits, rate);
+        let snr = copa_num::special::db_to_lin(1.5);
+        let sigma = (1.0 / snr).sqrt();
+        let mut hard = Vec::new();
+        let mut llrs = Vec::new();
+        // Map coded bits to QPSK symbols (the odd tail bit padded with 0).
+        for pair in coded.chunks(2) {
+            let group = [pair[0], pair.get(1).copied().unwrap_or(0)];
+            let y = mapper.map_symbol(&group) + rng.randc().scale(sigma);
+            mapper.demap_symbol(y, &mut hard);
+            mapper.demap_soft(y, 1.0 / snr, &mut llrs);
+        }
+        let hard_errs = viterbi_decode(&hard[..coded.len()], n, rate)
+            .iter()
+            .zip(&bits)
+            .filter(|(a, b)| a != b)
+            .count();
+        let soft_errs = decode_llrs(&llrs[..coded.len()], n, rate)
+            .iter()
+            .zip(&bits)
+            .filter(|(a, b)| a != b)
+            .count();
+        assert!(
+            soft_errs < hard_errs,
+            "soft ({soft_errs}) should beat hard ({hard_errs}) at 1.5 dB"
+        );
     }
 
     #[test]

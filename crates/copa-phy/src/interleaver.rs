@@ -19,12 +19,8 @@ use crate::ofdm::DATA_SUBCARRIERS;
 /// Interleaver for one OFDM symbol of a given modulation.
 #[derive(Clone, Debug)]
 pub struct Interleaver {
-    /// Coded bits per OFDM symbol.
-    n_cbps: usize,
     /// Permutation: output position of each input bit.
     forward: Vec<usize>,
-    /// Inverse permutation.
-    inverse: Vec<usize>,
 }
 
 impl Interleaver {
@@ -35,105 +31,30 @@ impl Interleaver {
         let n_col = 13;
         let n_row = 4 * n_bpsc;
         let s = (n_bpsc / 2).max(1);
-        let mut forward = vec![0usize; n_cbps];
-        for k in 0..n_cbps {
-            let i = n_row * (k % n_col) + k / n_col;
-            let j = s * (i / s) + (i + n_cbps - (n_col * i) / n_cbps) % s;
-            forward[k] = j;
-        }
-        let mut inverse = vec![0usize; n_cbps];
-        for (k, &j) in forward.iter().enumerate() {
-            inverse[j] = k;
-        }
-        Self {
-            n_cbps,
-            forward,
-            inverse,
-        }
+        let forward = (0..n_cbps)
+            .map(|k| {
+                let i = n_row * (k % n_col) + k / n_col;
+                s * (i / s) + (i + n_cbps - (n_col * i) / n_cbps) % s
+            })
+            .collect();
+        Self { forward }
     }
 
     /// Coded bits per OFDM symbol.
     pub fn block_len(&self) -> usize {
-        self.n_cbps
+        self.forward.len()
     }
 
-    /// Interleaves one block (`bits.len()` must equal [`block_len`]).
-    ///
-    /// [`block_len`]: Interleaver::block_len
-    pub fn interleave(&self, bits: &[u8]) -> Vec<u8> {
-        assert_eq!(bits.len(), self.n_cbps, "block size mismatch");
-        let mut out = vec![0u8; self.n_cbps];
-        for (k, &b) in bits.iter().enumerate() {
-            out[self.forward[k]] = b;
-        }
-        out
+    /// The permutation: coded bit `k` of a block goes to position
+    /// `permutation()[k]`.
+    pub fn permutation(&self) -> &[usize] {
+        &self.forward
     }
-
-    /// Coded-order position of interleaved position `j` (for soft values,
-    /// which the byte-oriented [`deinterleave`] cannot carry).
-    ///
-    /// [`deinterleave`]: Interleaver::deinterleave
-    pub fn deinterleave_index(&self, j: usize) -> usize {
-        self.inverse[j]
-    }
-
-    /// Inverse of [`interleave`].
-    ///
-    /// [`interleave`]: Interleaver::interleave
-    pub fn deinterleave(&self, bits: &[u8]) -> Vec<u8> {
-        assert_eq!(bits.len(), self.n_cbps, "block size mismatch");
-        let mut out = vec![0u8; self.n_cbps];
-        for (j, &b) in bits.iter().enumerate() {
-            out[self.inverse[j]] = b;
-        }
-        out
-    }
-
-    // alloc-free: begin interleave_into (kernel -- caller-owned buffers)
-    /// [`interleave`] writing into a caller-owned buffer (bit-identical; no
-    /// allocation once `out` has grown to the block length).
-    ///
-    /// [`interleave`]: Interleaver::interleave
-    pub fn interleave_into(&self, bits: &[u8], out: &mut Vec<u8>) {
-        assert_eq!(bits.len(), self.n_cbps, "block size mismatch");
-        out.clear();
-        out.resize(self.n_cbps, 0);
-        for (k, &b) in bits.iter().enumerate() {
-            out[self.forward[k]] = b;
-        }
-    }
-
-    /// [`deinterleave`] writing into a caller-owned buffer (bit-identical).
-    ///
-    /// [`deinterleave`]: Interleaver::deinterleave
-    pub fn deinterleave_into(&self, bits: &[u8], out: &mut Vec<u8>) {
-        assert_eq!(bits.len(), self.n_cbps, "block size mismatch");
-        out.clear();
-        out.resize(self.n_cbps, 0);
-        for (j, &b) in bits.iter().enumerate() {
-            out[self.inverse[j]] = b;
-        }
-    }
-    // alloc-free: end interleave_into
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copa_num::SimRng;
-
-    #[test]
-    fn round_trip_all_modulations() {
-        let mut rng = SimRng::seed_from(1);
-        for m in Modulation::ALL {
-            let il = Interleaver::new(m);
-            let bits: Vec<u8> = (0..il.block_len())
-                .map(|_| (rng.next_u64() & 1) as u8)
-                .collect();
-            let back = il.deinterleave(&il.interleave(&bits));
-            assert_eq!(back, bits, "{m}");
-        }
-    }
 
     #[test]
     fn is_a_permutation() {
@@ -179,18 +100,8 @@ mod tests {
         // across the whole codeword, not a contiguous burst.
         let il = Interleaver::new(Modulation::Bpsk);
         let n = il.block_len();
-        // Mark bits on 13 adjacent subcarriers (positions after interleave).
-        let mut marked = vec![0u8; n];
-        for j in 0..13 {
-            marked[j] = 1;
-        }
-        let original_positions = il.deinterleave(&marked);
-        let positions: Vec<usize> = original_positions
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b == 1)
-            .map(|(i, _)| i)
-            .collect();
+        // Coded positions of the bits on 13 adjacent subcarriers.
+        let positions: Vec<usize> = (0..n).filter(|&k| il.forward[k] < 13).collect();
         let span = positions.last().unwrap() - positions.first().unwrap();
         assert!(span >= n / 2, "burst not spread: span {span} of {n}");
         // Not one contiguous run.

@@ -7,19 +7,18 @@
 //! * [`modulation`] -- BPSK/QPSK/16-QAM/64-QAM constellations and uncoded
 //!   AWGN BER.
 //! * [`coding`] -- the K=7 (133,171) convolutional code: encoder, punctured
-//!   rates 1/2..5/6, hard-decision Viterbi, and the union-bound coded-BER
-//!   model the throughput predictor uses.
+//!   rates 1/2..5/6, one Viterbi trellis over hard or soft LLRs, and the
+//!   union-bound coded-BER model the throughput predictor uses.
 //! * [`mcs`] -- the 8 single-stream MCSes (6.5..65 Mbps).
 //! * [`link`] -- SINR -> BER -> FER -> goodput prediction, exactly the
 //!   paper's section 4.1 methodology, plus the section 4.6 multi-decoder
 //!   extension.
 //! * [`mmse_curves`] -- constellation MMSE curves for mercury/waterfilling.
 //! * [`scrambler`] / [`interleaver`] / [`mapper`] / [`baseband`] -- the
-//!   bit-true 802.11 pipeline (scramble, interleave, Gray-map, OFDM
-//!   modulate), used to validate the analytic models by Monte-Carlo.
-//! * [`soft`] -- max-log LLR demapping and soft-decision Viterbi.
-//! * [`mimo_chain`] -- the multi-stream (spatial multiplexing) variant with
-//!   802.11n stream parsing and zero-forcing separation.
+//!   bit-true 802.11n pipeline for 1 to 4 spatial streams (scramble,
+//!   encode, stream-parse and interleave, Gray-map; hard or max-log soft
+//!   demapping; zero-forcing stream separation), used to validate the
+//!   analytic models by Monte-Carlo.
 //! * [`papr`] -- peak-to-average power ratio measurements (section 4.1).
 //! * [`waveform`] -- the time-domain sample stream: IFFT/CP framing,
 //!   preamble sync, CFO/SFO impairments; validates what the analytic chain
@@ -33,13 +32,11 @@ pub mod interleaver;
 pub mod link;
 pub mod mapper;
 pub mod mcs;
-pub mod mimo_chain;
 pub mod mmse_curves;
 pub mod modulation;
 pub mod ofdm;
 pub mod papr;
 pub mod scrambler;
-pub mod soft;
 pub mod waveform;
 
 pub use coding::CodeRate;

@@ -1,11 +1,16 @@
-//! Gray-coded constellation mapping and hard-decision demapping.
+//! Gray-coded constellation mapping, hard-decision and max-log soft
+//! demapping.
 //!
 //! Square QAM factorizes into two independent Gray-coded PAM axes: the
 //! first half of a symbol's bits selects the I level, the second half the
 //! Q level. Gray coding makes adjacent levels differ in one bit, which is
 //! the assumption behind the `(4/log2 M)(1 - 1/sqrt M) Q(...)` uncoded-BER
 //! approximations in [`crate::modulation`].
+//!
+//! LLR convention: positive values favour bit `0`;
+//! `llr = log P(bit=0 | y) - log P(bit=1 | y)`.
 
+use crate::coding::hard_llr;
 use crate::modulation::Modulation;
 use copa_num::complex::C64;
 
@@ -16,6 +21,9 @@ pub struct Mapper {
     /// Ascending per-axis amplitude levels (unit *symbol* energy overall).
     levels: Vec<f64>,
     bits_per_axis: usize,
+    /// Every constellation point, indexed by its bit pattern (first bit
+    /// most significant).
+    points: Vec<C64>,
 }
 
 impl Mapper {
@@ -26,11 +34,20 @@ impl Mapper {
             Modulation::Bpsk => 1,
             _ => modulation.bits_per_symbol() as usize / 2,
         };
-        Self {
+        let mut mapper = Self {
             modulation,
             levels,
             bits_per_axis,
-        }
+            points: Vec::new(),
+        };
+        let bps = mapper.bits_per_symbol();
+        mapper.points = (0..1usize << bps)
+            .map(|pattern| {
+                let bits: Vec<u8> = (0..bps).rev().map(|k| ((pattern >> k) & 1) as u8).collect();
+                mapper.map_symbol(&bits)
+            })
+            .collect();
+        mapper
     }
 
     /// The modulation this mapper implements.
@@ -66,7 +83,7 @@ impl Mapper {
     }
 
     /// Nearest-level hard decision back to the per-axis bit group.
-    fn axis_demap(&self, x: f64, out: &mut Vec<u8>) {
+    fn axis_demap(&self, x: f64) -> usize {
         let mut best = 0usize;
         let mut best_d = f64::MAX;
         for (i, &l) in self.levels.iter().enumerate() {
@@ -76,9 +93,14 @@ impl Mapper {
                 best = i;
             }
         }
-        let g = Self::gray(best);
-        for k in (0..self.bits_per_axis).rev() {
-            out.push(((g >> k) & 1) as u8);
+        Self::gray(best)
+    }
+
+    /// Bit pattern (first bit most significant) of the hard decision on `y`.
+    fn decide(&self, y: C64) -> usize {
+        match self.modulation {
+            Modulation::Bpsk => (y.re >= 0.0) as usize,
+            _ => (self.axis_demap(y.re) << self.bits_per_axis) | self.axis_demap(y.im),
         }
     }
 
@@ -96,12 +118,50 @@ impl Mapper {
 
     /// Hard-decision demaps one received symbol back to bits.
     pub fn demap_symbol(&self, y: C64, out: &mut Vec<u8>) {
-        match self.modulation {
-            Modulation::Bpsk => out.push((y.re >= 0.0) as u8),
-            _ => {
-                self.axis_demap(y.re, out);
-                self.axis_demap(y.im, out);
+        let pattern = self.decide(y);
+        out.extend(
+            (0..self.bits_per_symbol())
+                .rev()
+                .map(|k| ((pattern >> k) & 1) as u8),
+        );
+    }
+
+    /// The hard decision on `y` as unit LLRs (`+1` for a 0, `-1` for a 1),
+    /// appended to `out`: the form in which hard bits enter the Viterbi
+    /// trellis.
+    pub(crate) fn demap_hard_llr(&self, y: C64, out: &mut Vec<f64>) {
+        let pattern = self.decide(y);
+        out.extend(
+            (0..self.bits_per_symbol())
+                .rev()
+                .map(|k| hard_llr(((pattern >> k) & 1) as u8)),
+        );
+    }
+
+    /// Exact max-log per-bit LLRs of one received symbol, appended to `out`.
+    ///
+    /// `y` is the equalized observation, `noise_var` the post-equalization
+    /// complex noise variance. Each bit's LLR is the scaled distance to the
+    /// nearest point with that bit set minus the distance to the nearest
+    /// point with it clear.
+    pub fn demap_soft(&self, y: C64, noise_var: f64, out: &mut Vec<f64>) {
+        let bps = self.bits_per_symbol();
+        let inv = 1.0 / noise_var.max(1e-300);
+        let mut dist = [0.0f64; 64];
+        for (d, &x) in dist.iter_mut().zip(&self.points) {
+            *d = (y - x).norm_sqr() * inv;
+        }
+        for k in 0..bps {
+            let mut best0 = f64::MAX;
+            let mut best1 = f64::MAX;
+            for (pattern, &d) in dist[..self.points.len()].iter().enumerate() {
+                if (pattern >> (bps - 1 - k)) & 1 == 0 {
+                    best0 = best0.min(d);
+                } else {
+                    best1 = best1.min(d);
+                }
             }
+            out.push(best1 - best0);
         }
     }
 
@@ -111,15 +171,6 @@ impl Mapper {
         bits.chunks(self.bits_per_symbol())
             .map(|c| self.map_symbol(c))
             .collect()
-    }
-
-    /// Demaps a whole symbol stream.
-    pub fn demap(&self, symbols: &[C64]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(symbols.len() * self.bits_per_symbol());
-        for &y in symbols {
-            self.demap_symbol(y, &mut out);
-        }
-        out
     }
 }
 
@@ -137,7 +188,11 @@ mod tests {
             let bits: Vec<u8> = (0..n).map(|_| (rng.next_u64() & 1) as u8).collect();
             let symbols = mapper.map(&bits);
             assert_eq!(symbols.len(), 100);
-            assert_eq!(mapper.demap(&symbols), bits, "{m}");
+            let mut back = Vec::new();
+            for &y in &symbols {
+                mapper.demap_symbol(y, &mut back);
+            }
+            assert_eq!(back, bits, "{m}");
         }
     }
 
@@ -186,6 +241,39 @@ mod tests {
         let mut out = Vec::new();
         mapper.demap_symbol(noisy, &mut out);
         assert_eq!(out, bits);
+    }
+
+    #[test]
+    fn soft_demap_sign_matches_hard_decision() {
+        let mut rng = SimRng::seed_from(3);
+        for m in Modulation::ALL {
+            let mapper = Mapper::new(m);
+            let bps = mapper.bits_per_symbol();
+            for _ in 0..200 {
+                let bits: Vec<u8> = (0..bps).map(|_| (rng.next_u64() & 1) as u8).collect();
+                let y = mapper.map_symbol(&bits) + rng.randc().scale(0.02); // tiny noise
+                let mut llrs = Vec::new();
+                mapper.demap_soft(y, 0.01, &mut llrs);
+                let mut hard = Vec::new();
+                mapper.demap_symbol(y, &mut hard);
+                let mut unit = Vec::new();
+                mapper.demap_hard_llr(y, &mut unit);
+                for ((l, &h), u) in llrs.iter().zip(&hard).zip(&unit) {
+                    assert_eq!((*l < 0.0) as u8, h, "{m}: LLR sign vs hard decision");
+                    assert_eq!(*u, hard_llr(h), "{m}: unit LLR vs hard decision");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn llr_magnitude_tracks_distance_from_boundary() {
+        let mapper = Mapper::new(Modulation::Bpsk);
+        let mut near = Vec::new();
+        mapper.demap_soft(C64::real(0.1), 1.0, &mut near);
+        let mut far = Vec::new();
+        mapper.demap_soft(C64::real(0.9), 1.0, &mut far);
+        assert!(far[0].abs() > near[0].abs());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use copa_num::complex::{C64, ZERO};
 use copa_num::prop::{check, Gen};
 use copa_num::{prop_assert, prop_assert_eq};
-use copa_phy::baseband::CP_SAMPLES;
+use copa_phy::baseband::{Chain, ChainScratch, FlatSymbols, CP_SAMPLES};
 use copa_phy::coding::{coded_ber, encode, frame_error_rate, viterbi_decode, CodeRate};
 use copa_phy::link::ThroughputModel;
 use copa_phy::mcs::Mcs;
@@ -78,6 +78,27 @@ fn viterbi_inverts_encoder() {
         let coded = encode(&bits, r);
         let decoded = viterbi_decode(&coded, bits.len(), r);
         prop_assert_eq!(decoded, bits);
+        Ok(())
+    });
+}
+
+#[test]
+fn clean_chain_round_trip_is_the_identity() {
+    // Any MCS, 1 to 4 spatial streams, any payload up to six OFDM symbols:
+    // the stream parser, interleavers and mapper invert exactly.
+    check("clean_chain_round_trip_is_the_identity", CASES, |g| {
+        let mcs = *g.pick(&Mcs::TABLE);
+        let streams = g.usize_in(1, 5);
+        let chain = Chain::new(mcs, streams);
+        let len = g.usize_in(1, chain.payload_capacity(6) + 1);
+        let payload: Vec<u8> = (0..len).map(|_| g.u8() & 1).collect();
+        let mut scratch = ChainScratch::new();
+        let mut symbols = FlatSymbols::new();
+        chain.transmit_into(&payload, &mut scratch, &mut symbols);
+        prop_assert!(symbols.n_symbols() <= 6, "{mcs} x{streams}, {len} bits");
+        let mut decoded = Vec::new();
+        chain.receive_into(symbols.as_slice(), len, &mut scratch, &mut decoded);
+        prop_assert_eq!(decoded, payload, "{mcs} x{streams}, {len} bits");
         Ok(())
     });
 }

@@ -41,7 +41,7 @@ pub struct ValidatorSetup {
 
 /// One shared, seeded constructor for both validation pipelines.
 pub fn validator_setup(mcs: Mcs, symbols_per_frame: usize, seed: u64) -> ValidatorSetup {
-    let chain = Chain::new(mcs);
+    let chain = Chain::new(mcs, 1);
     let payload_len = chain.payload_capacity(symbols_per_frame);
     ValidatorSetup {
         chain,
@@ -139,6 +139,10 @@ pub fn validate_coded_chain(
     let mut bits_total = 0usize;
     let mut frame_errors = 0usize;
     let mut analytic_sum = 0.0;
+    let mut scratch = ChainScratch::new();
+    let mut tx = FlatSymbols::new();
+    let mut rx = Vec::new();
+    let mut decoded = Vec::new();
 
     for f in 0..frames {
         let mut ch_rng = rng.fork(f as u64);
@@ -159,21 +163,14 @@ pub fn validate_coded_chain(
         let payload: Vec<u8> = (0..payload_len)
             .map(|_| (rng.next_u64() & 1) as u8)
             .collect();
-        let tx = chain.transmit(&payload);
-        let rx: Vec<Vec<C64>> = tx
-            .symbols
-            .iter()
-            .map(|sym| {
-                sym.iter()
-                    .enumerate()
-                    .map(|(s, &x)| {
-                        let y = h[s] * x + rng.randc().scale(noise.sqrt());
-                        y / h[s] // zero-forcing equalizer (exact CSI)
-                    })
-                    .collect()
-            })
-            .collect();
-        let decoded = chain.receive(&rx, payload.len());
+        chain.transmit_into(&payload, &mut scratch, &mut tx);
+        rx.clear();
+        for (i, &x) in tx.as_slice().iter().enumerate() {
+            let hs = h[i % DATA_SUBCARRIERS];
+            let y = hs * x + rng.randc().scale(noise.sqrt());
+            rx.push(y / hs); // zero-forcing equalizer (exact CSI)
+        }
+        chain.receive_into(&rx, payload.len(), &mut scratch, &mut decoded);
         let errs = decoded.iter().zip(&payload).filter(|(a, b)| a != b).count();
         bit_errors += errs;
         bits_total += payload.len();

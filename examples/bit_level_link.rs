@@ -14,7 +14,7 @@
 use copa::channel::{FreqChannel, MultipathProfile};
 use copa::num::special::db_to_lin;
 use copa::num::SimRng;
-use copa::phy::baseband::Chain;
+use copa::phy::baseband::{Chain, ChainScratch, FlatSymbols};
 use copa::phy::coding::coded_ber;
 use copa::phy::Mcs;
 use copa::sim::validation::validate_coded_chain;
@@ -22,17 +22,19 @@ use copa::sim::validation::validate_coded_chain;
 fn main() {
     // One frame, narrated.
     let mcs = Mcs::TABLE[4]; // 16-QAM 3/4
-    let chain = Chain::new(mcs);
+    let chain = Chain::new(mcs, 1);
     let mut rng = SimRng::seed_from(0xB17);
     let payload: Vec<u8> = (0..chain.payload_capacity(8))
         .map(|_| (rng.next_u64() & 1) as u8)
         .collect();
 
     println!("Transmitting {} payload bits at {mcs}", payload.len());
-    let frame = chain.transmit(&payload);
+    let mut scratch = ChainScratch::new();
+    let mut frame = FlatSymbols::new();
+    chain.transmit_into(&payload, &mut scratch, &mut frame);
     println!(
         "  -> {} OFDM symbols x 52 subcarriers of Gray-mapped {} symbols",
-        frame.symbols.len(),
+        frame.n_symbols(),
         mcs.modulation
     );
 
@@ -45,20 +47,17 @@ fn main() {
         db_to_lin(snr_db),
         &MultipathProfile::default(),
     );
-    let received: Vec<Vec<_>> = frame
-        .symbols
+    let received: Vec<_> = frame
+        .as_slice()
         .iter()
-        .map(|sym| {
-            sym.iter()
-                .enumerate()
-                .map(|(s, &x)| {
-                    let h = ch.at(s)[(0, 0)];
-                    (h * x + rng.randc()) / h
-                })
-                .collect()
+        .enumerate()
+        .map(|(i, &x)| {
+            let h = ch.at(i % 52)[(0, 0)];
+            (h * x + rng.randc()) / h
         })
         .collect();
-    let decoded = chain.receive(&received, payload.len());
+    let mut decoded = Vec::new();
+    chain.receive_into(&received, payload.len(), &mut scratch, &mut decoded);
     let errors = decoded.iter().zip(&payload).filter(|(a, b)| a != b).count();
     println!(
         "  <- decoded with {errors} bit errors out of {} at {snr_db:.0} dB mean SNR",

@@ -5,7 +5,7 @@
 //! cargo run --release --example waveform_validation
 //! ```
 //!
-//! Four properties, each behind its own `ok:` line so
+//! Five properties, each behind its own `ok:` line so
 //! `scripts/check.sh --waveform-smoke` can grep them individually:
 //!
 //! 1. **Machine-readable output.** The Monte-Carlo grid (MCS x SNR) is
@@ -21,8 +21,17 @@
 //!    further Monte-Carlo frame through the full transmit/channel/
 //!    receive pipeline allocates nothing, measured by a counting global
 //!    allocator.
+//! 5. **Zero warmed multi-stream allocations.** The same holds for the
+//!    bit-true chain at two spatial streams: a warmed round of
+//!    `transmit_into`, a 2x2 channel with noise, `zero_force_into` and
+//!    `receive_soft_into` decodes its payload and allocates nothing.
 
+use copa::num::matrix::CMat;
+use copa::num::SimRng;
 use copa::obs::json::parse;
+use copa::phy::baseband::{zero_force_into, Chain, ChainScratch, FlatSymbols, ZfScratch};
+use copa::phy::mcs::Mcs;
+use copa::phy::ofdm::DATA_SUBCARRIERS;
 use copa::phy::waveform::WaveformImpairments;
 use copa::sim::json::ToJson;
 use copa::sim::{run_waveform_grid, WaveformGridConfig, WaveformSim};
@@ -146,7 +155,7 @@ fn main() {
     // trellis, equalizer output); each further frame through the complete
     // pipeline -- including sync and CFO correction -- must allocate nothing.
     let mut sim = WaveformSim::new(
-        copa::phy::mcs::Mcs::TABLE[3],
+        Mcs::TABLE[3],
         16.0,
         4,
         Default::default(),
@@ -166,6 +175,65 @@ fn main() {
     );
     println!("allocs: {allocs} across {frames} warmed waveform frames");
     println!("ok: warmed waveform frames allocation-free");
+
+    // --- 5. zero warmed multi-stream allocations ---------------------------
+    let chain = Chain::new(Mcs::TABLE[3], 2);
+    let mut rng = SimRng::seed_from(0x2_57E4);
+    let payload: Vec<u8> = (0..chain.payload_capacity(4))
+        .map(|_| (rng.next_u64() & 1) as u8)
+        .collect();
+    let effective: Vec<CMat> = (0..DATA_SUBCARRIERS)
+        .map(|_| CMat::from_fn(2, 2, |_, _| rng.randc()))
+        .collect();
+    let noise_var: f64 = 1e-4;
+    let (mut scratch, mut zf) = (ChainScratch::new(), ZfScratch::new());
+    let (mut tx, mut observations) = (FlatSymbols::new(), Vec::new());
+    let (mut symbols, mut post_noise, mut decoded) = (Vec::new(), Vec::new(), Vec::new());
+    let mut round = || {
+        chain.transmit_into(&payload, &mut scratch, &mut tx);
+        // Antenna r of symbol t, subcarrier s hears sum_k Q_s[r][k] x_k + n.
+        observations.clear();
+        for t in 0..tx.n_symbols() {
+            for (s, q) in effective.iter().enumerate() {
+                for r in 0..2 {
+                    let mut y = rng.randc().scale(noise_var.sqrt());
+                    for k in 0..2 {
+                        y += q[(r, k)] * tx.as_slice()[(t * 2 + k) * DATA_SUBCARRIERS + s];
+                    }
+                    observations.push(y);
+                }
+            }
+        }
+        zero_force_into(
+            &observations,
+            &effective,
+            noise_var,
+            &mut zf,
+            &mut symbols,
+            &mut post_noise,
+        );
+        chain.receive_soft_into(
+            &symbols,
+            &post_noise,
+            payload.len(),
+            &mut scratch,
+            &mut decoded,
+        );
+        assert_eq!(decoded, payload, "the 2-stream round must decode cleanly");
+    };
+    round();
+    let rounds = 8;
+    let allocs = count_allocs(|| {
+        for _ in 0..rounds {
+            round();
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "{rounds} warmed 2-stream chain rounds must allocate nothing (got {allocs})"
+    );
+    println!("allocs: {allocs} across {rounds} warmed 2-stream chain rounds");
+    println!("ok: warmed 2-stream chain rounds allocation-free");
 
     println!("ok: waveform validation smoke passed");
 }

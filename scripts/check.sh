@@ -61,7 +61,11 @@
 #                   IFFT/CP/sync/Viterbi grid re-parsed from its JSON,
 #                   byte-identical across thread counts, measured FER
 #                   within the stated band of the analytic union bound,
-#                   and zero allocations across warmed frames.
+#                   and zero allocations across warmed frames and across
+#                   warmed 2-stream chain rounds (transmit_into ->
+#                   zero_force_into -> receive_soft_into); then the
+#                   bit-true link example (examples/bit_level_link.rs),
+#                   whose output must match its pinned text exactly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -419,8 +423,34 @@ if [ "$WAVEFORM_SMOKE" -eq 1 ]; then
         echo "waveform smoke FAILED: warmed frames allocated" >&2
         exit 1
     }
+    printf '%s\n' "$out" | grep -q '^ok: warmed 2-stream chain rounds allocation-free' || {
+        echo "waveform smoke FAILED: warmed 2-stream chain rounds allocated" >&2
+        exit 1
+    }
     printf '%s\n' "$out" | grep -q '^ok: waveform validation smoke passed' || {
         echo "waveform smoke FAILED: smoke did not validate" >&2
+        exit 1
+    }
+    echo "==> waveform smoke: bit-true link example, exact output"
+    out=$(cargo run --release --offline --example bit_level_link)
+    printf '%s\n' "$out"
+    # Seeded end to end (payload, channel, noise, Monte-Carlo points), so
+    # any change to a bit of the chain or the validator shows here.
+    expected=$(cat <<'EOF'
+Transmitting 1242 payload bits at MCS4 (16-QAM 3/4, 39.0 Mbps)
+  -> 8 OFDM symbols x 52 subcarriers of Gray-mapped 16-QAM symbols
+  <- decoded with 156 bit errors out of 1242 at 18 dB mean SNR
+  analytic: raw BER 2.80e-2 -> coded BER 3.91e-1 (union bound)
+
+Monte-Carlo (40 frames per point, fresh channel each):
+mcs                           SNR dB  analytic BER       sim BER  sim FER
+MCS1 (QPSK 1/2, 13.0 Mbps)       6.0       2.72e-1       9.21e-2     0.47
+MCS4 (16-QAM 3/4, 39.0 Mbps)    14.0       4.04e-1       1.97e-1     0.82
+MCS7 (64-QAM 5/6, 65.0 Mbps)    24.0       3.67e-1       1.16e-1     0.80
+EOF
+)
+    [ "$out" = "$expected" ] || {
+        echo "waveform smoke FAILED: bit_level_link output differs from the pinned text" >&2
         exit 1
     }
 fi
