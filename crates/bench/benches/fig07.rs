@@ -45,7 +45,7 @@ fn main() {
         let gains: Vec<f64> = (0..52)
             .map(|_| -rng.uniform().max(1e-12).ln() * 3e-8)
             .collect();
-        let problem = StreamProblem::interference_free(gains, 1e-9 / 52.0, 15.8);
+        let problem = StreamProblem::interference_free(&gains, 1e-9 / 52.0, 15.8);
         let model = ThroughputModel::default();
         b.iter(|| black_box(equi_sinr(&problem, &model, 0.9)))
     });

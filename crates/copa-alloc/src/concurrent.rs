@@ -9,10 +9,12 @@
 //! remembering the best solution seen (the iteration "may occasionally
 //! regress from the best solution, in which case we choose the best solution
 //! previously found").
+//!
+//! [`allocate_ap_into`] is the one per-AP stream loop: each round of the
+//! game calls it against the peer's interference, and the sequential
+//! strategies call it with none.
 
-use crate::stream::{
-    equi_sinr_into, mercury_best_into, AllocScratch, StreamAllocation, StreamProblemRef,
-};
+use crate::stream::{equi_sinr_into, mercury_best_into, AllocScratch, StreamProblem};
 use copa_phy::link::ThroughputModel;
 use copa_phy::ofdm::DATA_SUBCARRIERS;
 use copa_precoding::{reshape_rows, TxPowers};
@@ -26,19 +28,21 @@ pub enum AllocatorKind {
     Mercury,
 }
 
-/// The coupled two-AP allocation problem, expressed through scalar gains.
+/// The coupled two-AP allocation problem, expressed through scalar gains
+/// borrowed from the caller (the engine points straight at the precoders'
+/// `stream_gains` buffers).
 ///
 /// Gains come from the precoders computed on estimated CSI:
 /// `own_gains[i][k][s]` is `|H_ii w_k|^2` (AP i's stream k toward its own
 /// client), and `cross_gains[i][k][s]` is the *residual* per-unit-power
 /// interference AP i's stream k causes at the other client (tiny when
 /// nulling, large when merely beamforming).
-#[derive(Clone, Debug)]
-pub struct ConcurrentProblem {
+#[derive(Clone, Copy, Debug)]
+pub struct ConcurrentProblem<'a> {
     /// Own-link effective gains, `[ap][stream][subcarrier]`.
-    pub own_gains: [Vec<[f64; DATA_SUBCARRIERS]>; 2],
+    pub own_gains: [&'a [[f64; DATA_SUBCARRIERS]]; 2],
     /// Cross-link leakage gains, `[ap][stream][subcarrier]`.
-    pub cross_gains: [Vec<[f64; DATA_SUBCARRIERS]>; 2],
+    pub cross_gains: [&'a [[f64; DATA_SUBCARRIERS]]; 2],
     /// Per-subcarrier noise, mW.
     pub noise_mw: f64,
     /// Per-AP total power budgets, mW.
@@ -69,46 +73,7 @@ pub const MAX_ITERATIONS: usize = 8;
 /// Relative power-vector change defining convergence.
 const CONVERGENCE_TOL: f64 = 1e-3;
 
-impl ConcurrentProblem {
-    /// Streams of AP `i`.
-    pub fn streams(&self, ap: usize) -> usize {
-        self.own_gains[ap].len()
-    }
-
-    /// Interference at AP `i`'s client on each subcarrier, given the peer's
-    /// current powers.
-    #[cfg(test)]
-    fn interference_at(&self, ap: usize, peer_powers: &TxPowers) -> [f64; DATA_SUBCARRIERS] {
-        ConcurrentProblemRef::from_problem(self).interference(ap, peer_powers)
-    }
-}
-
-/// Borrowed view of a [`ConcurrentProblem`]: the zero-allocation entry point
-/// ([`allocate_concurrent_into`]) takes this so the engine can point straight
-/// at the precoders' `stream_gains` buffers instead of cloning them.
-#[derive(Clone, Copy, Debug)]
-pub struct ConcurrentProblemRef<'a> {
-    /// Own-link effective gains, `[ap][stream][subcarrier]`.
-    pub own_gains: [&'a [[f64; DATA_SUBCARRIERS]]; 2],
-    /// Cross-link leakage gains, `[ap][stream][subcarrier]`.
-    pub cross_gains: [&'a [[f64; DATA_SUBCARRIERS]]; 2],
-    /// Per-subcarrier noise, mW.
-    pub noise_mw: f64,
-    /// Per-AP total power budgets, mW.
-    pub budgets_mw: [f64; 2],
-}
-
-impl<'a> ConcurrentProblemRef<'a> {
-    /// Borrows an owned problem.
-    pub fn from_problem(p: &'a ConcurrentProblem) -> Self {
-        Self {
-            own_gains: [&p.own_gains[0], &p.own_gains[1]],
-            cross_gains: [&p.cross_gains[0], &p.cross_gains[1]],
-            noise_mw: p.noise_mw,
-            budgets_mw: p.budgets_mw,
-        }
-    }
-
+impl ConcurrentProblem<'_> {
     /// Streams of AP `i`.
     pub fn streams(&self, ap: usize) -> usize {
         self.own_gains[ap].len()
@@ -128,99 +93,95 @@ impl<'a> ConcurrentProblemRef<'a> {
     }
 }
 
-/// Reusable scratch for [`allocate_concurrent_into`]: grows to the largest
-/// problem shape once, then steady-state allocation-free with either
-/// allocator (Mercury reads the process-wide MMSE curve table and keeps
-/// its buffers in the shared [`AllocScratch`]).
-#[derive(Clone, Debug, Default)]
-pub struct ConcurrentScratch {
-    alloc: AllocScratch,
-    stream_out: StreamAllocation,
-    current: [TxPowers; 2],
-    next: [TxPowers; 2],
-}
-
-/// Allocates all streams of AP `ap` given the peer's powers; returns the
-/// predicted aggregate goodput and the Mercury constellation solves run.
-/// Pooled counterpart of the old `ConcurrentProblem::allocate_ap`, same op
-/// sequence.
+/// Allocates every stream of one AP: splits `budget_mw` equally across the
+/// streams of `gains` (`[stream][subcarrier]`) and runs `kind` on each
+/// against `interference` (per subcarrier; `None` for an AP transmitting
+/// alone), writing the powers into `out`. Returns the predicted aggregate
+/// goodput and the Mercury constellation solves run (0 for Equi-SINR).
+/// Allocation-free once `scratch` and `out` are warm.
 #[allow(clippy::too_many_arguments)]
-fn allocate_ap_into(
-    problem: &ConcurrentProblemRef<'_>,
-    ap: usize,
-    peer_powers: &TxPowers,
+pub fn allocate_ap_into(
+    gains: &[[f64; DATA_SUBCARRIERS]],
+    noise_mw: f64,
+    budget_mw: f64,
+    interference: Option<&[f64]>,
     kind: AllocatorKind,
     model: &ThroughputModel,
     airtime: f64,
-    alloc: &mut AllocScratch,
-    stream_out: &mut StreamAllocation,
-    out_powers: &mut TxPowers,
+    scratch: &mut AllocScratch,
+    out: &mut TxPowers,
 ) -> (f64, usize) {
-    let streams = problem.streams(ap);
-    let interference = problem.interference(ap, peer_powers);
-    let per_stream_budget = problem.budgets_mw[ap] / streams as f64;
-    reshape_rows(&mut out_powers.powers, streams, 0.0);
+    let streams = gains.len();
+    let per_stream_budget = budget_mw / streams as f64;
+    reshape_rows(&mut out.powers, streams, 0.0);
+    let mut stream_out = core::mem::take(&mut scratch.stream_out);
     let mut predicted = 0.0;
     let mut solves = 0;
-    for k in 0..streams {
-        let stream_problem = StreamProblemRef {
-            gains: &problem.own_gains[ap][k],
-            noise_mw: problem.noise_mw,
-            interference_mw: Some(&interference),
+    for (k, row) in gains.iter().enumerate() {
+        let problem = StreamProblem {
+            gains: row,
+            noise_mw,
+            interference_mw: interference,
             budget_mw: per_stream_budget,
         };
         match kind {
             AllocatorKind::EquiSinr => {
-                equi_sinr_into(&stream_problem, model, airtime, alloc, stream_out)
+                equi_sinr_into(&problem, model, airtime, scratch, &mut stream_out)
             }
             AllocatorKind::Mercury => {
-                solves += mercury_best_into(&stream_problem, model, airtime, alloc, stream_out)
+                solves += mercury_best_into(&problem, model, airtime, scratch, &mut stream_out)
             }
         }
         predicted += stream_out.throughput_bps;
-        out_powers.powers[k].copy_from_slice(&stream_out.powers);
+        out.powers[k].copy_from_slice(&stream_out.powers);
     }
+    scratch.stream_out = stream_out;
     (predicted, solves)
 }
 
 /// Runs the Figure 6 iteration and returns the best solution found.
 pub fn allocate_concurrent(
-    problem: &ConcurrentProblem,
+    problem: &ConcurrentProblem<'_>,
     kind: AllocatorKind,
     model: &ThroughputModel,
     airtime: f64,
 ) -> ConcurrentSolution {
-    let mut scratch = ConcurrentScratch::default();
+    let mut scratch = AllocScratch::default();
     let mut out = ConcurrentSolution::default();
-    allocate_concurrent_into(
-        &ConcurrentProblemRef::from_problem(problem),
-        kind,
-        model,
-        airtime,
-        &mut scratch,
-        &mut out,
-    );
+    allocate_concurrent_into(problem, kind, model, airtime, &mut scratch, &mut out);
     out
 }
 
 /// Zero-allocation Figure 6 iteration (see [`allocate_concurrent`]): writes
 /// the best solution found into `out`, reusing `scratch` and `out` buffers.
-/// Identical op sequence to the owned entry point, so results are
-/// bit-identical.
+///
+/// Each round, both APs respond through [`allocate_ap_into`] to the powers
+/// the peer had in the previous round (a Jacobi update).
 pub fn allocate_concurrent_into(
-    problem: &ConcurrentProblemRef<'_>,
+    problem: &ConcurrentProblem<'_>,
     kind: AllocatorKind,
     model: &ThroughputModel,
     airtime: f64,
-    scratch: &mut ConcurrentScratch,
+    scratch: &mut AllocScratch,
     out: &mut ConcurrentSolution,
 ) {
-    let ConcurrentScratch {
-        alloc,
-        stream_out,
-        current,
-        next,
-    } = scratch;
+    let mut current = core::mem::take(&mut scratch.current);
+    let mut next = core::mem::take(&mut scratch.next);
+    // AP `ap`'s best response to the peer's powers, written into `powers`.
+    let mut respond = |ap: usize, peer: &TxPowers, powers: &mut TxPowers| {
+        let interference = problem.interference(ap, peer);
+        allocate_ap_into(
+            problem.own_gains[ap],
+            problem.noise_mw,
+            problem.budgets_mw[ap],
+            Some(&interference),
+            kind,
+            model,
+            airtime,
+            scratch,
+            powers,
+        )
+    };
     // Round 0 baseline: the peer splits power equally (the paper's stated
     // initialization).
     current[0].set_equal(problem.streams(0), problem.budgets_mw[0]);
@@ -233,28 +194,9 @@ pub fn allocate_concurrent_into(
 
     for _ in 0..MAX_ITERATIONS {
         iterations += 1;
-        let (t0, s0) = allocate_ap_into(
-            problem,
-            0,
-            &current[1],
-            kind,
-            model,
-            airtime,
-            alloc,
-            stream_out,
-            &mut next[0],
-        );
-        let (t1, s1) = allocate_ap_into(
-            problem,
-            1,
-            &current[0],
-            kind,
-            model,
-            airtime,
-            alloc,
-            stream_out,
-            &mut next[1],
-        );
+        let [next0, next1] = &mut next;
+        let (t0, s0) = respond(0, &current[1], next0);
+        let (t1, s1) = respond(1, &current[0], next1);
         solves += s0 + s1;
 
         // Track the best aggregate prediction (iteration can regress).
@@ -266,15 +208,16 @@ pub fn allocate_concurrent_into(
             best_round = iterations;
         }
 
-        if powers_close(current, next) {
+        if powers_close(&current, &next) {
             converged = true;
             break;
         }
         // `current = next`; the stale buffers left in `next` are fully
-        // overwritten by the next round's `allocate_ap_into`.
-        core::mem::swap(&mut current[0], &mut next[0]);
-        core::mem::swap(&mut current[1], &mut next[1]);
+        // overwritten by the next round's responses.
+        core::mem::swap(&mut current, &mut next);
     }
+    scratch.current = current;
+    scratch.next = next;
 
     out.predicted_bps = best.expect("at least one iteration ran");
     out.iterations = iterations;
@@ -304,31 +247,52 @@ mod tests {
 
     const NOISE: f64 = 1e-9 / 52.0;
 
+    /// Owned gains for the tests to build and edit; [`Gains::problem`]
+    /// lends them to the allocator.
+    struct Gains {
+        own: [Vec<[f64; DATA_SUBCARRIERS]>; 2],
+        cross: [Vec<[f64; DATA_SUBCARRIERS]>; 2],
+    }
+
+    impl Gains {
+        fn problem(&self) -> ConcurrentProblem<'_> {
+            ConcurrentProblem {
+                own_gains: [&self.own[0], &self.own[1]],
+                cross_gains: [&self.cross[0], &self.cross[1]],
+                noise_mw: NOISE,
+                budgets_mw: [31.6, 31.6],
+            }
+        }
+    }
+
     fn fading(rng: &mut SimRng, mean: f64) -> [f64; DATA_SUBCARRIERS] {
         core::array::from_fn(|_| -rng.uniform().max(1e-12).ln() * mean)
     }
 
-    fn symmetric_problem(seed: u64, cross_db_below: f64) -> ConcurrentProblem {
+    fn symmetric_gains(seed: u64, cross_db_below: f64) -> Gains {
         let mut rng = SimRng::seed_from(seed);
         let own = 3e-8;
         let cross = own * copa_num::special::db_to_lin(-cross_db_below);
-        ConcurrentProblem {
-            own_gains: [
+        Gains {
+            own: [
                 vec![fading(&mut rng, own), fading(&mut rng, own)],
                 vec![fading(&mut rng, own), fading(&mut rng, own)],
             ],
-            cross_gains: [
+            cross: [
                 vec![fading(&mut rng, cross), fading(&mut rng, cross)],
                 vec![fading(&mut rng, cross), fading(&mut rng, cross)],
             ],
-            noise_mw: NOISE,
-            budgets_mw: [31.6, 31.6],
         }
+    }
+
+    fn power_bits(p: &TxPowers) -> Vec<u64> {
+        p.powers.iter().flatten().map(|x| x.to_bits()).collect()
     }
 
     #[test]
     fn budgets_respected() {
-        let p = symmetric_problem(1, 25.0);
+        let g = symmetric_gains(1, 25.0);
+        let p = g.problem();
         let sol = allocate_concurrent(
             &p,
             AllocatorKind::EquiSinr,
@@ -349,9 +313,9 @@ mod tests {
     fn weak_cross_interference_converges_fast() {
         // With nulled (tiny) cross gains the coupling is negligible and the
         // fixed point is reached almost immediately.
-        let p = symmetric_problem(2, 60.0);
+        let g = symmetric_gains(2, 60.0);
         let sol = allocate_concurrent(
-            &p,
+            &g.problem(),
             AllocatorKind::EquiSinr,
             &ThroughputModel::default(),
             1.0,
@@ -361,23 +325,65 @@ mod tests {
     }
 
     #[test]
-    fn strong_interference_lowers_prediction() {
-        let weak = symmetric_problem(3, 50.0);
-        let strong = {
-            let mut p = symmetric_problem(3, 50.0);
-            // Same channels, but cross gains x1000 (20 dB below signal).
-            for ap in 0..2 {
-                for k in 0..2 {
-                    for s in 0..DATA_SUBCARRIERS {
-                        p.cross_gains[ap][k][s] *= 1000.0;
-                    }
+    fn uncoupled_game_is_the_sequential_allocation() {
+        // With every cross gain zero no AP's powers reach the other client,
+        // so each round repeats the per-AP allocation with no interference:
+        // the game stops after round 2, and both APs keep exactly what the
+        // sequential strategies' call computes.
+        let model = ThroughputModel::default();
+        let mut scratch = AllocScratch::default();
+        for kind in [AllocatorKind::EquiSinr, AllocatorKind::Mercury] {
+            for seed in [7u64, 8, 9] {
+                let mut g = symmetric_gains(seed, 30.0);
+                for row in g.cross.iter_mut().flatten() {
+                    *row = [0.0; DATA_SUBCARRIERS];
+                }
+                let p = g.problem();
+                let sol = allocate_concurrent(&p, kind, &model, 0.88);
+                let ctx = format!("{kind:?}, seed {seed}");
+                assert!(sol.converged, "{ctx}");
+                assert_eq!(sol.iterations, 2, "{ctx}");
+                for ap in 0..2 {
+                    let mut alone = TxPowers::default();
+                    let (bps, _) = allocate_ap_into(
+                        p.own_gains[ap],
+                        p.noise_mw,
+                        p.budgets_mw[ap],
+                        None,
+                        kind,
+                        &model,
+                        0.88,
+                        &mut scratch,
+                        &mut alone,
+                    );
+                    assert_eq!(
+                        sol.predicted_bps[ap].to_bits(),
+                        bps.to_bits(),
+                        "{ctx}, ap {ap}"
+                    );
+                    assert_eq!(
+                        power_bits(&sol.powers[ap]),
+                        power_bits(&alone),
+                        "{ctx}, ap {ap}"
+                    );
                 }
             }
-            p
-        };
+        }
+    }
+
+    #[test]
+    fn strong_interference_lowers_prediction() {
+        let weak = symmetric_gains(3, 50.0);
+        let mut strong = symmetric_gains(3, 50.0);
+        // Same channels, but cross gains x1000 (20 dB below signal).
+        for row in strong.cross.iter_mut().flatten() {
+            for g in row {
+                *g *= 1000.0;
+            }
+        }
         let model = ThroughputModel::default();
-        let sw = allocate_concurrent(&weak, AllocatorKind::EquiSinr, &model, 1.0);
-        let ss = allocate_concurrent(&strong, AllocatorKind::EquiSinr, &model, 1.0);
+        let sw = allocate_concurrent(&weak.problem(), AllocatorKind::EquiSinr, &model, 1.0);
+        let ss = allocate_concurrent(&strong.problem(), AllocatorKind::EquiSinr, &model, 1.0);
         let total = |s: &ConcurrentSolution| s.predicted_bps[0] + s.predicted_bps[1];
         assert!(
             total(&ss) < total(&sw),
@@ -389,7 +395,8 @@ mod tests {
 
     #[test]
     fn mercury_variant_runs_and_respects_budget() {
-        let p = symmetric_problem(4, 30.0);
+        let g = symmetric_gains(4, 30.0);
+        let p = g.problem();
         let sol = allocate_concurrent(&p, AllocatorKind::Mercury, &ThroughputModel::default(), 1.0);
         for i in 0..2 {
             assert!(sol.powers[i].total_mw() <= p.budgets_mw[i] * (1.0 + 1e-6));
@@ -400,20 +407,18 @@ mod tests {
     fn asymmetric_streams_supported() {
         // Leader sends 2 streams, follower 1 (the SDA configuration).
         let mut rng = SimRng::seed_from(5);
-        let p = ConcurrentProblem {
-            own_gains: [
+        let g = Gains {
+            own: [
                 vec![fading(&mut rng, 3e-8), fading(&mut rng, 3e-8)],
                 vec![fading(&mut rng, 3e-8)],
             ],
-            cross_gains: [
+            cross: [
                 vec![fading(&mut rng, 3e-11), fading(&mut rng, 3e-11)],
                 vec![fading(&mut rng, 3e-11)],
             ],
-            noise_mw: NOISE,
-            budgets_mw: [31.6, 31.6],
         };
         let sol = allocate_concurrent(
-            &p,
+            &g.problem(),
             AllocatorKind::EquiSinr,
             &ThroughputModel::default(),
             1.0,
@@ -425,16 +430,17 @@ mod tests {
     #[test]
     fn pooled_reuse_is_bit_identical() {
         // One warm scratch reused across very different problems must give
-        // exactly the fresh-scratch (owned entry point) answer.
+        // exactly the fresh-scratch answer.
         let model = ThroughputModel::default();
-        let mut scratch = ConcurrentScratch::default();
+        let mut scratch = AllocScratch::default();
         let mut out = ConcurrentSolution::default();
         for seed in [1u64, 6, 9] {
             for &db in &[20.0, 45.0] {
-                let p = symmetric_problem(seed, db);
+                let g = symmetric_gains(seed, db);
+                let p = g.problem();
                 let fresh = allocate_concurrent(&p, AllocatorKind::EquiSinr, &model, 1.0);
                 allocate_concurrent_into(
-                    &ConcurrentProblemRef::from_problem(&p),
+                    &p,
                     AllocatorKind::EquiSinr,
                     &model,
                     1.0,
@@ -458,10 +464,11 @@ mod tests {
     #[test]
     fn interference_accounting_points_the_right_way() {
         // cross_gains[0] describes what AP0 does to client 1; check that
-        // interference_at(1, powers_of_ap0) uses it.
-        let p = symmetric_problem(6, 20.0);
+        // interference(1, powers_of_ap0) uses it.
+        let g = symmetric_gains(6, 20.0);
+        let p = g.problem();
         let peer0 = TxPowers::equal(2, 31.6);
-        let inter1 = p.interference_at(1, &peer0);
+        let inter1 = p.interference(1, &peer0);
         let expected: f64 = (0..2)
             .map(|k| peer0.powers[k][0] * p.cross_gains[0][k][0])
             .sum();

@@ -4,9 +4,14 @@
 //!
 //! * [`stream`] -- per-stream allocators: Equi-SNR (the paper's
 //!   Algorithm 1), Equi-SINR, mercury/waterfilling, classic Gaussian
-//!   waterfilling, and the stock equal-power baseline.
-//! * [`concurrent`] -- the coupled two-AP iteration of the paper's
-//!   Figure 6, with best-solution memory since the iteration may regress.
+//!   waterfilling, and the stock equal-power baseline. Each takes one
+//!   borrowed [`StreamProblem`], and the pooled ones share one
+//!   [`AllocScratch`](stream::AllocScratch).
+//! * [`concurrent`] -- the per-AP stream loop
+//!   ([`allocate_ap_into`](concurrent::allocate_ap_into)), which the
+//!   sequential strategies run with no interference, and the coupled
+//!   two-AP iteration of the paper's Figure 6 built on it, with
+//!   best-solution memory since the iteration may regress.
 
 #![warn(missing_docs)]
 

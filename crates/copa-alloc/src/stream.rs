@@ -11,36 +11,37 @@
 //! budget `P`, return per-subcarrier powers summing to at most `P` together
 //! with the predicted throughput of the best 802.11n MCS.
 
-use copa_num::stats::mean;
 use copa_phy::link::{RateChoice, ThroughputModel};
 use copa_phy::mcs::Mcs;
 use copa_phy::mmse_curves::MmseCurve;
 use copa_phy::modulation::Modulation;
-use copa_phy::ofdm::DATA_SUBCARRIERS;
+use copa_precoding::TxPowers;
 
-/// The per-stream allocation problem.
-#[derive(Clone, Debug)]
-pub struct StreamProblem {
+/// The per-stream allocation problem, borrowed from the caller's buffers
+/// (the engine points straight into its precoders' gain rows).
+/// `interference_mw: None` is bit-identical to an all-zeros interference
+/// vector (`floor` computes `noise + 0.0` either way).
+#[derive(Clone, Copy, Debug)]
+pub struct StreamProblem<'a> {
     /// Effective channel gain of this stream on each subcarrier
     /// (`|H w|^2`, linear).
-    pub gains: Vec<f64>,
+    pub gains: &'a [f64],
     /// Per-subcarrier noise power, mW.
     pub noise_mw: f64,
-    /// Per-subcarrier exogenous interference power, mW (all zeros for the
-    /// sequential / SNR case).
-    pub interference_mw: Vec<f64>,
+    /// Per-subcarrier exogenous interference power, mW (`None` = all zero,
+    /// the sequential / SNR case).
+    pub interference_mw: Option<&'a [f64]>,
     /// Power budget for this stream, mW.
     pub budget_mw: f64,
 }
 
-impl StreamProblem {
+impl<'a> StreamProblem<'a> {
     /// An interference-free problem (Equi-SNR setting).
-    pub fn interference_free(gains: Vec<f64>, noise_mw: f64, budget_mw: f64) -> Self {
-        let n = gains.len();
+    pub fn interference_free(gains: &'a [f64], noise_mw: f64, budget_mw: f64) -> Self {
         Self {
             gains,
             noise_mw,
-            interference_mw: vec![0.0; n],
+            interference_mw: None,
             budget_mw,
         }
     }
@@ -56,8 +57,9 @@ impl StreamProblem {
     }
 
     /// Effective noise-plus-interference on subcarrier `s`.
+    #[inline]
     fn floor(&self, s: usize) -> f64 {
-        self.noise_mw + self.interference_mw[s]
+        self.noise_mw + self.interference_mw.map_or(0.0, |v| v[s])
     }
 }
 
@@ -99,52 +101,15 @@ impl Default for StreamAllocation {
     }
 }
 
-/// Borrowed view of a [`StreamProblem`]: the zero-allocation entry points
-/// ([`equi_sinr_into`], [`mercury_best_into`]) take this so the engine can
-/// point straight into its pooled gain/interference buffers. `interference_mw: None` is bit-identical
-/// to an all-zeros interference vector (`floor` computes `noise + 0.0` either
-/// way).
-#[derive(Clone, Copy, Debug)]
-pub struct StreamProblemRef<'a> {
-    /// Effective channel gain of this stream on each subcarrier.
-    pub gains: &'a [f64],
-    /// Per-subcarrier noise power, mW.
-    pub noise_mw: f64,
-    /// Per-subcarrier exogenous interference power, mW (`None` = all zero).
-    pub interference_mw: Option<&'a [f64]>,
-    /// Power budget for this stream, mW.
-    pub budget_mw: f64,
-}
-
-impl<'a> StreamProblemRef<'a> {
-    /// Borrows an owned problem.
-    pub fn from_problem(p: &'a StreamProblem) -> Self {
-        Self {
-            gains: &p.gains,
-            noise_mw: p.noise_mw,
-            interference_mw: Some(&p.interference_mw),
-            budget_mw: p.budget_mw,
-        }
-    }
-
-    /// Number of subcarriers.
-    pub fn len(&self) -> usize {
-        self.gains.len()
-    }
-
-    /// `true` when there are no subcarriers.
-    pub fn is_empty(&self) -> bool {
-        self.gains.is_empty()
-    }
-
-    #[inline]
-    fn floor(&self, s: usize) -> f64 {
-        self.noise_mw + self.interference_mw.map_or(0.0, |v| v[s])
-    }
-}
-
-/// Reusable scratch for [`equi_sinr_into`] and [`mercury_best_into`]: grows
-/// to the subcarrier count once, then steady-state allocation-free.
+/// Reusable scratch for every pooled allocator: [`equi_sinr_into`],
+/// [`mercury_best_into`], [`allocate_ap_into`] and
+/// [`allocate_concurrent_into`]. It grows to the largest problem shape
+/// once, then is steady-state allocation-free. The per-AP loop and the
+/// Figure 6 game move their buffers out with `core::mem::take` while they
+/// lend the rest to the per-stream kernels, and move them back afterwards.
+///
+/// [`allocate_ap_into`]: crate::concurrent::allocate_ap_into
+/// [`allocate_concurrent_into`]: crate::concurrent::allocate_concurrent_into
 #[derive(Clone, Debug, Default)]
 pub struct AllocScratch {
     order: Vec<usize>,
@@ -154,6 +119,11 @@ pub struct AllocScratch {
     /// [`mercury_best_into`]'s solve in progress and its best solve so far.
     candidate: StreamAllocation,
     best: StreamAllocation,
+    /// The per-AP loop's per-stream result slot.
+    pub(crate) stream_out: StreamAllocation,
+    /// The Figure 6 game's current and next rounds of both APs' powers.
+    pub(crate) current: [TxPowers; 2],
+    pub(crate) next: [TxPowers; 2],
 }
 
 /// The buffers of one constellation's mercury/waterfilling solve.
@@ -175,19 +145,13 @@ struct WaterfillScratch {
 /// With zero interference this is exactly the paper's Equi-SNR; with the
 /// interference vector filled in it is the Equi-SINR step of Figure 6.
 pub fn equi_sinr(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     model: &ThroughputModel,
     airtime: f64,
 ) -> StreamAllocation {
     let mut scratch = AllocScratch::default();
     let mut out = StreamAllocation::default();
-    equi_sinr_into(
-        &StreamProblemRef::from_problem(problem),
-        model,
-        airtime,
-        &mut scratch,
-        &mut out,
-    );
+    equi_sinr_into(problem, model, airtime, &mut scratch, &mut out);
     out
 }
 
@@ -206,7 +170,7 @@ pub fn equi_sinr(
 ///   exactly the no-replacement case.
 // alloc-free: begin equi_sinr_into
 pub fn equi_sinr_into(
-    problem: &StreamProblemRef<'_>,
+    problem: &StreamProblem<'_>,
     model: &ThroughputModel,
     airtime: f64,
     scratch: &mut AllocScratch,
@@ -286,7 +250,7 @@ pub fn equi_sinr_into(
 /// halves of Algorithm 1; the paper reports that either half alone yields
 /// 60-70% of the full improvement (section 4.2).
 pub fn selection_only(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     model: &ThroughputModel,
     airtime: f64,
 ) -> StreamAllocation {
@@ -331,7 +295,7 @@ pub fn selection_only(
 /// Power *allocation only*: equalize SINR across all subcarriers but never
 /// drop any. The other half of Algorithm 1 (section 4.2).
 pub fn allocation_only(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     model: &ThroughputModel,
     airtime: f64,
 ) -> StreamAllocation {
@@ -358,23 +322,18 @@ pub fn allocation_only(
 /// Stock 802.11: equal power on every subcarrier, no dropping. The starting
 /// point all COPA variants improve on.
 pub fn equal_power(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     model: &ThroughputModel,
     airtime: f64,
 ) -> StreamAllocation {
     let mut out = StreamAllocation::default();
-    equal_power_into(
-        &StreamProblemRef::from_problem(problem),
-        model,
-        airtime,
-        &mut out,
-    );
+    equal_power_into(problem, model, airtime, &mut out);
     out
 }
 
 /// [`equal_power`] into a reused output slot.
 fn equal_power_into(
-    problem: &StreamProblemRef<'_>,
+    problem: &StreamProblem<'_>,
     model: &ThroughputModel,
     airtime: f64,
     out: &mut StreamAllocation,
@@ -396,7 +355,7 @@ fn equal_power_into(
 /// Included as the baseline the paper notes "performs poorly for practical
 /// radios ... which transmit discrete constellations".
 pub fn waterfilling(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     model: &ThroughputModel,
     airtime: f64,
 ) -> StreamAllocation {
@@ -436,21 +395,14 @@ pub fn waterfilling(
 /// and searches only between them: the same index and arithmetic as a
 /// full search, summed in the same order, so the result is the same bits.
 pub fn mercury_waterfilling(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     curve: &MmseCurve,
     model: &ThroughputModel,
     airtime: f64,
 ) -> StreamAllocation {
     let mut scratch = WaterfillScratch::default();
     let mut out = StreamAllocation::default();
-    waterfill_into(
-        &StreamProblemRef::from_problem(problem),
-        curve,
-        model,
-        airtime,
-        &mut scratch,
-        &mut out,
-    );
+    waterfill_into(problem, curve, model, airtime, &mut scratch, &mut out);
     out
 }
 
@@ -459,19 +411,13 @@ pub fn mercury_waterfilling(
 /// top (the paper's COPA+ uses "iterated mercury/waterfilling (including
 /// subcarrier selection)").
 pub fn mercury_best(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     model: &ThroughputModel,
     airtime: f64,
 ) -> StreamAllocation {
     let mut scratch = AllocScratch::default();
     let mut out = StreamAllocation::default();
-    mercury_best_into(
-        &StreamProblemRef::from_problem(problem),
-        model,
-        airtime,
-        &mut scratch,
-        &mut out,
-    );
+    mercury_best_into(problem, model, airtime, &mut scratch, &mut out);
     out
 }
 
@@ -504,7 +450,7 @@ pub fn mercury_best(
 ///   least one solve runs, and the skip saves at most three of the four.
 // alloc-free: begin mercury_best_into
 pub fn mercury_best_into(
-    problem: &StreamProblemRef<'_>,
+    problem: &StreamProblem<'_>,
     model: &ThroughputModel,
     airtime: f64,
     scratch: &mut AllocScratch,
@@ -538,7 +484,7 @@ pub fn mercury_best_into(
 /// One constellation's mercury/waterfilling solve ([`mercury_waterfilling`])
 /// on reused buffers.
 fn waterfill_into(
-    problem: &StreamProblemRef<'_>,
+    problem: &StreamProblem<'_>,
     curve: &MmseCurve,
     model: &ThroughputModel,
     airtime: f64,
@@ -667,7 +613,7 @@ fn top_mcs_of(modulation: Modulation) -> Mcs {
 /// Evaluates a raw power vector: computes SINRs, picks the best MCS
 /// (restricted to `modulation` if given), and packages the allocation.
 fn finish(
-    problem: &StreamProblem,
+    problem: &StreamProblem<'_>,
     powers: Vec<f64>,
     model: &ThroughputModel,
     airtime: f64,
@@ -687,35 +633,63 @@ fn finish(
     }
 }
 
-/// Convenience: mean SINR in dB of an allocation's active subcarriers.
-pub fn mean_active_sinr_db(alloc: &StreamAllocation) -> f64 {
-    let active: Vec<f64> = alloc.sinrs.iter().cloned().filter(|&x| x > 0.0).collect();
-    copa_num::special::lin_to_db(mean(&active))
-}
-
-/// Builds a default-size problem from closures (testing convenience).
-pub fn problem_from_fn(
-    gain: impl Fn(usize) -> f64,
-    interference: impl Fn(usize) -> f64,
-    noise_mw: f64,
-    budget_mw: f64,
-) -> StreamProblem {
-    StreamProblem {
-        gains: (0..DATA_SUBCARRIERS).map(&gain).collect(),
-        noise_mw,
-        interference_mw: (0..DATA_SUBCARRIERS).map(&interference).collect(),
-        budget_mw,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use copa_num::special::db_to_lin;
+    use copa_num::stats::mean;
     use copa_num::SimRng;
+    use copa_phy::ofdm::DATA_SUBCARRIERS;
 
     const NOISE: f64 = 1e-9;
     const BUDGET: f64 = 31.6 / 2.0; // half the 15 dBm budget (one of 2 streams)
+
+    /// An owned problem the tests build and edit; [`Owned::view`] lends it
+    /// to the allocators. A clean problem stores zero interference, which
+    /// is bit-identical to `None`.
+    #[derive(Clone, Debug)]
+    struct Owned {
+        gains: Vec<f64>,
+        noise_mw: f64,
+        interference_mw: Vec<f64>,
+        budget_mw: f64,
+    }
+
+    impl Owned {
+        fn view(&self) -> StreamProblem<'_> {
+            StreamProblem {
+                gains: &self.gains,
+                noise_mw: self.noise_mw,
+                interference_mw: Some(&self.interference_mw),
+                budget_mw: self.budget_mw,
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.gains.len()
+        }
+    }
+
+    /// Builds a default-size problem from closures.
+    fn problem_from_fn(
+        gain: impl Fn(usize) -> f64,
+        interference: impl Fn(usize) -> f64,
+        noise_mw: f64,
+        budget_mw: f64,
+    ) -> Owned {
+        Owned {
+            gains: (0..DATA_SUBCARRIERS).map(&gain).collect(),
+            noise_mw,
+            interference_mw: (0..DATA_SUBCARRIERS).map(&interference).collect(),
+            budget_mw,
+        }
+    }
+
+    /// Mean SINR in dB of an allocation's active subcarriers.
+    fn mean_active_sinr_db(alloc: &StreamAllocation) -> f64 {
+        let active: Vec<f64> = alloc.sinrs.iter().cloned().filter(|&x| x > 0.0).collect();
+        copa_num::special::lin_to_db(mean(&active))
+    }
 
     /// Mean gain ~ -60 dBm rx at 15 dBm tx => gain ~ 3e-8; exponential
     /// (Rayleigh power) fading, one independent draw per subcarrier.
@@ -726,12 +700,12 @@ mod tests {
             .collect()
     }
 
-    fn rayleigh_problem(seed: u64) -> StreamProblem {
+    fn rayleigh_problem(seed: u64) -> Owned {
         let gains = rayleigh_gains(seed);
         problem_from_fn(|s| gains[s], |_| 0.0, NOISE, BUDGET)
     }
 
-    fn fading_problem(seed: u64) -> StreamProblem {
+    fn fading_problem(seed: u64) -> Owned {
         let mut rng = SimRng::seed_from(seed);
         let gains: Vec<f64> = (0..DATA_SUBCARRIERS)
             .map(|_| {
@@ -739,14 +713,14 @@ mod tests {
                 -u.ln() * 3e-8
             })
             .collect();
-        StreamProblem::interference_free(gains, NOISE, BUDGET)
+        problem_from_fn(|s| gains[s], |_| 0.0, NOISE, BUDGET)
     }
 
     #[test]
     fn equi_snr_conserves_power() {
         let p = fading_problem(1);
         let model = ThroughputModel::default();
-        let a = equi_sinr(&p, &model, 1.0);
+        let a = equi_sinr(&p.view(), &model, 1.0);
         assert!((a.total_power_mw() - BUDGET).abs() < 1e-9 * BUDGET);
     }
 
@@ -754,7 +728,7 @@ mod tests {
     fn equi_snr_equalizes_active_sinrs() {
         let p = fading_problem(2);
         let model = ThroughputModel::default();
-        let a = equi_sinr(&p, &model, 1.0);
+        let a = equi_sinr(&p.view(), &model, 1.0);
         let active: Vec<f64> = a.sinrs.iter().cloned().filter(|&x| x > 0.0).collect();
         assert!(!active.is_empty());
         let first = active[0];
@@ -769,8 +743,8 @@ mod tests {
         let mut wins = 0;
         for seed in 0..20 {
             let p = fading_problem(seed + 100);
-            let eq = equal_power(&p, &model, 1.0);
-            let es = equi_sinr(&p, &model, 1.0);
+            let eq = equal_power(&p.view(), &model, 1.0);
+            let es = equi_sinr(&p.view(), &model, 1.0);
             assert!(
                 es.throughput_bps >= eq.throughput_bps - 1.0,
                 "Equi-SNR must never lose to equal power (seed {seed})"
@@ -787,7 +761,7 @@ mod tests {
 
     #[test]
     fn flat_channel_needs_no_dropping() {
-        let p = StreamProblem::interference_free(vec![3e-8; DATA_SUBCARRIERS], NOISE, BUDGET);
+        let p = StreamProblem::interference_free(&[3e-8; DATA_SUBCARRIERS], NOISE, BUDGET);
         let model = ThroughputModel::default();
         let a = equi_sinr(&p, &model, 1.0);
         assert_eq!(a.dropped, 0);
@@ -802,7 +776,7 @@ mod tests {
         for g in gains.iter_mut().take(6) {
             *g = 3e-12; // 40 dB fade
         }
-        let p = StreamProblem::interference_free(gains, NOISE, BUDGET);
+        let p = StreamProblem::interference_free(&gains, NOISE, BUDGET);
         let model = ThroughputModel::default();
         let a = equi_sinr(&p, &model, 1.0);
         assert!(
@@ -824,7 +798,7 @@ mod tests {
         // dropped or heavily compensated.
         let p = problem_from_fn(|_| 3e-8, |s| if s < 26 { 1e-7 } else { 0.0 }, NOISE, BUDGET);
         let model = ThroughputModel::default();
-        let a = equi_sinr(&p, &model, 1.0);
+        let a = equi_sinr(&p.view(), &model, 1.0);
         // Equalization puts more power where interference is, OR drops them;
         // either way the clean half never gets less power than a dirty
         // active subcarrier's clean-equivalent.
@@ -842,7 +816,7 @@ mod tests {
     fn waterfilling_conserves_power_and_fills_strong_subcarriers() {
         let p = fading_problem(7);
         let model = ThroughputModel::default();
-        let a = waterfilling(&p, &model, 1.0);
+        let a = waterfilling(&p.view(), &model, 1.0);
         assert!((a.total_power_mw() - BUDGET).abs() < 1e-6 * BUDGET);
         // Waterfilling gives MORE power to better subcarriers (opposite of
         // Equi-SNR's inversion) -- check correlation sign.
@@ -860,9 +834,9 @@ mod tests {
         let model = ThroughputModel::default();
         for seed in 0..5 {
             let p = fading_problem(seed + 300);
-            let a = mercury_best(&p, &model, 1.0);
+            let a = mercury_best(&p.view(), &model, 1.0);
             assert!(a.total_power_mw() <= BUDGET * (1.0 + 1e-6));
-            let eq = equal_power(&p, &model, 1.0);
+            let eq = equal_power(&p.view(), &model, 1.0);
             assert!(
                 a.throughput_bps >= eq.throughput_bps * 0.99,
                 "mercury should not lose to equal power (seed {seed})"
@@ -877,8 +851,8 @@ mod tests {
         let mut p_lo = p_hi.clone();
         // 25 dB less power available.
         p_lo.budget_mw *= db_to_lin(-25.0);
-        let a_hi = equi_sinr(&p_hi, &model, 1.0);
-        let a_lo = equi_sinr(&p_lo, &model, 1.0);
+        let a_hi = equi_sinr(&p_hi.view(), &model, 1.0);
+        let a_lo = equi_sinr(&p_lo.view(), &model, 1.0);
         assert!(a_lo.throughput_bps < a_hi.throughput_bps);
         assert!(a_lo.dropped >= a_hi.dropped);
     }
@@ -895,10 +869,10 @@ mod tests {
         let mut n = 0.0;
         for seed in 0..25 {
             let p = fading_problem(seed + 900);
-            let eq = equal_power(&p, &model, 1.0).throughput_bps;
-            let full = equi_sinr(&p, &model, 1.0).throughput_bps;
-            let sel = selection_only(&p, &model, 1.0).throughput_bps;
-            let alloc = allocation_only(&p, &model, 1.0).throughput_bps;
+            let eq = equal_power(&p.view(), &model, 1.0).throughput_bps;
+            let full = equi_sinr(&p.view(), &model, 1.0).throughput_bps;
+            let sel = selection_only(&p.view(), &model, 1.0).throughput_bps;
+            let alloc = allocation_only(&p.view(), &model, 1.0).throughput_bps;
             assert!(
                 sel >= eq - 1.0,
                 "selection-only should not lose to equal power"
@@ -936,7 +910,7 @@ mod tests {
     fn allocation_only_never_drops() {
         let p = fading_problem(55);
         let model = ThroughputModel::default();
-        let a = allocation_only(&p, &model, 1.0);
+        let a = allocation_only(&p.view(), &model, 1.0);
         assert_eq!(a.dropped, 0);
         assert!(a.powers.iter().all(|&x| x > 0.0));
         assert!((a.total_power_mw() - p.budget_mw).abs() < 1e-9 * p.budget_mw);
@@ -946,7 +920,7 @@ mod tests {
     fn selection_only_splits_equally_among_survivors() {
         let p = fading_problem(56);
         let model = ThroughputModel::default();
-        let a = selection_only(&p, &model, 1.0);
+        let a = selection_only(&p.view(), &model, 1.0);
         let active: Vec<f64> = a.powers.iter().cloned().filter(|&x| x > 0.0).collect();
         let first = active[0];
         assert!(active.iter().all(|&x| (x - first).abs() < 1e-12));
@@ -957,7 +931,7 @@ mod tests {
     /// MCS scan per drop count), kept verbatim as the bit-identity oracle
     /// for the pruned production path.
     fn exhaustive_reference(
-        problem: &StreamProblem,
+        problem: &StreamProblem<'_>,
         model: &ThroughputModel,
         airtime: f64,
     ) -> StreamAllocation {
@@ -1047,15 +1021,15 @@ mod tests {
                 p.budget_mw *= db_to_lin(-25.0);
             }
             for &airtime in &[1.0, 0.88] {
-                let fast = equi_sinr(&p, &model, airtime);
-                let slow = exhaustive_reference(&p, &model, airtime);
+                let fast = equi_sinr(&p.view(), &model, airtime);
+                let slow = exhaustive_reference(&p.view(), &model, airtime);
                 assert_allocs_bit_identical(&fast, &slow, &format!("seed {seed} at {airtime}"));
             }
         }
     }
 
     fn finish_for_modulation(
-        problem: &StreamProblem,
+        problem: &StreamProblem<'_>,
         powers: Vec<f64>,
         modulation: Modulation,
         model: &ThroughputModel,
@@ -1086,7 +1060,7 @@ mod tests {
     /// inverses), kept verbatim as the bit-identity oracle for the
     /// bracketed production path.
     fn reference_mercury_waterfilling(
-        problem: &StreamProblem,
+        problem: &StreamProblem<'_>,
         curve: &MmseCurve,
         model: &ThroughputModel,
         airtime: f64,
@@ -1145,7 +1119,7 @@ mod tests {
     /// subcarrier, a budget raised or cut by 1e3, and channels so weak that
     /// the bisection's `lo * hi` underflows, with several gains at the
     /// 1e-300 floor. Returns whether `lo * hi` underflows on the first step.
-    fn mercury_problem(seed: u64) -> (StreamProblem, bool) {
+    fn mercury_problem(seed: u64) -> (Owned, bool) {
         let mut p = fading_problem(seed + 8000);
         if seed % 3 == 1 {
             for s in (0..p.len()).step_by(3) {
@@ -1169,7 +1143,7 @@ mod tests {
             }
         }
         let q_max = (0..p.len())
-            .map(|s| p.gains[s].max(1e-300) / p.floor(s))
+            .map(|s| p.gains[s].max(1e-300) / p.view().floor(s))
             .fold(0.0, f64::max);
         let underflows = q_max * 1e-12 * q_max < f64::MIN_POSITIVE;
         (p, underflows)
@@ -1184,8 +1158,8 @@ mod tests {
             underflowing += underflows as usize;
             for curve in MmseCurve::all() {
                 for &airtime in &[1.0, 0.88] {
-                    let fast = mercury_waterfilling(&p, curve, &model, airtime);
-                    let slow = reference_mercury_waterfilling(&p, curve, &model, airtime);
+                    let fast = mercury_waterfilling(&p.view(), curve, &model, airtime);
+                    let slow = reference_mercury_waterfilling(&p.view(), curve, &model, airtime);
                     let ctx = format!("seed {seed}, {} at {airtime}", curve.modulation());
                     assert_allocs_bit_identical(&fast, &slow, &ctx);
                 }
@@ -1202,7 +1176,7 @@ mod tests {
     /// the bit-identity oracle for the pruned kernel. Also says whether a
     /// Mercury curve won.
     fn reference_mercury_best(
-        problem: &StreamProblem,
+        problem: &StreamProblem<'_>,
         model: &ThroughputModel,
         airtime: f64,
     ) -> (StreamAllocation, bool) {
@@ -1234,9 +1208,9 @@ mod tests {
             let (p, _) = mercury_problem(seed);
             for &airtime in &[1.0, 0.88] {
                 let ctx = format!("seed {seed} at {airtime}");
-                let (want, mercury_won) = reference_mercury_best(&p, &model, airtime);
-                assert_allocs_bit_identical(&mercury_best(&p, &model, airtime), &want, &ctx);
-                let r = StreamProblemRef::from_problem(&p);
+                let (want, mercury_won) = reference_mercury_best(&p.view(), &model, airtime);
+                assert_allocs_bit_identical(&mercury_best(&p.view(), &model, airtime), &want, &ctx);
+                let r = p.view();
                 let solves = mercury_best_into(&r, &model, airtime, &mut scratch, &mut out);
                 assert_allocs_bit_identical(&out, &want, &format!("{ctx}, reused scratch"));
                 assert!((1..=4).contains(&solves), "{ctx}: {solves} solves");
@@ -1262,13 +1236,11 @@ mod tests {
         let mut scratch = AllocScratch::default();
         for seed in 0..10 {
             let p = fading_problem(seed + 5500);
-            let via_problem = equi_sinr(&p, &model, 0.88);
+            let via_problem = equi_sinr(&p.view(), &model, 0.88);
             let mut out = StreamAllocation::default();
-            let r = StreamProblemRef {
-                gains: &p.gains,
-                noise_mw: p.noise_mw,
+            let r = StreamProblem {
                 interference_mw: None,
-                budget_mw: p.budget_mw,
+                ..p.view()
             };
             equi_sinr_into(&r, &model, 0.88, &mut scratch, &mut out);
             assert_allocs_bit_identical(&out, &via_problem, &format!("seed {seed}"));
@@ -1280,7 +1252,7 @@ mod tests {
         // Just ensure the randomized constructor path works end to end.
         let p = rayleigh_problem(9);
         let model = ThroughputModel::default();
-        let a = equi_sinr(&p, &model, 0.88);
+        let a = equi_sinr(&p.view(), &model, 0.88);
         assert!(a.throughput_bps > 0.0);
         assert!(mean_active_sinr_db(&a).is_finite());
     }

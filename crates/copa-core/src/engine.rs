@@ -13,12 +13,10 @@ use crate::scenario::{prepare_into, ScenarioParams, ScenarioView};
 use crate::strategy::{Outcome, OutcomeVec, Strategy};
 use crate::telemetry::{phase_span, EngineObs};
 use copa_alloc::concurrent::{
-    allocate_concurrent_into, AllocatorKind, ConcurrentProblemRef, ConcurrentScratch,
+    allocate_ap_into, allocate_concurrent_into, AllocatorKind, ConcurrentProblem,
     ConcurrentSolution, MAX_ITERATIONS,
 };
-use copa_alloc::stream::{
-    equi_sinr_into, mercury_best_into, AllocScratch, StreamAllocation, StreamProblemRef,
-};
+use copa_alloc::stream::AllocScratch;
 use copa_channel::{FreqChannel, Topology};
 use copa_mac::overhead::{airtime_efficiency, OverheadConfig, Scheme};
 use copa_num::svd::{cond_into, Svd, SvdScratch};
@@ -27,7 +25,7 @@ use copa_precoding::beamforming::beamform_with;
 use copa_precoding::nulling::null_toward_with;
 use copa_precoding::sda::antenna_to_keep;
 use copa_precoding::sinr::{active_cells_into, mmse_sinr_grid_with, SinrScratch, TxSide};
-use copa_precoding::{cross_gains_into, reshape_rows, LinkPrecoding, PrecodeScratch, TxPowers};
+use copa_precoding::{cross_gains_into, LinkPrecoding, PrecodeScratch, TxPowers};
 
 /// How the receiver decodes (section 4.6): one decoder for the whole frame
 /// (stock 802.11) or one decoder per coding rate, enabling per-subcarrier
@@ -118,13 +116,12 @@ struct WorkBuffers {
     /// to the antenna the follower's client keeps.
     sda_valid: [bool; 2],
     sda_rx: [[FreqChannel; 4]; 2],
-    /// Pooled power-allocation buffers.
+    /// Pooled power-allocation buffers: one allocator scratch serves the
+    /// sequential strategies and the Figure 6 game.
     seq_powers: TxPowers,
     alloc: AllocScratch,
-    stream_out: StreamAllocation,
     eq_powers: [TxPowers; 2],
     cross_gains: [Vec<[f64; DATA_SUBCARRIERS]>; 2],
-    conc_scratch: ConcurrentScratch,
     conc_sol: ConcurrentSolution,
     tally: WorkTally,
 }
@@ -268,9 +265,9 @@ impl Engine {
     }
 
     /// Runs one [`EvalRequest`]: resolves the input (preparing CSI for raw
-    /// topologies, validating caller-supplied estimate slots),
-    /// borrows the request's workspace or allocates a fresh one, and
-    /// evaluates every strategy. This is the engine's single entry point.
+    /// topologies), validates the estimates either lane evaluates, borrows
+    /// the request's workspace or allocates a fresh one, and evaluates every
+    /// strategy. This is the engine's single entry point.
     pub fn run(&self, req: &mut EvalRequest<'_>) -> Result<Evaluation, CopaError> {
         let (EvalInput::Topology(topology) | EvalInput::Estimates { topology, .. }) = req.input;
         validate_topology(topology)?;
@@ -287,7 +284,7 @@ impl Engine {
         // Split the workspace: the view borrows the CSI slots immutably
         // while the evaluation mutates everything else.
         let EngineWorkspace { est, buf } = ws;
-        let view: ScenarioView<'_> = match req.input {
+        let est: &[[FreqChannel; 2]; 2] = match req.input {
             EvalInput::Topology(t) => {
                 phase_span(
                     obs,
@@ -295,20 +292,18 @@ impl Engine {
                     "csi_prep",
                     || prepare_into(t, &self.params, est),
                 );
-                ScenarioView {
-                    topology: t,
-                    est: [[&est[0][0], &est[0][1]], [&est[1][0], &est[1][1]]],
-                }
+                est
             }
-            EvalInput::Estimates { topology, est: e } => {
-                // Caller-supplied CSI (e.g. decompressed from an ITS frame)
-                // is the one place degenerate channels can enter the engine.
-                validate_estimates(topology, e)?;
-                ScenarioView {
-                    topology,
-                    est: [[&e[0][0], &e[0][1]], [&e[1][0], &e[1][1]]],
-                }
-            }
+            EvalInput::Estimates { est, .. } => est,
+        };
+        // Both lanes check the CSI they evaluate. Caller-supplied CSI (e.g.
+        // decompressed from an ITS frame) can be degenerate, and so can the
+        // engine's own: estimation noise scales with the true link's gain,
+        // so a vanishing own link has a vanishing estimate.
+        validate_estimates(topology, est)?;
+        let view = ScenarioView {
+            topology,
+            est: [[&est[0][0], &est[0][1]], [&est[1][0], &est[1][1]]],
         };
         self.quarantine_ill_conditioned(&view, buf)?;
         let ev = self.eval_all(&view, req.mode, buf, obs);
@@ -484,7 +479,6 @@ impl Engine {
             bf_pre,
             seq_powers,
             alloc,
-            stream_out,
             tally,
             ..
         } = ws;
@@ -516,8 +510,16 @@ impl Engine {
                         } else {
                             AllocatorKind::EquiSinr
                         };
-                        let solves = self.alloc_streams_into(
-                            seq_pre, noise, budget, None, kind, eff, alloc, stream_out, seq_powers,
+                        let (_, solves) = allocate_ap_into(
+                            &seq_pre.stream_gains,
+                            noise,
+                            budget,
+                            None,
+                            kind,
+                            &self.params.model,
+                            eff,
+                            alloc,
+                            seq_powers,
                         );
                         if kind == AllocatorKind::Mercury {
                             tally.mercury_streams += seq_pre.streams() as u64;
@@ -548,46 +550,6 @@ impl Engine {
             strategy,
             per_client_bps: per_client,
         }
-    }
-
-    /// Allocates every stream of one AP independently (used by sequential
-    /// strategies; `interference` per subcarrier if any), writing into the
-    /// pooled `out`; returns the Mercury constellation solves run (0 for
-    /// Equi-SINR). Both allocators borrow the precoder's gains and are
-    /// allocation-free after warm-up.
-    #[allow(clippy::too_many_arguments)]
-    fn alloc_streams_into(
-        &self,
-        pre: &LinkPrecoding,
-        noise: f64,
-        budget: f64,
-        interference: Option<&[f64]>,
-        kind: AllocatorKind,
-        eff: f64,
-        alloc: &mut AllocScratch,
-        stream_out: &mut StreamAllocation,
-        out: &mut TxPowers,
-    ) -> usize {
-        let streams = pre.streams();
-        reshape_rows(&mut out.powers, streams, 0.0);
-        let model = &self.params.model;
-        let mut solves = 0;
-        for k in 0..streams {
-            let problem = StreamProblemRef {
-                gains: &pre.stream_gains[k],
-                noise_mw: noise,
-                interference_mw: interference,
-                budget_mw: budget / streams as f64,
-            };
-            match kind {
-                AllocatorKind::EquiSinr => equi_sinr_into(&problem, model, eff, alloc, stream_out),
-                AllocatorKind::Mercury => {
-                    solves += mercury_best_into(&problem, model, eff, alloc, stream_out)
-                }
-            }
-            out.powers[k].copy_from_slice(&stream_out.powers);
-        }
-        solves
     }
 
     /// Concurrent strategies. Returns `None` when the precoders are
@@ -679,9 +641,9 @@ impl Engine {
             null_pre,
             sda_valid,
             sda_rx,
+            alloc,
             eq_powers,
             cross_gains,
-            conc_scratch,
             conc_sol,
             tally,
             ..
@@ -815,7 +777,7 @@ impl Engine {
                             &mut cross_gains[i],
                         );
                     }
-                    let problem = ConcurrentProblemRef {
+                    let problem = ConcurrentProblem {
                         own_gains: [&pres[0].stream_gains, &pres[1].stream_gains],
                         cross_gains: [&cross_gains[0], &cross_gains[1]],
                         noise_mw: noise,
@@ -826,7 +788,7 @@ impl Engine {
                         kind,
                         &self.params.model,
                         eff,
-                        conc_scratch,
+                        alloc,
                         conc_sol,
                     );
                     tally.fig6_rounds[conc_sol.iterations] += 1;
@@ -892,8 +854,9 @@ const LINK_NAMES: [[&str; 2]; 2] = [
 /// least 1. Every such channel carries all `DATA_SUBCARRIERS` subcarriers,
 /// which the fixed-width rows of the precoding data model rely on. A true
 /// link with a non-finite entry (or one whose power overflows) is a
-/// [`CopaError::SingularChannel`], as for estimates; an all-zero true link
-/// stays valid.
+/// [`CopaError::SingularChannel`], as for estimates. An all-zero true link
+/// passes here; an own one then fails [`validate_estimates`], because its
+/// estimate is all zero too.
 fn validate_topology(topology: &Topology) -> Result<(), CopaError> {
     let cfg = topology.config;
     let expected = (cfg.client_antennas, cfg.ap_antennas);
@@ -922,10 +885,11 @@ fn validate_topology(topology: &Topology) -> Result<(), CopaError> {
     Ok(())
 }
 
-/// Rejects caller-supplied estimates the numerics cannot digest: estimated
-/// CSI whose shape disagrees with the true link it estimates, and channels
-/// with non-finite entries or an all-zero own link (rank zero -- beamforming
-/// would divide by a zero norm).
+/// Rejects estimates the numerics cannot digest, whether the caller supplied
+/// them or the engine prepared them: estimated CSI whose shape disagrees
+/// with the true link it estimates, and channels with non-finite entries or
+/// an all-zero own link (rank zero -- beamforming would divide by a zero
+/// norm).
 fn validate_estimates(topology: &Topology, est: &[[FreqChannel; 2]; 2]) -> Result<(), CopaError> {
     for i in 0..2 {
         for j in 0..2 {
@@ -1189,6 +1153,58 @@ mod tests {
                         other => {
                             panic!("{name} = {bad:e}: expected SingularChannel, got {other:?}")
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn both_lanes_reject_a_vanishing_own_link_alike() {
+        // Estimation noise scales with the true link's gain, so a true link
+        // scaled to nothing has an all-zero estimate in either lane. An own
+        // link is then the same SingularChannel in both; a cross link stays
+        // valid, with the same bits in both.
+        let e = engine();
+        for cfg in [
+            AntennaConfig::CONSTRAINED_4X2,
+            AntennaConfig::SINGLE,
+            AntennaConfig::OVERCONSTRAINED_3X2,
+        ] {
+            for factor in [0.0, 1e-160] {
+                for c in [0, 1] {
+                    let mut t = topo(5, cfg);
+                    t.links[0][c] = t.links[0][c].map(|_, m| m.scale(factor));
+                    let mut est: [[FreqChannel; 2]; 2] = Default::default();
+                    prepare_into(&t, e.params(), &mut est);
+                    let topology = e.run(&mut EvalRequest::topology(&t));
+                    let estimates = e.run(&mut EvalRequest::estimates(&t, &est));
+                    let ctx = format!("{cfg:?}, links[0][{c}] x {factor:e}");
+                    match (c, topology, estimates) {
+                        (0, Err(a), Err(b)) => {
+                            assert!(
+                                matches!(
+                                    a,
+                                    CopaError::SingularChannel {
+                                        context: "est[0][0]",
+                                        subcarrier: 0,
+                                        ..
+                                    }
+                                ),
+                                "{ctx}: {a:?}"
+                            );
+                            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{ctx}");
+                        }
+                        (1, Ok(a), Ok(b)) => {
+                            for (x, y) in [(a.copa_fair, b.copa_fair), (a.csma, b.csma)] {
+                                assert_eq!(
+                                    x.aggregate_bps().to_bits(),
+                                    y.aggregate_bps().to_bits(),
+                                    "{ctx}"
+                                );
+                            }
+                        }
+                        (_, a, b) => panic!("{ctx}: lanes gave {a:?} and {b:?}"),
                     }
                 }
             }

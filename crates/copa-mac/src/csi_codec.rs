@@ -140,30 +140,6 @@ pub fn dequantize(q: &QuantizedCsi) -> FreqChannel {
     FreqChannel::from_matrices(mats)
 }
 
-/// Delta-modulates a byte track: first byte verbatim, then wrapping deltas.
-/// Adjacent subcarriers are correlated, so deltas cluster near zero, which
-/// the LZSS stage then exploits. Exactly invertible.
-pub fn delta_encode(track: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(track.len());
-    let mut prev = 0u8;
-    for &b in track {
-        out.push(b.wrapping_sub(prev));
-        prev = b;
-    }
-    out
-}
-
-/// Inverse of [`delta_encode`].
-pub fn delta_decode(deltas: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(deltas.len());
-    let mut acc = 0u8;
-    for &d in deltas {
-        acc = acc.wrapping_add(d);
-        out.push(acc);
-    }
-    out
-}
-
 /// Adaptive (coarse) delta modulation: quantizes each delta to a 4-bit code
 /// with a step size that adapts to the signal, halving the track size at the
 /// cost of bounded reconstruction error. Returns (codes packed 2-per-byte,
@@ -448,12 +424,6 @@ mod tests {
             1e-6,
             &MultipathProfile::default(),
         )
-    }
-
-    #[test]
-    fn delta_round_trip() {
-        let data: Vec<u8> = (0..200).map(|i| (i * 7 % 256) as u8).collect();
-        assert_eq!(delta_decode(&delta_encode(&data)), data);
     }
 
     #[test]

@@ -2,10 +2,7 @@
 //! in-repo [`copa_num::prop`] harness.
 
 use copa_channel::{FreqChannel, MultipathProfile};
-use copa_mac::csi_codec::{
-    compress_csi, decompress_csi, delta_decode, delta_encode, lzss_decode, lzss_encode,
-    CsiCodecError,
-};
+use copa_mac::csi_codec::{compress_csi, decompress_csi, lzss_decode, lzss_encode, CsiCodecError};
 use copa_mac::frames::{crc32, Addr, Decision, FrameError, ItsFrame};
 use copa_num::prop::{check, Gen};
 use copa_num::{prop_assert, prop_assert_eq, prop_assert_ne};
@@ -134,15 +131,6 @@ fn lzss_handles_structured_data() {
         if reps > 20 {
             prop_assert!(enc.len() < data.len(), "repetition should compress");
         }
-        Ok(())
-    });
-}
-
-#[test]
-fn delta_round_trips() {
-    check("delta_round_trips", CASES, |g| {
-        let data = g.vec_u8(0, 300);
-        prop_assert_eq!(delta_decode(&delta_encode(&data)), data);
         Ok(())
     });
 }

@@ -25,11 +25,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Error function `erf(x) = 1 - erfc(x)`.
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
-
 /// Gaussian tail probability `Q(x) = P[N(0,1) > x] = erfc(x / sqrt(2)) / 2`.
 ///
 /// The fundamental building block of uncoded BER formulas.

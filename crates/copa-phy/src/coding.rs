@@ -8,8 +8,6 @@
 //! decoder over hard or soft bit LLRs, so tests can validate the analytic
 //! model bit-by-bit.
 
-use crate::modulation::Modulation;
-
 /// 802.11 convolutional code rates (mother code K=7, generators 133/171
 /// octal; higher rates by puncturing).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -433,12 +431,6 @@ pub fn frame_error_rate_bits(pb: f64, len_bits: usize) -> f64 {
     1.0 - (bits * (-pb).ln_1p()).exp()
 }
 
-/// Coded BER for a modulation + rate pair at symbol SINR `gamma` (linear):
-/// chains [`Modulation::uncoded_ber`] into [`coded_ber`].
-pub fn coded_ber_at_sinr(modulation: Modulation, rate: CodeRate, gamma: f64) -> f64 {
-    coded_ber(modulation.uncoded_ber(gamma), rate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,6 +641,7 @@ mod tests {
         // The classic ~2 dB soft-decision gain: at an SNR where hard
         // decoding leaves errors, soft decoding leaves fewer.
         use crate::mapper::Mapper;
+        use crate::modulation::Modulation;
         let mut rng = SimRng::seed_from(4);
         let mapper = Mapper::new(Modulation::Qpsk);
         let rate = CodeRate::R12;

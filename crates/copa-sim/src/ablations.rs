@@ -179,7 +179,7 @@ pub fn allocator_comparison(seed: u64, trials: usize, mean_snr_db: f64) -> Alloc
             &MultipathProfile::default(),
         );
         let gains: Vec<f64> = ch.iter().map(|m| m[(0, 0)].norm_sqr()).collect();
-        let p = StreamProblem::interference_free(gains, noise, 31.6);
+        let p = StreamProblem::interference_free(&gains, noise, 31.6);
         sums[0] += equal_power(&p, &model, 1.0).throughput_bps;
         sums[1] += selection_only(&p, &model, 1.0).throughput_bps;
         sums[2] += allocation_only(&p, &model, 1.0).throughput_bps;

@@ -245,8 +245,8 @@ pub fn fig7(topo: &Topology, params: &ScenarioParams) -> Fig7 {
     cross_gains_into(&est[0][1], &null0, evm, &mut ws, &mut cross_gains[0]);
     cross_gains_into(&est[1][0], &null1, evm, &mut ws, &mut cross_gains[1]);
     let problem = ConcurrentProblem {
-        own_gains: [null0.stream_gains.clone(), null1.stream_gains.clone()],
-        cross_gains,
+        own_gains: [&null0.stream_gains, &null1.stream_gains],
+        cross_gains: [&cross_gains[0], &cross_gains[1]],
         noise_mw: noise,
         budgets_mw: [budget, budget],
     };

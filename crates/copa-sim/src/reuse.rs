@@ -59,8 +59,8 @@ pub fn concurrent_reuse(topology: &Topology, params: &ScenarioParams) -> ReuseSt
     cross_gains_into(&est[0][1], &pre0, evm, &mut ws, &mut cross_gains[0]);
     cross_gains_into(&est[1][0], &pre1, evm, &mut ws, &mut cross_gains[1]);
     let problem = ConcurrentProblem {
-        own_gains: [pre0.stream_gains.clone(), pre1.stream_gains.clone()],
-        cross_gains,
+        own_gains: [&pre0.stream_gains, &pre1.stream_gains],
+        cross_gains: [&cross_gains[0], &cross_gains[1]],
         noise_mw: noise,
         budgets_mw: [budget, budget],
     };

@@ -7,9 +7,10 @@
 # it scans the sources: no registry dependencies, no allocation in marked
 # kernel regions, no unbudgeted panics, one worker pool (only
 # crates/copa-sim/src/pool.rs may spawn threads), one ITS exchange loop
-# (only the coordinator decodes frames off the faulty medium) and one
+# (only the coordinator decodes frames off the faulty medium), one
 # precoding kernel (the batched SoA kernels serve only the MMSE SINR
-# chain). This script is what CI runs; keep it green.
+# chain) and one allocation path (only copa-alloc runs the per-stream
+# allocation kernels). This script is what CI runs; keep it green.
 #
 # Usage: scripts/check.sh [--bench-smoke] [--faults-smoke] [--resume-smoke]
 #                         [--obs-smoke] [--campus-smoke] [--daemon-smoke]
@@ -91,7 +92,7 @@ for arg in "$@"; do
     esac
 done
 
-echo "==> 1/10 hermeticity: no registry dependencies in any Cargo.toml"
+echo "==> 1/11 hermeticity: no registry dependencies in any Cargo.toml"
 bad=0
 while IFS= read -r toml; do
     # Reject dotted dependency tables ([dependencies.foo]) outright --
@@ -124,7 +125,7 @@ if [ "$bad" -ne 0 ]; then
 fi
 echo "    ok: all dependencies are in-repo path deps"
 
-echo "==> 2/10 alloc-free kernel regions: no Vec::new / vec! / collect reintroduced"
+echo "==> 2/11 alloc-free kernel regions: no Vec::new / vec! / collect reintroduced"
 # Per-subcarrier kernels are bracketed by "alloc-free: begin <name>" /
 # "alloc-free: end <name>" markers. Inside those regions, constructs that
 # allocate per call are banned (`.collect(` and `.collect::<..>(` included:
@@ -147,7 +148,7 @@ if ! awk '
 fi
 echo "    ok: $(grep -rh 'alloc-free: begin' crates --include='*.rs' | wc -l | tr -d ' ') marked kernel regions are allocation-free"
 
-echo "==> 3/10 panic gate: no new unwrap()/panic! in library, example or test code"
+echo "==> 3/11 panic gate: no new unwrap()/panic! in library, example or test code"
 # Library (non-test) code must not panic on user-reachable paths: fallible
 # APIs return copa_core::CopaError, internal invariants use expect /
 # debug_assert! with an "// invariant:" comment. The few deliberate panic
@@ -180,7 +181,7 @@ if [ "$panic_bad" -ne 0 ]; then
 fi
 echo "    ok: library crates stay within the panic allowlist"
 
-echo "==> 4/10 one worker pool: thread fan-outs live only in copa-sim's pool"
+echo "==> 4/11 one worker pool: thread fan-outs live only in copa-sim's pool"
 # Every runner maps its work items through copa_sim::pool::map (work
 # stealing, one state per worker, results in item order, panics
 # re-raised). A second hand-rolled fan-out would fork that contract, so
@@ -194,7 +195,7 @@ if [ -n "$pool_sites" ]; then
 fi
 echo "    ok: crates/copa-sim/src/pool.rs is the only thread fan-out"
 
-echo "==> 5/10 one ITS exchange loop: only the coordinator decodes faulty deliveries"
+echo "==> 5/11 one ITS exchange loop: only the coordinator decodes faulty deliveries"
 # copa_core::Coordinator owns the ITS delivery policy (retry budget, stale
 # CSI re-measurement, CRC and CSI-codec failures). A second loop that
 # decodes frames off the faulty medium would drift from it, so outside
@@ -209,7 +210,7 @@ if [ -n "$its_sites" ]; then
 fi
 echo "    ok: copa-core's coordinator is the only ITS exchange loop"
 
-echo "==> 6/10 one precoding kernel: SoA batches only in the SINR chain"
+echo "==> 6/11 one precoding kernel: SoA batches only in the SINR chain"
 # Beamforming and nulling run one svd_into per subcarrier: on the
 # engine's inputs that measured faster than the batched SoA SVD, and it
 # keeps no SoA scratch in every engine workspace. SoA stays only where it
@@ -225,16 +226,31 @@ if [ -n "$soa_sites" ]; then
 fi
 echo "    ok: only copa-num and the SINR chain name copa_num::batch items"
 
-echo "==> 7/10 cargo fmt --check"
+echo "==> 7/11 one allocation path: the per-stream kernels run only inside copa-alloc"
+# copa_alloc::concurrent::allocate_ap_into is the one per-AP stream loop:
+# the sequential strategies call it with no interference and every Figure 6
+# round calls it with the peer's. A second loop over the per-stream kernels
+# would drift from it, so outside copa-alloc no library source may name
+# equi_sinr_into or mercury_best_into.
+alloc_sites=$(grep -rnE '\b(equi_sinr_into|mercury_best_into)\b' crates/*/src src --include='*.rs' \
+    | grep -v '^crates/copa-alloc/src/' || true)
+if [ -n "$alloc_sites" ]; then
+    printf '%s\n' "$alloc_sites" >&2
+    echo "one-allocation-path gate FAILED: allocate through copa_alloc::concurrent::{allocate_ap_into, allocate_concurrent_into}" >&2
+    exit 1
+fi
+echo "    ok: only copa-alloc runs the per-stream allocation kernels"
+
+echo "==> 8/11 cargo fmt --check"
 cargo fmt --check
 
-echo "==> 8/10 cargo build --release --offline (workspace, benches included)"
+echo "==> 9/11 cargo build --release --offline (workspace, benches included)"
 cargo build --release --offline --workspace --benches
 
-echo "==> 9/10 cargo test -q --offline (workspace)"
+echo "==> 10/11 cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
-echo "==> 10/10 deprecation gate: no in-repo callers of deprecated APIs"
+echo "==> 11/11 deprecation gate: no in-repo callers of deprecated APIs"
 # Deprecated shims exist only for downstream compatibility (none remain
 # today); new in-repo code must use the replacements. A separate target dir keeps -D deprecated from thrashing
 # the main build cache. #[allow(deprecated)] still works for the shims'
