@@ -10,6 +10,16 @@
 //! regress from the best solution, in which case we choose the best solution
 //! previously found").
 //!
+//! The rounds are Gauss–Seidel: AP 0 responds to AP 1's powers of the
+//! previous round, then AP 1 responds to AP 0's powers of the *same* round.
+//! So only AP 0's first response assumes the equal split; under a Jacobi
+//! update AP 1 would always answer a stale AP 0, and the game would rarely
+//! settle before the cap. The cap is [`MAX_ITERATIONS`] = 3 rounds. More
+//! rounds are not free in quality either: the kept round is the best
+//! *predicted* one, and the prediction (scalar cross gains on estimated CSI)
+//! is not the exact evaluation, so every extra round is one more chance to
+//! keep a round the prediction overrates.
+//!
 //! [`allocate_ap_into`] is the one per-AP stream loop: each round of the
 //! game calls it against the peer's interference, and the sequential
 //! strategies call it with none.
@@ -68,8 +78,8 @@ pub struct ConcurrentSolution {
     pub converged: bool,
 }
 
-/// Maximum Figure 6 iterations before giving up.
-pub const MAX_ITERATIONS: usize = 8;
+/// Maximum Figure 6 rounds before giving up (see the module docs).
+pub const MAX_ITERATIONS: usize = 3;
 /// Relative power-vector change defining convergence.
 const CONVERGENCE_TOL: f64 = 1e-3;
 
@@ -155,8 +165,12 @@ pub fn allocate_concurrent(
 /// Zero-allocation Figure 6 iteration (see [`allocate_concurrent`]): writes
 /// the best solution found into `out`, reusing `scratch` and `out` buffers.
 ///
-/// Each round, both APs respond through [`allocate_ap_into`] to the powers
-/// the peer had in the previous round (a Jacobi update).
+/// Each round, both APs respond through [`allocate_ap_into`] in turn (a
+/// Gauss–Seidel update): AP 0 to AP 1's powers of the previous round, then
+/// AP 1 to AP 0's powers of this round. Only AP 0's first response assumes
+/// the peer's equal split. The round with the best predicted aggregate is
+/// kept, so the kept pair always holds AP 1's best response to AP 0's kept
+/// powers.
 pub fn allocate_concurrent_into(
     problem: &ConcurrentProblem<'_>,
     kind: AllocatorKind,
@@ -183,7 +197,8 @@ pub fn allocate_concurrent_into(
         )
     };
     // Round 0 baseline: the peer splits power equally (the paper's stated
-    // initialization).
+    // initialization). AP 1's half of it only feeds the first convergence
+    // test: AP 1 first responds to AP 0's round-1 powers.
     current[0].set_equal(problem.streams(0), problem.budgets_mw[0]);
     current[1].set_equal(problem.streams(1), problem.budgets_mw[1]);
     let mut best: Option<[f64; 2]> = None;
@@ -196,7 +211,7 @@ pub fn allocate_concurrent_into(
         iterations += 1;
         let [next0, next1] = &mut next;
         let (t0, s0) = respond(0, &current[1], next0);
-        let (t1, s1) = respond(1, &current[0], next1);
+        let (t1, s1) = respond(1, next0, next1);
         solves += s0 + s1;
 
         // Track the best aggregate prediction (iteration can regress).
@@ -366,6 +381,42 @@ mod tests {
                         power_bits(&alone),
                         "{ctx}, ap {ap}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kept_round_pairs_ap1_best_response_with_ap0_powers() {
+        // Gauss–Seidel: within a round AP 1 answers AP 0's powers of that
+        // same round, so whichever round is kept, AP 1's half of it is AP 1's
+        // best response to AP 0's half, bit for bit.
+        let model = ThroughputModel::default();
+        let mut scratch = AllocScratch::default();
+        for kind in [AllocatorKind::EquiSinr, AllocatorKind::Mercury] {
+            for seed in [1u64, 6, 9, 11] {
+                for db in [15.0, 25.0, 45.0] {
+                    let g = symmetric_gains(seed, db);
+                    let p = g.problem();
+                    let sol = allocate_concurrent(&p, kind, &model, 1.0);
+                    let mut reply = TxPowers::default();
+                    let (bps, _) = allocate_ap_into(
+                        p.own_gains[1],
+                        p.noise_mw,
+                        p.budgets_mw[1],
+                        Some(&p.interference(1, &sol.powers[0])),
+                        kind,
+                        &model,
+                        1.0,
+                        &mut scratch,
+                        &mut reply,
+                    );
+                    let ctx = format!(
+                        "{kind:?}, seed {seed}, {db} dB: {} rounds, kept round {}",
+                        sol.iterations, sol.best_round
+                    );
+                    assert_eq!(sol.predicted_bps[1].to_bits(), bps.to_bits(), "{ctx}");
+                    assert_eq!(power_bits(&sol.powers[1]), power_bits(&reply), "{ctx}");
                 }
             }
         }

@@ -10,7 +10,9 @@
 //! * [`concurrent`] -- the per-AP stream loop
 //!   ([`allocate_ap_into`](concurrent::allocate_ap_into)), which the
 //!   sequential strategies run with no interference, and the coupled
-//!   two-AP iteration of the paper's Figure 6 built on it, with
+//!   two-AP iteration of the paper's Figure 6 built on it: Gauss–Seidel
+//!   rounds (AP 1 answers AP 0's powers of the same round), at most
+//!   [`MAX_ITERATIONS`](concurrent::MAX_ITERATIONS) = 3 of them, with
 //!   best-solution memory since the iteration may regress.
 
 #![warn(missing_docs)]

@@ -137,9 +137,40 @@ struct WorkTally {
     fig6_rounds: [u64; MAX_ITERATIONS + 1],
     /// `fig6_best_round[r]`: Figure 6 games that kept round `r`'s prediction.
     fig6_best_round: [u64; MAX_ITERATIONS + 1],
+    /// Per game, |predicted - exact| aggregate goodput, kbps (pooled: a
+    /// warm workspace pushes without allocating).
+    fig6_pred_error_kbps: Vec<u64>,
+    /// Games whose predicted aggregate exceeded the exact one.
+    fig6_overpredicted: u64,
 }
 
 impl WorkTally {
+    /// Zeroes every count for a new evaluation, keeping the error buffer.
+    fn reset(&mut self) {
+        let mut errors = core::mem::take(&mut self.fig6_pred_error_kbps);
+        errors.clear();
+        *self = Self {
+            fig6_pred_error_kbps: errors,
+            ..Self::default()
+        };
+    }
+
+    /// Tallies one Figure 6 game: its rounds, its kept round, and how far
+    /// the kept round's predicted aggregate is from the `exact` per-client
+    /// evaluation of its powers. The prediction picks an MCS per stream on
+    /// scalar cross gains from estimated CSI plus the EVM floor; the exact
+    /// evaluation picks one MCS over all cells from MMSE SINR on the true
+    /// channel.
+    fn game(&mut self, sol: &ConcurrentSolution, exact: [f64; 2]) {
+        self.fig6_rounds[sol.iterations] += 1;
+        self.fig6_best_round[sol.best_round] += 1;
+        let predicted = sol.predicted_bps[0] + sol.predicted_bps[1];
+        let exact = exact[0] + exact[1];
+        self.fig6_pred_error_kbps
+            .push(((predicted - exact).abs() / 1e3).round() as u64);
+        self.fig6_overpredicted += u64::from(predicted > exact);
+    }
+
     fn flush(&self, o: &EngineObs<'_>) {
         let m = &o.metrics;
         o.sink.add(m.mercury_streams, self.mercury_streams);
@@ -152,6 +183,10 @@ impl WorkTally {
                 o.sink.record(m.fig6_best_round, r as u64);
             }
         }
+        for &kbps in &self.fig6_pred_error_kbps {
+            o.sink.record(m.fig6_pred_error_kbps, kbps);
+        }
+        o.sink.add(m.fig6_overpredicted, self.fig6_overpredicted);
     }
 }
 
@@ -361,7 +396,7 @@ impl Engine {
         ws.bf_valid = [false; 2];
         ws.null_state = [None; 3];
         ws.sda_valid = [false; 2];
-        ws.tally = WorkTally::default();
+        ws.tally.reset();
 
         let csma = self.eval_sequential(p, Strategy::Csma, mode, ws, obs);
         let copa_seq = self.eval_sequential(p, Strategy::CopaSeq, mode, ws, obs);
@@ -791,8 +826,6 @@ impl Engine {
                         alloc,
                         conc_sol,
                     );
-                    tally.fig6_rounds[conc_sol.iterations] += 1;
-                    tally.fig6_best_round[conc_sol.best_round] += 1;
                     if kind == AllocatorKind::Mercury {
                         // Every round allocates every stream of both APs.
                         let streams = pres[0].streams() + pres[1].streams();
@@ -833,6 +866,9 @@ impl Engine {
                 },
             );
             per_client[i] = self.goodput(cells, eff, mode);
+        }
+        if strategy != Strategy::VanillaNull {
+            tally.game(conc_sol, per_client);
         }
         Some(Outcome {
             strategy,
@@ -1048,6 +1084,14 @@ mod tests {
             assert!(h.min() >= Some(1) && h.max() <= Some(MAX_ITERATIONS as u64));
         }
         assert!(best.sum() <= rounds.sum(), "a kept round is a round run");
+        // One prediction error per game, from the same tally.
+        let errors = tel.histogram_ref(metrics.fig6_pred_error_kbps);
+        assert_eq!(
+            errors.count(),
+            rounds.count(),
+            "one prediction error per game"
+        );
+        assert!(tel.counter_value(metrics.fig6_overpredicted) <= errors.count());
     }
 
     #[test]

@@ -38,6 +38,12 @@ pub struct EngineMetrics {
     pub fig6_rounds: HistogramId,
     /// The round (1-based) whose prediction each Figure 6 game kept.
     pub fig6_best_round: HistogramId,
+    /// Per Figure 6 game, |predicted - exact| aggregate goodput of the kept
+    /// round, kbps: the allocator's prediction against the engine's exact
+    /// evaluation of the same powers.
+    pub fig6_pred_error_kbps: HistogramId,
+    /// Figure 6 games whose predicted aggregate exceeded the exact one.
+    pub fig6_overpredicted: CounterId,
 }
 
 impl EngineMetrics {
@@ -53,6 +59,8 @@ impl EngineMetrics {
             mercury_solves: tel.counter("engine.mercury_solves"),
             fig6_rounds: tel.histogram("engine.fig6_rounds"),
             fig6_best_round: tel.histogram("engine.fig6_best_round"),
+            fig6_pred_error_kbps: tel.histogram("engine.fig6_pred_error_kbps"),
+            fig6_overpredicted: tel.counter("engine.fig6_overpredicted"),
         }
     }
 }

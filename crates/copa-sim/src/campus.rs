@@ -221,7 +221,8 @@ fn run_unit(
 /// runner's evaluation (same per-index seed derivation, same request
 /// shape, same observation wiring) -- the degenerate-case byte-identity
 /// guarantee lives here. Clusters of three or more run
-/// [`rotate_leaders`].
+/// [`rotate_leaders`] under [`CampusScheme::Copa`], and only the pairs its
+/// CSMA rate reads under [`CampusScheme::AllCsma`].
 pub fn evaluate_cluster(
     params: &ScenarioParams,
     scheme: CampusScheme,
@@ -250,14 +251,49 @@ pub fn evaluate_cluster(
                 CampusScheme::AllCsma => Ok((ev.csma.aggregate_mbps(), ev.csma.strategy)),
             }
         }
-        _ => {
-            let r = rotate_leaders(params, idx, unit, campus, ws, tel)?;
-            match scheme {
-                CampusScheme::Copa => Ok((r.copa_mbps, r.picks[0].1)),
-                CampusScheme::AllCsma => Ok((r.csma_mbps, Strategy::Csma)),
+        _ => match scheme {
+            CampusScheme::Copa => {
+                let r = rotate_leaders(params, idx, unit, campus, ws, tel)?;
+                Ok((r.copa_mbps, r.picks[0].1))
             }
-        }
+            CampusScheme::AllCsma => Ok((
+                cluster_csma_mbps(params, idx, unit, campus, ws, tel)?,
+                Strategy::Csma,
+            )),
+        },
     }
+}
+
+/// [`Rotation::csma_mbps`] of a cluster of three or more. Each member's
+/// solo CSMA rate comes from the pair with its lowest-indexed peer, so only
+/// the k-1 pairs `(0, m)` are evaluated, not all k(k-1)/2, and the rates are
+/// summed in [`rotate_leaders`]' order, so the bits match.
+fn cluster_csma_mbps(
+    params: &ScenarioParams,
+    idx: usize,
+    unit: &ClusterUnit,
+    campus: &Campus,
+    ws: &mut EngineWorkspace,
+    tel: Option<&SuiteTelemetry>,
+) -> Result<f64, CopaError> {
+    let members = &unit.members;
+    let k = members.len();
+    let mut solo_bps = Vec::with_capacity(k);
+    for m in 1..k {
+        let t = campus.pair_topology_scaled(
+            members[0],
+            members[m],
+            unit.noise_scale[0],
+            unit.noise_scale[m],
+        );
+        let per = run_unit(params, idx, &t, ws, tel)?.csma.per_client_bps;
+        if m == 1 {
+            solo_bps.push(2.0 * per[0]);
+        }
+        solo_bps.push(2.0 * per[1]);
+    }
+    let total: f64 = solo_bps.iter().sum();
+    Ok(total / k as f64 / 1e6)
 }
 
 /// One leader rotation over a cluster, as [`rotate_leaders`] schedules
@@ -661,6 +697,43 @@ mod tests {
         assert!(a.0 > 0.0);
         assert_eq!(a.0.to_bits(), b.0.to_bits());
         assert_eq!(a.1, b.1);
+    }
+
+    #[test]
+    fn all_csma_clusters_evaluate_only_the_pairs_they_read() {
+        use copa_obs::FrozenClock;
+        let params = ScenarioParams::default();
+        for k in [3usize, 4] {
+            let cp = CampusParams {
+                edge_threshold_db: f64::NEG_INFINITY,
+                max_cluster_size: k,
+                ..CampusParams::dense(k, 0x3A9, AntennaConfig::CONSTRAINED_4X2)
+            };
+            let plan = plan_campus(&cp);
+            assert_eq!(plan.clusters, vec![(0..k).collect::<Vec<_>>()]);
+            let unit = &plan.units[0];
+            let mut ws = EngineWorkspace::new();
+            let r =
+                rotate_leaders(&params, 0, unit, &plan.campus, &mut ws, None).expect("rotation");
+            let tel = SuiteTelemetry::new().with_clock(Box::new(FrozenClock(0)));
+            let (mbps, strategy) = evaluate_cluster(
+                &params,
+                CampusScheme::AllCsma,
+                0,
+                unit,
+                &plan.campus,
+                &mut ws,
+                Some(&tel),
+            )
+            .expect("cluster evaluates");
+            assert_eq!(strategy, Strategy::Csma);
+            assert_eq!(mbps.to_bits(), r.csma_mbps.to_bits(), "{k} members");
+            assert_eq!(
+                tel.registry().counter_by_name("engine.evaluations"),
+                Some(k as u64 - 1),
+                "{k} members"
+            );
+        }
     }
 
     #[test]

@@ -33,9 +33,12 @@
 #                   zero-allocation supervision guard.
 #   --obs-smoke     additionally run the observed standard suite
 #                   (examples/telemetry_suite.rs), requiring the merged
-#                   registry JSON and chrome-trace export to validate, then
-#                   run the hotpath bench's zero-allocation telemetry
-#                   guards.
+#                   registry JSON and chrome-trace export to validate and
+#                   its Figure 6 work counts to read exactly
+#                   engine.fig6_rounds count 60 / sum 179 and
+#                   engine.fig6_best_round count 60 / sum 132 (a change
+#                   that moves them re-pins them and says why), then run
+#                   the hotpath bench's zero-allocation telemetry guards.
 #   --campus-smoke  additionally run the dense-campus suite
 #                   (examples/dense_campus.rs): a 50-AP clustered run with
 #                   telemetry validated and a journaled 500-AP campus
@@ -326,6 +329,13 @@ if [ "$OBS_SMOKE" -eq 1 ]; then
         echo "obs smoke FAILED: supervisor counters missing from registry JSON" >&2
         exit 1
     }
+    for pin in '"engine.fig6_rounds":{"count":60,"sum":179' \
+        '"engine.fig6_best_round":{"count":60,"sum":132'; do
+        printf '%s\n' "$out" | grep -qF "$pin" || {
+            echo "obs smoke FAILED: Figure 6 work count moved (want $pin)" >&2
+            exit 1
+        }
+    done
     echo "==> obs smoke: telemetry zero-allocation guards"
     guard=$(cargo bench --offline -p copa-bench --bench hotpath -- --quick)
     printf '%s\n' "$guard" | grep '^alloc '
