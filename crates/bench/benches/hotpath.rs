@@ -21,7 +21,9 @@
 //! trajectory across PRs.
 
 use copa_bench::harness::{black_box, Criterion};
-use copa_channel::{AntennaConfig, MultipathProfile, Topology, TopologySampler};
+use copa_channel::{
+    AntennaConfig, ChannelScratch, FreqChannel, MultipathProfile, Topology, TopologySampler,
+};
 use copa_core::{Engine, EngineMetrics, EngineObs, EngineWorkspace, EvalRequest, ScenarioParams};
 use copa_num::{svd, CMat, SimRng};
 use copa_obs::{FrozenClock, NoopSink, Telemetry, WallClock};
@@ -124,8 +126,27 @@ fn main() {
     c.bench_function("svd_2x4", |b| b.iter(|| svd(black_box(&m24))));
 
     let profile = MultipathProfile::default();
-    let own = copa_channel::FreqChannel::random(&mut rng, 2, 4, 1e-6, &profile);
-    let cross = copa_channel::FreqChannel::random(&mut rng, 2, 4, 1e-7, &profile);
+    let own = FreqChannel::random(&mut rng, 2, 4, 1e-6, &profile);
+    let cross = FreqChannel::random(&mut rng, 2, 4, 1e-7, &profile);
+
+    // Channel guard: a warmed 4x2 draw plus one Gauss-Markov step on the
+    // same scratch (the daemon's per-block truth update) allocates nothing.
+    let mut draw_rng = SimRng::seed_from(0xD7A3);
+    let mut draw_scratch = ChannelScratch::new();
+    let mut drawn = FreqChannel::empty();
+    let mut draw = || {
+        let rng = &mut draw_rng;
+        FreqChannel::random_into(rng, 2, 4, 1e-6, &profile, &mut draw_scratch, &mut drawn);
+        drawn.evolve_in_place(rng, 0.5, &profile, &mut draw_scratch);
+    };
+    draw();
+    let allocs_draw = count_allocs(&mut draw);
+    report_allocs("channel_draw_warm", allocs_draw);
+    assert_eq!(
+        allocs_draw, 0,
+        "a warmed channel draw must be allocation-free (got {allocs_draw})"
+    );
+
     let imp = copa_channel::Impairments::default();
     // Warm precoders on one reused scratch and output slot, as the engine
     // runs them.

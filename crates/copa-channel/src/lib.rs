@@ -5,9 +5,9 @@
 //!
 //! * [`multipath`] -- tapped-delay-line frequency-selective MIMO channels
 //!   (the narrow-band fading of the paper's Figure 2).
-//! * [`timedomain`] -- the same tapped-delay channels applied by linear
-//!   convolution to the actual sample stream (waveform validation), drawn
-//!   bit-identically to their frequency responses.
+//! * [`timedomain`] -- the one tapped-delay draw, applied by linear
+//!   convolution to the actual sample stream (waveform validation) or
+//!   transformed into the per-subcarrier channel [`multipath`] hands out.
 //! * [`pathloss`] -- log-distance path loss with lognormal shadowing.
 //! * [`topology`] -- two-AP / two-client topology suites matching the
 //!   paper's Figure 9 signal/interference scatter.

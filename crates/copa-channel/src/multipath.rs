@@ -7,12 +7,15 @@
 //! (tx antenna, rx antenna) pair gets an impulse response of i.i.d. complex
 //! Gaussian taps with an exponential power-delay profile, and the 64-point
 //! FFT of that impulse response yields the per-subcarrier channel gains.
+//! There is one draw: [`FreqChannel::random_into`] draws a
+//! [`TimeChannel`] -- the taps the waveform path convolves -- and takes its
+//! [`TimeChannel::freq_response_into`].
 
+use crate::timedomain::TimeChannel;
 use copa_num::complex::C64;
-use copa_num::fft::{fft, fft_in_place};
 use copa_num::matrix::CMat;
 use copa_num::rng::SimRng;
-use copa_phy::ofdm::{data_subcarrier_bins, DATA_SUBCARRIERS, FFT_SIZE};
+use copa_phy::ofdm::DATA_SUBCARRIERS;
 
 /// Sample period of a 20 MHz channel (50 ns), in seconds.
 pub const SAMPLE_PERIOD_S: f64 = 1.0 / 20.0e6;
@@ -63,65 +66,23 @@ impl MultipathProfile {
     }
 }
 
-/// Draws the tapped-delay impulse response of one antenna pair, preserving
-/// the exact RNG consumption and floating-point op order shared by
-/// [`FreqChannel::random`], [`FreqChannel::random_into`], and the
-/// time-domain channel -- every consumer realizes bit-identical taps from
-/// the same RNG state.
-pub(crate) fn draw_pair_taps(
-    rng: &mut SimRng,
-    tap_powers: &[f64],
-    amp: f64,
-    los_frac: f64,
-    los_phase: f64,
-    r: usize,
-    t: usize,
-    mut sink: impl FnMut(usize, C64),
-) {
-    for (l, &p) in tap_powers.iter().enumerate() {
-        let scatter = rng
-            .randc()
-            .scale((p * if l == 0 { 1.0 - los_frac } else { 1.0 }).sqrt());
-        let mut tap = scatter;
-        if l == 0 && los_frac > 0.0 {
-            // Deterministic LoS component with antenna-dependent phase
-            // (half-wavelength spacing approximated by a random but fixed
-            // per-pair offset).
-            let pair_phase = los_phase + std::f64::consts::PI * (r as f64 * 0.73 + t as f64 * 1.31);
-            tap += C64::cis(pair_phase).scale((p * los_frac).sqrt());
-        }
-        sink(l, tap.scale(amp));
-    }
-}
-
 /// Reusable scratch for the pooled channel-synthesis entry points
-/// ([`FreqChannel::random_into`], [`FreqChannel::evolve_in_place`]): the tap
-/// powers, FFT impulse buffer, data-bin map and innovation channel all live
-/// here, so steady-state synthesis (the daemon's per-coherence-block truth
-/// updates) never touches the allocator after warm-up.
-#[derive(Clone, Debug)]
+/// ([`FreqChannel::random_into`], [`FreqChannel::evolve_in_place`],
+/// [`TimeChannel::freq_response_into`]): the drawn taps, the 64-point FFT
+/// grid and the innovation channel all live here, so steady-state
+/// synthesis (the daemon's per-coherence-block truth updates) never touches
+/// the allocator after warm-up.
+#[derive(Clone, Debug, Default)]
 pub struct ChannelScratch {
-    pub(crate) tap_powers: Vec<f64>,
-    pub(crate) impulse: Vec<C64>,
-    pub(crate) bins: Vec<usize>,
+    taps: TimeChannel,
+    pub(crate) grid: Vec<C64>,
     innovation: FreqChannel,
-}
-
-impl Default for ChannelScratch {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ChannelScratch {
     /// An empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
-        Self {
-            tap_powers: Vec::new(),
-            impulse: Vec::new(),
-            bins: data_subcarrier_bins(),
-            innovation: FreqChannel::empty(),
-        }
+        Self::default()
     }
 }
 
@@ -144,53 +105,14 @@ impl FreqChannel {
         path_gain: f64,
         profile: &MultipathProfile,
     ) -> Self {
-        assert!(rx >= 1 && tx >= 1);
-        assert!(path_gain >= 0.0);
-        let tap_powers = profile.tap_powers();
-        let amp = path_gain.sqrt();
-        // LoS fraction of the first tap's power.
-        let k = profile.rician_k;
-        let los_frac = k / (k + 1.0);
-
-        // Per antenna pair: impulse response -> 64-point FFT -> pick the
-        // 52 data bins.
-        let bins = data_subcarrier_bins();
-        let mut per_pair: Vec<Vec<C64>> = Vec::with_capacity(rx * tx);
-        // A common LoS phase ramp, with per-antenna geometric phase offsets.
-        let los_phase = rng.uniform_range(0.0, std::f64::consts::TAU);
-        for r in 0..rx {
-            for t in 0..tx {
-                let mut impulse = vec![copa_num::complex::ZERO; FFT_SIZE];
-                draw_pair_taps(
-                    rng,
-                    &tap_powers,
-                    amp,
-                    los_frac,
-                    los_phase,
-                    r,
-                    t,
-                    |l, tap| {
-                        impulse[l] = tap;
-                    },
-                );
-                let freq = fft(&impulse);
-                per_pair.push(bins.iter().map(|&b| freq[b]).collect());
-            }
-        }
-
-        let subcarriers = (0..DATA_SUBCARRIERS)
-            .map(|s| CMat::from_fn(rx, tx, |r, t| per_pair[r * tx + t][s]))
-            .collect();
-        Self {
-            rx,
-            tx,
-            subcarriers,
-        }
+        let (mut out, mut scratch) = (Self::empty(), ChannelScratch::new());
+        Self::random_into(rng, rx, tx, path_gain, profile, &mut scratch, &mut out);
+        out
     }
 
-    /// Pooled [`FreqChannel::random`]: draws the same channel (same RNG
-    /// consumption, bit-identical entries) into `out`'s reused buffers, with
-    /// every intermediate living in `scratch`.
+    /// Pooled [`FreqChannel::random`]: draws the taps with
+    /// [`TimeChannel::random_into`] and writes their response into `out`'s
+    /// reused buffers, with every intermediate living in `scratch`.
     // alloc-free: begin channel_synthesis_into
     pub fn random_into(
         rng: &mut SimRng,
@@ -201,47 +123,16 @@ impl FreqChannel {
         scratch: &mut ChannelScratch,
         out: &mut FreqChannel,
     ) {
-        assert!(rx >= 1 && tx >= 1);
-        assert!(path_gain >= 0.0);
-        profile.tap_powers_into(&mut scratch.tap_powers);
-        let amp = path_gain.sqrt();
-        let k = profile.rician_k;
-        let los_frac = k / (k + 1.0);
-
-        out.rx = rx;
-        out.tx = tx;
-        out.subcarriers.truncate(DATA_SUBCARRIERS);
-        out.subcarriers.resize_with(DATA_SUBCARRIERS, CMat::default);
-        for m in &mut out.subcarriers {
-            m.reset(rx, tx);
-        }
-
-        let los_phase = rng.uniform_range(0.0, std::f64::consts::TAU);
-        let ChannelScratch {
-            tap_powers,
-            impulse,
-            bins,
-            ..
-        } = scratch;
-        for r in 0..rx {
-            for t in 0..tx {
-                impulse.clear();
-                impulse.resize(FFT_SIZE, copa_num::complex::ZERO);
-                draw_pair_taps(rng, tap_powers, amp, los_frac, los_phase, r, t, |l, tap| {
-                    impulse[l] = tap;
-                });
-                fft_in_place(impulse);
-                for (s, &b) in bins.iter().enumerate() {
-                    out.subcarriers[s][(r, t)] = impulse[b];
-                }
-            }
-        }
+        let mut taps = std::mem::take(&mut scratch.taps);
+        TimeChannel::random_into(rng, rx, tx, path_gain, profile, &mut taps);
+        taps.freq_response_into(scratch, out);
+        scratch.taps = taps;
     }
 
-    /// Pooled [`FreqChannel::evolve`] mutating `self` in place: same
-    /// innovation draw and per-entry arithmetic, so the evolved channel is
-    /// bit-identical to the owned version while the innovation lives in
-    /// `scratch`.
+    /// First-order Gauss-Markov time evolution in place: each tap-domain
+    /// coefficient decorrelates as `H' = rho H + sqrt(1 - rho^2) W` with `W`
+    /// a fresh channel of the same average gain, drawn into `scratch`.
+    /// Models CSI aging within/beyond the coherence time.
     pub fn evolve_in_place(
         &mut self,
         rng: &mut SimRng,
@@ -324,9 +215,9 @@ impl FreqChannel {
         }
     }
 
-    /// Pooled [`FreqChannel::map`]: applies `f(s, src, dst)` to every
-    /// subcarrier matrix, writing into `out`'s reused buffers. `f` must set
-    /// `dst` to an `rx x tx` matrix (checked).
+    /// Applies `f(s, src, dst)` to every subcarrier matrix, writing into
+    /// `out`'s reused buffers. `f` must set `dst` to an `rx x tx` matrix
+    /// (checked).
     // alloc-free: begin freq_channel_into
     pub fn map_into(&self, mut f: impl FnMut(usize, &CMat, &mut CMat), out: &mut FreqChannel) {
         out.rx = self.rx;
@@ -345,9 +236,9 @@ impl FreqChannel {
         }
     }
 
-    /// Pooled [`FreqChannel::scale_power`]: writes the scaled channel into
-    /// `out`'s reused buffers. Bit-identical to `scale_power` (same per-entry
-    /// `z.scale(sqrt(factor))`).
+    /// [`FreqChannel::scale_power`] into `out`'s reused buffers: the same
+    /// per-entry `z.scale(sqrt(factor))` as
+    /// [`FreqChannel::scale_power_in_place`], so the bits agree.
     pub fn scale_power_into(&self, factor: f64, out: &mut FreqChannel) {
         let amp = factor.sqrt();
         self.map_into(
@@ -361,8 +252,9 @@ impl FreqChannel {
         );
     }
 
-    /// In-place [`FreqChannel::scale_power`], for channels the caller already
-    /// owns (no clone of the 52 matrices). Bit-identical to `scale_power`.
+    /// Scales the whole channel in place by a linear power factor
+    /// (amplitudes scale by its square root), for channels the caller
+    /// already owns (no clone of the 52 matrices).
     pub fn scale_power_in_place(&mut self, factor: f64) {
         let amp = factor.sqrt();
         for m in &mut self.subcarriers {
@@ -393,50 +285,25 @@ impl FreqChannel {
 
     /// Applies `f` to every subcarrier matrix, producing a new channel.
     pub fn map(&self, mut f: impl FnMut(usize, &CMat) -> CMat) -> FreqChannel {
-        let subcarriers: Vec<CMat> = self
-            .subcarriers
-            .iter()
-            .enumerate()
-            .map(|(s, m)| {
-                let out = f(s, m);
-                assert_eq!((out.rows(), out.cols()), (self.rx, self.tx));
-                out
-            })
-            .collect();
-        FreqChannel {
-            rx: self.rx,
-            tx: self.tx,
-            subcarriers,
-        }
+        let mut out = FreqChannel::empty();
+        self.map_into(|s, src, dst| *dst = f(s, src), &mut out);
+        out
     }
 
     /// Scales the whole channel by a linear power factor (amplitudes scale
     /// by its square root). Used by the weak-interference emulation
     /// (Figure 12 reduces interference by 10 dB).
     pub fn scale_power(&self, factor: f64) -> FreqChannel {
-        let amp = factor.sqrt();
-        self.map(|_, m| m.scale(amp))
+        let mut out = self.clone();
+        out.scale_power_in_place(factor);
+        out
     }
 
-    /// First-order Gauss-Markov time evolution: each tap-domain coefficient
-    /// decorrelates as `H' = rho H + sqrt(1 - rho^2) W` with `W` a fresh
-    /// channel of the same average gain. Models CSI aging within/beyond the
-    /// coherence time.
+    /// [`FreqChannel::evolve_in_place`] on a copy, with its own scratch.
     pub fn evolve(&self, rng: &mut SimRng, rho: f64, profile: &MultipathProfile) -> FreqChannel {
-        assert!((0.0..=1.0).contains(&rho));
-        let innovation = FreqChannel::random(rng, self.rx, self.tx, self.mean_gain(), profile);
-        let a = rho;
-        let b = (1.0 - rho * rho).sqrt();
-        FreqChannel {
-            rx: self.rx,
-            tx: self.tx,
-            subcarriers: self
-                .subcarriers
-                .iter()
-                .zip(innovation.subcarriers.iter())
-                .map(|(h, w)| &h.scale(a) + &w.scale(b))
-                .collect(),
-        }
+        let mut out = self.clone();
+        out.evolve_in_place(rng, rho, profile, &mut ChannelScratch::new());
+        out
     }
 
     /// Applies Kronecker antenna correlation: `H' = L_rx H L_tx^H`, where
@@ -701,88 +568,6 @@ mod tests {
         }
         assert_eq!(pooled.rx(), 2);
         assert_eq!(pooled.tx(), 4);
-    }
-
-    #[test]
-    fn map_into_matches_map() {
-        let mut rng = SimRng::seed_from(22);
-        let ch = FreqChannel::random(&mut rng, 3, 2, 1.0, &MultipathProfile::default());
-        let owned = ch.map(|s, m| m.scale(1.0 + s as f64 * 0.01));
-        let mut pooled = FreqChannel::empty();
-        // Reuse across two calls to prove statelessness of the pool.
-        ch.map_into(|_, src, dst| dst.copy_from(src), &mut pooled);
-        ch.map_into(
-            |s, src, dst| {
-                dst.copy_from(src);
-                let f = 1.0 + s as f64 * 0.01;
-                for z in dst.as_mut_slice() {
-                    *z = z.scale(f);
-                }
-            },
-            &mut pooled,
-        );
-        for s in 0..DATA_SUBCARRIERS {
-            for r in 0..3 {
-                for t in 0..2 {
-                    let a = owned.at(s)[(r, t)];
-                    let b = pooled.at(s)[(r, t)];
-                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "({s},{r},{t})");
-                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "({s},{r},{t})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn random_into_matches_random_bitwise() {
-        let profile = MultipathProfile::default();
-        let mut scratch = ChannelScratch::new();
-        let mut pooled = FreqChannel::empty();
-        for (rx, tx, gain) in [(1usize, 1usize, 1.0), (2, 4, 1e-6), (3, 2, 2.5e-7)] {
-            let owned = FreqChannel::random(&mut SimRng::seed_from(77), rx, tx, gain, &profile);
-            FreqChannel::random_into(
-                &mut SimRng::seed_from(77),
-                rx,
-                tx,
-                gain,
-                &profile,
-                &mut scratch,
-                &mut pooled,
-            );
-            assert_eq!((pooled.rx(), pooled.tx()), (rx, tx));
-            for s in 0..DATA_SUBCARRIERS {
-                for r in 0..rx {
-                    for t in 0..tx {
-                        let a = owned.at(s)[(r, t)];
-                        let b = pooled.at(s)[(r, t)];
-                        assert_eq!(a.re.to_bits(), b.re.to_bits(), "({s},{r},{t})");
-                        assert_eq!(a.im.to_bits(), b.im.to_bits(), "({s},{r},{t})");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn evolve_in_place_matches_evolve_bitwise() {
-        let profile = MultipathProfile::default();
-        let base = FreqChannel::random(&mut SimRng::seed_from(78), 2, 4, 1e-6, &profile);
-        let mut scratch = ChannelScratch::new();
-        for rho in [0.0, 0.5, 0.97] {
-            let owned = base.evolve(&mut SimRng::seed_from(79), rho, &profile);
-            let mut pooled = base.clone();
-            pooled.evolve_in_place(&mut SimRng::seed_from(79), rho, &profile, &mut scratch);
-            for s in 0..DATA_SUBCARRIERS {
-                for r in 0..2 {
-                    for t in 0..4 {
-                        let a = owned.at(s)[(r, t)];
-                        let b = pooled.at(s)[(r, t)];
-                        assert_eq!(a.re.to_bits(), b.re.to_bits(), "rho={rho} ({s},{r},{t})");
-                        assert_eq!(a.im.to_bits(), b.im.to_bits(), "rho={rho} ({s},{r},{t})");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -105,11 +105,14 @@ impl CMat {
     /// Reshapes this matrix in place to an all-zero `rows x cols`, reusing
     /// the existing buffer. After the first few calls at the largest shape
     /// in play, this never allocates -- the backbone of the scratch
-    /// workspaces used by the per-subcarrier kernels.
+    /// workspaces used by the per-subcarrier kernels. Growth is exact, so a
+    /// matrix first shaped 1x1 holds one entry, not the 4 `Vec::resize`
+    /// would round it up to.
     pub fn reset(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();
+        self.data.reserve_exact(rows * cols);
         self.data.resize(rows * cols, ZERO);
     }
 

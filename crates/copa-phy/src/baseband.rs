@@ -20,7 +20,7 @@ use crate::coding::{
 use crate::interleaver::Interleaver;
 use crate::mapper::Mapper;
 use crate::mcs::Mcs;
-use crate::ofdm::{data_subcarrier_bins, DATA_SUBCARRIERS, FFT_SIZE};
+use crate::ofdm::{DATA_BINS, DATA_SUBCARRIERS, FFT_SIZE};
 use crate::scrambler::Scrambler;
 use copa_num::complex::{C64, ZERO};
 use copa_num::fft::{fft, ifft};
@@ -348,9 +348,8 @@ pub fn zero_force_into(
 /// (returns `FFT_SIZE + CP_SAMPLES` samples).
 pub fn ofdm_modulate(data: &[C64]) -> Vec<C64> {
     assert_eq!(data.len(), DATA_SUBCARRIERS);
-    let bins = data_subcarrier_bins();
     let mut freq = vec![ZERO; FFT_SIZE];
-    for (&bin, &x) in bins.iter().zip(data) {
+    for (&bin, &x) in DATA_BINS.iter().zip(data) {
         freq[bin] = x;
     }
     let time = ifft(&freq);
@@ -364,8 +363,7 @@ pub fn ofdm_modulate(data: &[C64]) -> Vec<C64> {
 pub fn ofdm_demodulate(samples: &[C64]) -> Vec<C64> {
     assert_eq!(samples.len(), FFT_SIZE + CP_SAMPLES);
     let freq = fft(&samples[CP_SAMPLES..]);
-    let bins = data_subcarrier_bins();
-    bins.iter().map(|&b| freq[b]).collect()
+    DATA_BINS.iter().map(|&b| freq[b]).collect()
 }
 
 #[cfg(test)]
@@ -598,8 +596,7 @@ mod tests {
         let received = ofdm_demodulate(&rx);
         // Expected: H[k] * data[k] with H from the tapped delay line.
         let resp = copa_num::fft::tapped_delay_response(&[(0, h0), (3, h3)], FFT_SIZE);
-        let bins = data_subcarrier_bins();
-        for ((r, &bin), d) in received.iter().zip(&bins).zip(&data) {
+        for ((r, &bin), d) in received.iter().zip(&DATA_BINS).zip(&data) {
             let expect = resp[bin] * *d;
             assert!(
                 (*r - expect).abs() < 1e-9,

@@ -42,25 +42,15 @@ pub const NOISE_FLOOR_DBM: f64 = -95.0;
 /// Maximum transmit power used in the paper's experiments (WARP v2), dBm.
 pub const MAX_TX_POWER_DBM: f64 = 15.0;
 
-/// Logical data-subcarrier indices mapped onto FFT bins.
+/// FFT bin of each data subcarrier, in subcarrier order.
 ///
 /// Occupied bins are -28..=28 excluding DC (0); pilots at +-7 and +-21 are
 /// excluded. Negative frequencies map to FFT bins `FFT_SIZE + k`.
-pub fn data_subcarrier_bins() -> Vec<usize> {
-    let mut bins = Vec::with_capacity(DATA_SUBCARRIERS);
-    for k in -28i32..=28 {
-        if k == 0 || PILOT_OFFSETS.contains(&k) {
-            continue;
-        }
-        let bin = if k < 0 {
-            (FFT_SIZE as i32 + k) as usize
-        } else {
-            k as usize
-        };
-        bins.push(bin);
-    }
-    bins
-}
+pub const DATA_BINS: [usize; DATA_SUBCARRIERS] = [
+    36, 37, 38, 39, 40, 41, 42, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 58, 59, 60, 61,
+    62, 63, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 22, 23, 24, 25, 26,
+    27, 28,
+];
 
 /// Coherence time `t_c = m * lambda / v` for a host moving at `speed_mps`,
 /// with environment parameter `m` (the paper uses the conservative 0.25).
@@ -75,20 +65,21 @@ mod tests {
 
     #[test]
     fn subcarrier_counts() {
-        let bins = data_subcarrier_bins();
-        assert_eq!(bins.len(), DATA_SUBCARRIERS);
+        // The table is the logical order -28..=28 minus DC and the pilots.
+        let logical: Vec<usize> = (-28i32..=28)
+            .filter(|k| *k != 0 && !PILOT_OFFSETS.contains(k))
+            .map(|k| (k + FFT_SIZE as i32) as usize % FFT_SIZE)
+            .collect();
+        assert_eq!(logical, DATA_BINS);
         // All bins valid and unique.
-        let mut sorted = bins.clone();
+        let mut sorted = DATA_BINS;
         sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), DATA_SUBCARRIERS);
-        assert!(bins.iter().all(|&b| b < FFT_SIZE));
+        assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+        assert!(DATA_BINS.iter().all(|&b| b < FFT_SIZE));
         // DC (bin 0) and pilots excluded.
-        assert!(!bins.contains(&0));
-        assert!(!bins.contains(&7));
-        assert!(!bins.contains(&21));
-        assert!(!bins.contains(&(FFT_SIZE - 7)));
-        assert!(!bins.contains(&(FFT_SIZE - 21)));
+        for b in [0, 7, 21, FFT_SIZE - 7, FFT_SIZE - 21] {
+            assert!(!DATA_BINS.contains(&b), "bin {b}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! scratch: a warmed Monte-Carlo loop never touches the allocator.
 
 use crate::baseband::CP_SAMPLES;
-use crate::ofdm::{data_subcarrier_bins, BANDWIDTH_HZ, DATA_SUBCARRIERS, FFT_SIZE};
+use crate::ofdm::{BANDWIDTH_HZ, DATA_BINS, DATA_SUBCARRIERS, FFT_SIZE};
 use copa_num::complex::{C64, ZERO};
 use copa_num::fft::{fft_in_place, ifft_in_place};
 use copa_num::SimRng;
@@ -80,9 +80,8 @@ impl Preamble {
                 )
             })
             .collect();
-        let bins = data_subcarrier_bins();
         let mut grid = vec![ZERO; FFT_SIZE];
-        for (&bin, &x) in bins.iter().zip(&freq) {
+        for (&bin, &x) in DATA_BINS.iter().zip(&freq) {
             grid[bin] = x;
         }
         ifft_in_place(&mut grid);
@@ -152,20 +151,12 @@ impl WaveformImpairments {
 pub struct WaveformScratch {
     /// 64-point FFT working grid.
     grid: Vec<C64>,
-    /// Cached data-subcarrier bin map.
-    bins: Vec<usize>,
 }
 
 impl WaveformScratch {
     /// An empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn ensure_bins(&mut self) {
-        if self.bins.is_empty() {
-            self.bins = data_subcarrier_bins();
-        }
     }
 }
 
@@ -192,13 +183,12 @@ pub fn modulate_frame_into(
     out: &mut Vec<C64>,
 ) {
     assert_eq!(symbols.len() % DATA_SUBCARRIERS, 0, "need whole symbols");
-    scratch.ensure_bins();
     out.clear();
     out.extend_from_slice(&preamble.time);
     for sym in symbols.chunks(DATA_SUBCARRIERS) {
         scratch.grid.clear();
         scratch.grid.resize(FFT_SIZE, ZERO);
-        for (&bin, &x) in scratch.bins.iter().zip(sym) {
+        for (&bin, &x) in DATA_BINS.iter().zip(sym) {
             scratch.grid[bin] = x;
         }
         ifft_in_place(&mut scratch.grid);
@@ -353,7 +343,6 @@ pub fn estimate_channel_into(
     scratch: &mut WaveformScratch,
     h_est: &mut Vec<C64>,
 ) {
-    scratch.ensure_bins();
     h_est.clear();
     h_est.resize(DATA_SUBCARRIERS, ZERO);
     for rep in 0..PREAMBLE_REPEATS {
@@ -362,7 +351,7 @@ pub fn estimate_channel_into(
         scratch.grid.clear();
         scratch.grid.extend_from_slice(&rc[w..w + FFT_SIZE]);
         fft_in_place(&mut scratch.grid);
-        for (h, &bin) in h_est.iter_mut().zip(&scratch.bins) {
+        for (h, &bin) in h_est.iter_mut().zip(&DATA_BINS) {
             *h += scratch.grid[bin];
         }
     }
@@ -390,7 +379,6 @@ pub fn demodulate_data_into(
     out: &mut Vec<C64>,
 ) {
     assert_eq!(h_est.len(), DATA_SUBCARRIERS, "need all subcarrier gains");
-    scratch.ensure_bins();
     out.clear();
     // Phase reference: midpoint of the two preamble FFT-window centers.
     let ref_center =
@@ -415,7 +403,7 @@ pub fn demodulate_data_into(
         scratch.grid.clear();
         scratch.grid.extend_from_slice(&rc[w..w + FFT_SIZE]);
         fft_in_place(&mut scratch.grid);
-        for (k, &bin) in scratch.bins.iter().enumerate() {
+        for (k, &bin) in DATA_BINS.iter().enumerate() {
             out.push(scratch.grid[bin] / h_est[k] * derot);
         }
     }

@@ -21,11 +21,12 @@
 //!   set, the *real* ITS wire protocol ([`exchange`]) carries the decision
 //!   under the fault stream of [`FaultPlan::epoch_exchange_id`]`(cell,
 //!   epoch)`: retries charge DCF backoff airtime against the simulated
-//!   clock (a lossy exchange that spills past its epoch delays serving
-//!   the decision), and a budget-exhausted exchange serves the
-//!   evaluation's CSMA outcome and pins the session to CSMA
-//!   ([`copa_core::SessionState::Degraded`]) until capped exponential
-//!   backoff lets a recovery exchange fire;
+//!   clock (a lossy exchange that spills past its epoch holds its
+//!   decision until the airtime drains, then serves it without
+//!   re-evaluating unless the block or the fold changed meanwhile), and a
+//!   budget-exhausted exchange serves the evaluation's CSMA outcome and
+//!   pins the session to CSMA ([`copa_core::SessionState::Degraded`])
+//!   until capped exponential backoff lets a recovery exchange fire;
 //! * with [`DaemonConfig::churn`] set, a seeded membership process
 //!   ([`crate::churn`]) joins and leaves cells mid-run: departures tear
 //!   the session down and survivors re-fold the remaining population's
@@ -174,6 +175,11 @@ struct CellState {
     cache_valid: bool,
     last_mbps: f64,
     last_strategy: Option<Strategy>,
+    /// The `(mbps, strategy)` decision of an exchange whose airtime spilled
+    /// past its epoch: served once the airtime drains, unless a block
+    /// advance, a refold, a newer exchange or a teardown replaced the
+    /// inputs it was made on.
+    pending: Option<(f64, Strategy)>,
     last_exchange_epoch: u64,
     /// Exchanges across every session incarnation this run (a teardown
     /// resets the session's own ordinal but never this): the monotone
@@ -244,6 +250,7 @@ impl CellState {
             cache_valid: false,
             last_mbps: 0.0,
             last_strategy: None,
+            pending: None,
             last_exchange_epoch: NO_EXCHANGE,
             exchanges_total: 0,
             evals: 0,
@@ -297,6 +304,7 @@ impl CellState {
                         self.cache_valid = false;
                         self.last_mbps = 0.0;
                         self.last_strategy = None;
+                        self.pending = None;
                         self.last_exchange_epoch = NO_EXCHANGE;
                         self.eval_ready_us = 0;
                         self.degraded_since_epoch = NO_EXCHANGE;
@@ -401,6 +409,7 @@ impl CellState {
                 self.last_mbps = ev.csma.aggregate_mbps();
                 self.last_strategy = Some(Strategy::Csma);
                 self.cache_valid = true;
+                self.pending = None;
                 return Ok(None);
             }
             Some(ExchangeOutcome::Coordinated(trace)) => {
@@ -433,6 +442,32 @@ impl CellState {
         Ok(Some(ev))
     }
 
+    /// The demand half of one epoch, shared by the live loop and the resume
+    /// replay: applies the membership events due at `epoch`, steps the
+    /// traffic trace (it flows whether or not the AP is on the air) into
+    /// the accumulators, and returns whether the cell serves this epoch,
+    /// counting it if so.
+    fn tick(
+        &mut self,
+        idx: usize,
+        epoch: u64,
+        churn: Option<&ChurnSchedule>,
+        cfg: &DaemonConfig<'_>,
+    ) -> bool {
+        if let Some(sched) = churn {
+            self.apply_churn(idx, epoch, sched);
+        }
+        let te = self.traffic.step(cfg.epoch_us);
+        self.flows_arrived += u64::from(te.arrivals);
+        self.flows_completed += u64::from(te.completions);
+        self.traffic_bits += te.bits_served;
+        let active = (te.active || cfg.force_active) && self.live;
+        if active {
+            self.active_epochs += 1;
+        }
+        active
+    }
+
     /// One epoch of the event loop for this cell. Allocation-free once
     /// every buffer is warm (exchange epochs under a fault plan are the
     /// exception: the wire protocol encodes real frames).
@@ -444,18 +479,8 @@ impl CellState {
         cfg: &DaemonConfig<'_>,
     ) -> Result<(), CopaError> {
         let t_us = epoch * cfg.epoch_us;
-        if let Some(sched) = ctx.churn {
-            self.apply_churn(idx, epoch, sched);
-        }
-        // Traffic flows whether or not the AP is on the air: the trace is
-        // the demand process, not the service.
-        let te = self.traffic.step(cfg.epoch_us);
-        self.flows_arrived += u64::from(te.arrivals);
-        self.flows_completed += u64::from(te.completions);
-        self.traffic_bits += te.bits_served;
-        let active = (te.active || cfg.force_active) && self.live;
+        let active = self.tick(idx, epoch, ctx.churn, cfg);
         if active {
-            self.active_epochs += 1;
             let block = block_of(t_us, cfg.coherence_us);
             // Waking across a coherence boundary is churn: the CSI learned
             // before the idle span describes a channel that decorrelated
@@ -475,17 +500,21 @@ impl CellState {
                 );
                 self.block = block;
                 self.fold_dirty = true;
+                self.pending = None;
                 dirty = true;
             }
             let use_folded = ctx.churn.is_some();
             if use_folded && self.fold_dirty {
                 self.refold();
+                self.pending = None;
             }
             let mut exchanged = None;
             if self.session.needs_exchange(t_us, cfg.staleness_us, churned) {
                 exchanged = self.run_exchange(idx, epoch, t_us, use_folded, cfg)?;
                 dirty |= exchanged.is_some();
             }
+            let decided =
+                exchanged.map(|ev| (ev.copa_fair.aggregate_mbps(), ev.copa_fair.strategy));
             if self.session.degraded().is_some() {
                 // Pinned to CSMA: the decision is frozen until recovery
                 // (which re-exchanges and re-evaluates), so block drift
@@ -493,19 +522,24 @@ impl CellState {
                 self.degraded_epochs += 1;
             } else if dirty {
                 if t_us >= self.eval_ready_us {
-                    // This epoch's exchange already evaluated the view.
-                    let ev = match exchanged {
-                        Some(ev) => ev,
-                        None => self.evaluate(idx, use_folded, cfg)?,
+                    // This epoch's exchange, or a deferred one whose inputs
+                    // are still current, already evaluated the view.
+                    let (mbps, strategy) = match decided.or(self.pending.take()) {
+                        Some(decision) => decision,
+                        None => {
+                            let ev = self.evaluate(idx, use_folded, cfg)?;
+                            (ev.copa_fair.aggregate_mbps(), ev.copa_fair.strategy)
+                        }
                     };
-                    self.last_mbps = ev.copa_fair.aggregate_mbps();
-                    self.last_strategy = Some(ev.copa_fair.strategy);
+                    self.last_mbps = mbps;
+                    self.last_strategy = Some(strategy);
                     self.cache_valid = true;
                 } else {
                     // The exchange's control traffic is still draining:
-                    // keep serving the previous decision and leave the
-                    // cache invalid so the evaluation fires once the
-                    // airtime clears.
+                    // keep serving the previous decision, hold this
+                    // exchange's until the airtime clears, and leave the
+                    // cache invalid so the cell decides once it does.
+                    self.pending = decided.or(self.pending);
                     self.cache_valid = false;
                 }
             }
@@ -663,11 +697,11 @@ impl ToJson for DaemonReport {
 /// Daemon checkpoint codec version (its own lane; the journal's record
 /// status tags are untouched). Version 1 is the original engine-state
 /// codec; version 2 appends the robustness state (degradation bout,
-/// airtime deferral, churn flags) and is written only by configurations
-/// that can produce it ([`DaemonConfig::needs_robustness_state`]) — the
-/// version is a function of the *config*, never of the run's state, so a
-/// zero-fault run's journal stays byte-identical to the fault-unaware
-/// daemon's.
+/// airtime deferral and its pending decision, churn flags) and is written
+/// only by configurations that can produce it
+/// ([`DaemonConfig::needs_robustness_state`]) — the version is a function
+/// of the *config*, never of the run's state, so a zero-fault run's
+/// journal stays byte-identical to the fault-unaware daemon's.
 const CKPT_MAGIC: u8 = 0xD0;
 const CKPT_V1: u8 = 1;
 const CKPT_V2: u8 = 2;
@@ -677,6 +711,9 @@ const CK_LIVE: u8 = 1 << 0;
 const CK_PENDING_CHURN: u8 = 1 << 1;
 const CK_CACHE_VALID: u8 = 1 << 2;
 const CK_DEGRADED: u8 = 1 << 3;
+/// Set when the v2 cell record ends with a pending decision: its Mbps as
+/// `f64` bits, then its strategy's wire tag.
+const CK_PENDING: u8 = 1 << 4;
 
 /// The engine-side facts a checkpoint must carry per cell. Everything
 /// traffic-side is a pure function of the seed and is replayed from epoch
@@ -702,6 +739,7 @@ struct CellCheckpoint {
     recovery_attempts: u64,
     recoveries: u64,
     eval_ready_us: u64,
+    pending: Option<(f64, Strategy)>,
 }
 
 const NO_STRATEGY: u8 = 0xFF;
@@ -731,6 +769,7 @@ fn encode_checkpoint(epoch: u64, cells: &[CellState], cfg: &DaemonConfig<'_>) ->
             flags |= if c.pending_churn { CK_PENDING_CHURN } else { 0 };
             flags |= if c.cache_valid { CK_CACHE_VALID } else { 0 };
             flags |= if degraded.is_some() { CK_DEGRADED } else { 0 };
+            flags |= if c.pending.is_some() { CK_PENDING } else { 0 };
             let (until_us, attempts) = degraded.unwrap_or((0, 0));
             w.put_u8(flags);
             w.put_u64(until_us);
@@ -740,6 +779,10 @@ fn encode_checkpoint(epoch: u64, cells: &[CellState], cfg: &DaemonConfig<'_>) ->
             w.put_u64(c.recovery_attempts);
             w.put_u64(c.recoveries);
             w.put_u64(c.eval_ready_us);
+            if let Some((mbps, strategy)) = c.pending {
+                w.put_u64(mbps.to_bits());
+                w.put_u8(strategy.wire_tag());
+            }
         }
     }
     w.into_vec()
@@ -777,6 +820,7 @@ fn decode_checkpoint(payload: &[u8], n_cells: usize) -> Option<(u64, Vec<CellChe
             recovery_attempts: 0,
             recoveries: 0,
             eval_ready_us: 0,
+            pending: None,
         };
         if version == CKPT_V2 {
             ck.flags = r.get_u8().ok()?;
@@ -787,6 +831,10 @@ fn decode_checkpoint(payload: &[u8], n_cells: usize) -> Option<(u64, Vec<CellChe
             ck.recovery_attempts = r.get_u64().ok()?;
             ck.recoveries = r.get_u64().ok()?;
             ck.eval_ready_us = r.get_u64().ok()?;
+            if ck.flags & CK_PENDING != 0 {
+                let mbps = f64::from_bits(r.get_u64().ok()?);
+                ck.pending = Some((mbps, Strategy::from_wire_tag(r.get_u8().ok()?)?));
+            }
         } else {
             // v1 never deferred or degraded: the cache is valid exactly
             // when an evaluation happened.
@@ -1066,10 +1114,11 @@ pub fn run_daemon_resumed(
 /// its coherence blocks (stepwise evolution equals one-shot), and only
 /// the *last* CSI exchange re-runs, against the noise-folded view of its
 /// block — earlier exchanges were fully overwritten. The cached
-/// evaluation, deferral deadline and degradation bout (backoff deadline +
-/// attempt count) are restored from the stored bits; no engine run and no
-/// fault stream happens here, so a daemon killed mid-degradation resumes
-/// with the exact backoff schedule the uninterrupted run follows.
+/// evaluation, deferral deadline, pending decision and degradation bout
+/// (backoff deadline + attempt count) are restored from the stored bits;
+/// no engine run and no fault stream happens here, so a daemon killed
+/// mid-degradation resumes with the exact backoff schedule the
+/// uninterrupted run follows.
 fn restore_cells(
     cells: &mut [CellState],
     saved: &[CellCheckpoint],
@@ -1080,24 +1129,12 @@ fn restore_cells(
 ) {
     let drift = ChannelDrift::new(params.seed, cfg.rho, MultipathProfile::default());
     for (idx, (cell, ck)) in cells.iter_mut().zip(saved).enumerate() {
-        // Traffic + membership: replay the pure traces to recover state,
-        // accumulators and the churn cursor. `apply_churn` here mirrors
-        // the live loop verbatim (same from-scratch fold factors, same
-        // join/leave counts); the session it tears down is still cold and
-        // is restored below.
+        // Traffic + membership: replay the pure traces through the live
+        // loop's own `tick` to recover state, accumulators and the churn
+        // cursor (same from-scratch fold factors, same join/leave counts);
+        // the session it tears down is still cold and is restored below.
         for e in 0..epoch {
-            if let Some(sched) = churn {
-                cell.apply_churn(idx, e, sched);
-            }
-            let te = cell.traffic.step(cfg.epoch_us);
-            cell.flows_arrived += u64::from(te.arrivals);
-            cell.flows_completed += u64::from(te.completions);
-            cell.traffic_bits += te.bits_served;
-            let active = (te.active || cfg.force_active) && cell.live;
-            cell.was_active = active;
-            if active {
-                cell.active_epochs += 1;
-            }
+            cell.was_active = cell.tick(idx, e, churn, cfg);
         }
         // Truth + CSI: replay blocks, re-run only the final exchange —
         // against the folded view of the population at its epoch, exactly
@@ -1150,6 +1187,7 @@ fn restore_cells(
             Strategy::from_wire_tag(ck.strategy_tag)
         };
         cell.cache_valid = ck.flags & CK_CACHE_VALID != 0;
+        cell.pending = ck.pending;
         cell.pending_churn = ck.flags & CK_PENDING_CHURN != 0;
         cell.eval_ready_us = ck.eval_ready_us;
         cell.degraded_since_epoch = ck.degraded_since_epoch;
@@ -1213,9 +1251,12 @@ mod tests {
         cells[1].recovery_attempts = 2;
         cells[1].eval_ready_us = 77_000;
         cells[1].pending_churn = true;
+        cells[0].pending = Some((96.5, Strategy::CopaSeq));
         let payload = encode_checkpoint(17, &cells, &cfg);
         assert_eq!(payload[1], CKPT_V2, "faulted configs write v2");
         let (_, saved) = decode_checkpoint(&payload, 2).expect("round trip");
+        assert_eq!(saved[0].flags, CK_LIVE | CK_PENDING);
+        assert_eq!(saved[0].pending, Some((96.5, Strategy::CopaSeq)));
         assert_eq!(saved[1].flags, CK_LIVE | CK_PENDING_CHURN | CK_DEGRADED);
         assert_eq!(saved[1].degraded_until_us, 5_100);
         assert_eq!(saved[1].degraded_attempts, 1);
@@ -1223,7 +1264,105 @@ mod tests {
         assert_eq!(saved[1].degraded_epochs, 4);
         assert_eq!(saved[1].recovery_attempts, 2);
         assert_eq!(saved[1].eval_ready_us, 77_000);
-        assert_eq!(saved[0].flags, CK_LIVE, "untouched cell stays clean");
+        assert_eq!(saved[1].pending, None);
+    }
+
+    /// Exchanges that spill past their 1 ms epochs: three 4x2 cells for
+    /// 3,000 epochs, half the ITS frames lost with 8 retries, CSI refreshed
+    /// every 30 ms.
+    fn deferring_cfg() -> DaemonConfig<'static> {
+        DaemonConfig {
+            epoch_us: 1_000,
+            epochs: 3_000,
+            staleness_us: 30_000,
+            force_active: true,
+            faults: Some(FaultPlan {
+                max_retries: 8,
+                ..FaultPlan::lossy(5, 0.5)
+            }),
+            ..DaemonConfig::default()
+        }
+    }
+
+    #[test]
+    fn drained_deferral_serves_its_exchange_decision() {
+        // 132 exchanges defer here. Re-evaluating their unchanged inputs
+        // once the airtime drained took 131 of the 426 engine runs; serving
+        // each exchange's own decision instead leaves every served rate,
+        // and so every other report field, where it was.
+        let params = ScenarioParams::default();
+        let tel = SuiteTelemetry::new();
+        let cfg = DaemonConfig {
+            telemetry: Some(&tel),
+            ..deferring_cfg()
+        };
+        let report = run_daemon(&params, &small_suite(3), &cfg).expect("run");
+        let doc = copa_obs::json::parse(&tel.to_json()).expect("registry JSON");
+        assert_eq!(
+            crate::telemetry::exported_counter(&doc, "engine.evaluations"),
+            report.evals
+        );
+        assert_eq!(report.evals, 426 - 131);
+        assert_eq!(
+            (
+                report.exchanges,
+                report.degraded_cell_epochs,
+                report.recoveries
+            ),
+            (284, 526, 4)
+        );
+        let phy: Vec<f64> = report.per_cell.iter().map(|c| c.phy_bits).collect();
+        assert_eq!(
+            phy,
+            [
+                459_540_535.747_954_55,
+                352_229_639.109_660_7,
+                308_943_670.234_674_7
+            ]
+        );
+    }
+
+    #[test]
+    fn kill_inside_a_deferral_window_resumes_byte_identical() {
+        let params = ScenarioParams::default();
+        let suite = small_suite(3);
+        let cfg = DaemonConfig {
+            epochs: 600,
+            checkpoint_every: 100,
+            ..deferring_cfg()
+        };
+        // The first epoch count after which some cell holds a decision
+        // whose airtime has not drained yet.
+        let drift = ChannelDrift::new(params.seed, cfg.rho, MultipathProfile::default());
+        let ctx = EpochCtx {
+            drift: &drift,
+            churn: None,
+        };
+        let mut cells = fresh_cells(&params, &suite, &cfg);
+        let kill = 1
+            + (0..cfg.epochs)
+                .find(|&e| {
+                    for (idx, cell) in cells.iter_mut().enumerate() {
+                        cell.step(idx, e, &ctx, &cfg).expect("step");
+                    }
+                    cells.iter().any(|c| c.pending.is_some())
+                })
+                .expect("a lossy exchange defers");
+        let prefix = std::env::temp_dir().join(format!("copa-daemon-defer-{}", std::process::id()));
+        let full = run_daemon_journaled(&params, &suite, &cfg, &prefix).expect("full");
+        let killed = DaemonConfig {
+            stop_after: Some(kill),
+            ..cfg
+        };
+        run_daemon_journaled(&params, &suite, &killed, &prefix).expect("killed");
+        let state = load_journal_raw(&prefix, 3, params.seed).expect("journal");
+        let last = state.payloads.last().expect("a checkpoint");
+        let (epoch, saved) = decode_checkpoint(last, 3).expect("checkpoint");
+        assert_eq!(epoch, kill);
+        assert!(saved.iter().any(|c| c.pending.is_some()));
+        let resumed = run_daemon_resumed(&params, &suite, &cfg, &prefix).expect("resume");
+        assert_eq!(full.to_json(), resumed.to_json());
+        crate::journal::wipe_journal(&prefix).expect("cleanup");
     }
 
     #[test]

@@ -9,8 +9,10 @@
 # crates/copa-sim/src/pool.rs may spawn threads), one ITS exchange loop
 # (only the coordinator decodes frames off the faulty medium), one
 # precoding kernel (the batched SoA kernels serve only the MMSE SINR
-# chain) and one allocation path (only copa-alloc runs the per-stream
-# allocation kernels). This script is what CI runs; keep it green.
+# chain), one allocation path (only copa-alloc runs the per-stream
+# allocation kernels) and one channel draw (only copa-channel's
+# timedomain.rs transforms taps to subcarriers). This script is what CI
+# runs; keep it green.
 #
 # Usage: scripts/check.sh [--bench-smoke] [--faults-smoke] [--resume-smoke]
 #                         [--obs-smoke] [--campus-smoke] [--daemon-smoke]
@@ -18,7 +20,8 @@
 #   --bench-smoke   additionally run the hotpath benchmark in --quick mode
 #                   and leave its JSON lines in BENCH_hotpath.json; every
 #                   warmed-path alloc report must read exactly 0, plain
-#                   and COPA+ 4x2, 3x2 and 1x1 evaluations included (the bench
+#                   and COPA+ 4x2, 3x2 and 1x1 evaluations and the warmed
+#                   4x2 channel draw (channel_draw_warm) included (the bench
 #                   itself also hard-asserts this and the >= 540 topo/s
 #                   throughput floor), and both precoding kernels
 #                   (beamform_4x2, null_4x2) and the COPA+ evaluation
@@ -95,7 +98,7 @@ for arg in "$@"; do
     esac
 done
 
-echo "==> 1/11 hermeticity: no registry dependencies in any Cargo.toml"
+echo "==> 1/12 hermeticity: no registry dependencies in any Cargo.toml"
 bad=0
 while IFS= read -r toml; do
     # Reject dotted dependency tables ([dependencies.foo]) outright --
@@ -128,7 +131,7 @@ if [ "$bad" -ne 0 ]; then
 fi
 echo "    ok: all dependencies are in-repo path deps"
 
-echo "==> 2/11 alloc-free kernel regions: no Vec::new / vec! / collect reintroduced"
+echo "==> 2/12 alloc-free kernel regions: no Vec::new / vec! / collect reintroduced"
 # Per-subcarrier kernels are bracketed by "alloc-free: begin <name>" /
 # "alloc-free: end <name>" markers. Inside those regions, constructs that
 # allocate per call are banned (`.collect(` and `.collect::<..>(` included:
@@ -151,7 +154,7 @@ if ! awk '
 fi
 echo "    ok: $(grep -rh 'alloc-free: begin' crates --include='*.rs' | wc -l | tr -d ' ') marked kernel regions are allocation-free"
 
-echo "==> 3/11 panic gate: no new unwrap()/panic! in library, example or test code"
+echo "==> 3/12 panic gate: no new unwrap()/panic! in library, example or test code"
 # Library (non-test) code must not panic on user-reachable paths: fallible
 # APIs return copa_core::CopaError, internal invariants use expect /
 # debug_assert! with an "// invariant:" comment. The few deliberate panic
@@ -184,7 +187,7 @@ if [ "$panic_bad" -ne 0 ]; then
 fi
 echo "    ok: library crates stay within the panic allowlist"
 
-echo "==> 4/11 one worker pool: thread fan-outs live only in copa-sim's pool"
+echo "==> 4/12 one worker pool: thread fan-outs live only in copa-sim's pool"
 # Every runner maps its work items through copa_sim::pool::map (work
 # stealing, one state per worker, results in item order, panics
 # re-raised). A second hand-rolled fan-out would fork that contract, so
@@ -198,7 +201,7 @@ if [ -n "$pool_sites" ]; then
 fi
 echo "    ok: crates/copa-sim/src/pool.rs is the only thread fan-out"
 
-echo "==> 5/11 one ITS exchange loop: only the coordinator decodes faulty deliveries"
+echo "==> 5/12 one ITS exchange loop: only the coordinator decodes faulty deliveries"
 # copa_core::Coordinator owns the ITS delivery policy (retry budget, stale
 # CSI re-measurement, CRC and CSI-codec failures). A second loop that
 # decodes frames off the faulty medium would drift from it, so outside
@@ -213,7 +216,7 @@ if [ -n "$its_sites" ]; then
 fi
 echo "    ok: copa-core's coordinator is the only ITS exchange loop"
 
-echo "==> 6/11 one precoding kernel: SoA batches only in the SINR chain"
+echo "==> 6/12 one precoding kernel: SoA batches only in the SINR chain"
 # Beamforming and nulling run one svd_into per subcarrier: on the
 # engine's inputs that measured faster than the batched SoA SVD, and it
 # keeps no SoA scratch in every engine workspace. SoA stays only where it
@@ -229,7 +232,7 @@ if [ -n "$soa_sites" ]; then
 fi
 echo "    ok: only copa-num and the SINR chain name copa_num::batch items"
 
-echo "==> 7/11 one allocation path: the per-stream kernels run only inside copa-alloc"
+echo "==> 7/12 one allocation path: the per-stream kernels run only inside copa-alloc"
 # copa_alloc::concurrent::allocate_ap_into is the one per-AP stream loop:
 # the sequential strategies call it with no interference and every Figure 6
 # round calls it with the peer's. A second loop over the per-stream kernels
@@ -244,16 +247,32 @@ if [ -n "$alloc_sites" ]; then
 fi
 echo "    ok: only copa-alloc runs the per-stream allocation kernels"
 
-echo "==> 8/11 cargo fmt --check"
+echo "==> 8/12 one channel draw: only the time-domain channel transforms taps"
+# copa_channel::TimeChannel::random_into is the one tap draw and
+# TimeChannel::freq_response_into the one taps-to-subcarrier transform;
+# FreqChannel::random_into is exactly those two steps, so the analytic
+# and waveform paths share one channel by construction. A second FFT of
+# drawn taps would fork it, so outside timedomain.rs no copa-channel
+# library source may name copa_num::fft.
+draw_sites=$(grep -rnE '\bcopa_num::(fft\b|\{[^}]*\bfft\b)' crates/copa-channel/src --include='*.rs' \
+    | grep -v '^crates/copa-channel/src/timedomain.rs:' || true)
+if [ -n "$draw_sites" ]; then
+    printf '%s\n' "$draw_sites" >&2
+    echo "one-channel-draw gate FAILED: draw taps with TimeChannel::random_into and transform them with freq_response_into" >&2
+    exit 1
+fi
+echo "    ok: only copa-channel's timedomain.rs transforms taps to subcarriers"
+
+echo "==> 9/12 cargo fmt --check"
 cargo fmt --check
 
-echo "==> 9/11 cargo build --release --offline (workspace, benches included)"
+echo "==> 10/12 cargo build --release --offline (workspace, benches included)"
 cargo build --release --offline --workspace --benches
 
-echo "==> 10/11 cargo test -q --offline (workspace)"
+echo "==> 11/12 cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
-echo "==> 11/11 deprecation gate: no in-repo callers of deprecated APIs"
+echo "==> 12/12 deprecation gate: no in-repo callers of deprecated APIs"
 # Deprecated shims exist only for downstream compatibility (none remain
 # today); new in-repo code must use the replacements. A separate target dir keeps -D deprecated from thrashing
 # the main build cache. #[allow(deprecated)] still works for the shims'
@@ -278,7 +297,8 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     for guard in evaluate_4x2_warm_ws evaluate_4x2_copa_plus_warm_ws evaluate_1x1_warm_ws \
                  evaluate_1x1_copa_plus_warm_ws evaluate_3x2_warm_ws \
                  evaluate_3x2_copa_plus_warm_ws evaluate_4x2_guarded evaluate_4x2_noop_obs \
-                 evaluate_4x2_live_obs evaluate_pair_cluster_warm daemon_warm_epochs; do
+                 evaluate_4x2_live_obs evaluate_pair_cluster_warm daemon_warm_epochs \
+                 channel_draw_warm; do
         grep -q "\"name\":\"$guard\",\"allocs\":0}" BENCH_hotpath.json || {
             echo "bench smoke FAILED: warmed path '$guard' is not allocation-free" >&2
             exit 1
