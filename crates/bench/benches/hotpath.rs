@@ -8,7 +8,8 @@
 //!
 //! 1. kernel timings (`svd_*`, `beamform_*`, `null_*`, `sinr_grid_*`) --
 //!    the per-subcarrier chain; the precoders run one `svd_into` per
-//!    subcarrier, the SINR grid the batched SoA kernels;
+//!    subcarrier, the SINR grid one stack-array Cholesky per subcarrier
+//!    and stream;
 //! 2. engine timings (`evaluate_*`) -- one full topology evaluation;
 //! 3. runner throughput (`suite_*`) -- a heterogeneous suite through
 //!    `evaluate_parallel`, reported as topologies/second.

@@ -24,7 +24,7 @@ use copa_phy::ofdm::DATA_SUBCARRIERS;
 use copa_precoding::beamforming::beamform_with;
 use copa_precoding::nulling::null_toward_with;
 use copa_precoding::sda::antenna_to_keep;
-use copa_precoding::sinr::{active_cells_into, mmse_sinr_grid_with, SinrScratch, TxSide};
+use copa_precoding::sinr::{active_cells_into, mmse_sinr_grid_into, TxSide, SINR_MAX_DIM};
 use copa_precoding::{cross_gains_into, LinkPrecoding, PrecodeScratch, TxPowers};
 
 /// How the receiver decodes (section 4.6): one decoder for the whole frame
@@ -69,11 +69,12 @@ impl Evaluation {
 /// Reusable working storage for one evaluation worker.
 ///
 /// One instance holds every scratch buffer the engine touches on the hot
-/// path -- precoding scratch, SINR scratch, the SINR grid, the active-cell
-/// list and the precoder output slots. Buffers grow to the largest shape in
-/// play and are then reused across all subcarriers, strategies and
-/// topologies the worker evaluates, so a warmed-up evaluation does not touch
-/// the allocator in its per-subcarrier kernels.
+/// path -- precoding scratch, the SINR grid, the active-cell list and the
+/// precoder output slots (the MMSE SINR kernel needs none: it works on
+/// stack arrays). Buffers grow to the largest shape in play and are then
+/// reused across all subcarriers, strategies and topologies the worker
+/// evaluates, so a warmed-up evaluation does not touch the allocator in
+/// its per-subcarrier kernels.
 #[derive(Default)]
 pub struct EngineWorkspace {
     /// CSI-estimate slots for raw-topology requests ([`prepare_into`] fills
@@ -90,8 +91,6 @@ pub struct EngineWorkspace {
 struct WorkBuffers {
     /// Beamforming / nulling scratch.
     pre: PrecodeScratch,
-    /// MMSE SINR scratch.
-    sinr: SinrScratch,
     /// SINR grid output slot (`streams x DATA_SUBCARRIERS`).
     grid: Vec<[f64; DATA_SUBCARRIERS]>,
     /// Active-cell SINR list output slot.
@@ -507,7 +506,6 @@ impl Engine {
 
         let WorkBuffers {
             pre: pre_scratch,
-            sinr: sinr_scratch,
             grid,
             cells,
             bf_valid,
@@ -574,7 +572,7 @@ impl Engine {
                 |m| m.sinr_us,
                 "sinr",
                 || {
-                    mmse_sinr_grid_with(&own, None, noise, imp, sinr_scratch, grid);
+                    mmse_sinr_grid_into(&own, None, noise, imp, grid);
                     active_cells_into(grid, seq_powers, cells);
                 },
             );
@@ -667,7 +665,6 @@ impl Engine {
 
         let WorkBuffers {
             pre: pre_scratch,
-            sinr: sinr_scratch,
             grid,
             cells,
             bf_valid,
@@ -861,7 +858,7 @@ impl Engine {
                 |m| m.sinr_us,
                 "sinr",
                 || {
-                    mmse_sinr_grid_with(&own, Some(&int), noise, imp, sinr_scratch, grid);
+                    mmse_sinr_grid_into(&own, Some(&int), noise, imp, grid);
                     active_cells_into(grid, &powers[i], cells);
                 },
             );
@@ -888,14 +885,23 @@ const LINK_NAMES: [[&str; 2]; 2] = [
 /// Rejects a topology whose true links disagree with its antenna config:
 /// every `links[a][c]` must be `client_antennas x ap_antennas`, both at
 /// least 1. Every such channel carries all `DATA_SUBCARRIERS` subcarriers,
-/// which the fixed-width rows of the precoding data model rely on. A true
-/// link with a non-finite entry (or one whose power overflows) is a
-/// [`CopaError::SingularChannel`], as for estimates. An all-zero true link
-/// passes here; an own one then fails [`validate_estimates`], because its
-/// estimate is all zero too.
+/// which the fixed-width rows of the precoding data model rely on. A client
+/// with more than [`SINR_MAX_DIM`] antennas exceeds the MMSE SINR kernel's
+/// stack arrays (and so could an AP's streams, which never outnumber the
+/// client's antennas). A true link with a non-finite entry (or one whose
+/// power overflows) is a [`CopaError::SingularChannel`], as for estimates.
+/// An all-zero true link passes here; an own one then fails
+/// [`validate_estimates`], because its estimate is all zero too.
 fn validate_topology(topology: &Topology) -> Result<(), CopaError> {
     let cfg = topology.config;
     let expected = (cfg.client_antennas, cfg.ap_antennas);
+    if cfg.client_antennas > SINR_MAX_DIM {
+        return Err(CopaError::DimensionMismatch {
+            context: "client antennas vs SINR kernel capacity",
+            expected: (SINR_MAX_DIM, cfg.ap_antennas),
+            got: expected,
+        });
+    }
     for (a, row) in topology.links.iter().enumerate() {
         for (c, link) in row.iter().enumerate() {
             let got = (link.rx(), link.tx());
@@ -1157,6 +1163,42 @@ mod tests {
                 }) => {
                     assert_eq!(context, "true link vs antenna config");
                     assert_eq!((expected, got), ((2, 4), (0, 0)));
+                }
+                other => panic!("expected DimensionMismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn clients_beyond_the_sinr_kernel_capacity_are_a_typed_error_in_both_lanes() {
+        let e = engine();
+        // At the capacity the engine evaluates.
+        let at = AntennaConfig {
+            ap_antennas: 4,
+            client_antennas: SINR_MAX_DIM,
+        };
+        assert!(eval(&e, &topo(54, at)).copa.aggregate_bps().is_finite());
+        // One antenna past it, both lanes refuse the topology before any
+        // kernel runs, rather than panic in the kernel's assert.
+        let past = AntennaConfig {
+            ap_antennas: 4,
+            client_antennas: SINR_MAX_DIM + 1,
+        };
+        let t = topo(55, past);
+        let mut est: [[FreqChannel; 2]; 2] = Default::default();
+        prepare_into(&t, e.params(), &mut est);
+        for run in [
+            e.run(&mut EvalRequest::topology(&t)),
+            e.run(&mut EvalRequest::estimates(&t, &est)),
+        ] {
+            match run {
+                Err(CopaError::DimensionMismatch {
+                    context,
+                    expected,
+                    got,
+                }) => {
+                    assert_eq!(context, "client antennas vs SINR kernel capacity");
+                    assert_eq!((expected, got), ((SINR_MAX_DIM, 4), (SINR_MAX_DIM + 1, 4)));
                 }
                 other => panic!("expected DimensionMismatch, got {other:?}"),
             }

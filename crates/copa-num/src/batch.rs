@@ -1,29 +1,23 @@
 //! Batched structure-of-arrays kernels over many same-shape matrices.
 //!
-//! The MMSE SINR chain applies the same tiny-matrix operations (loaded
-//! inverse, multiply, conjugate transpose) to one matrix per data
-//! subcarrier — 52 independent problems of identical shape. [`CBatch`]
-//! stores all of them in split re/im `f64` planes with the *lane*
-//! (subcarrier) index fastest-moving: entry `(i, j)` of lane `l` lives at
-//! `plane[(i*cols + j)*lanes + l]`. Inner loops therefore walk contiguous
-//! `f64` slices across lanes and carry no per-subcarrier dispatch or
-//! allocation. Precoding does not use this module: its per-subcarrier
-//! [`crate::svd::svd_into`] calls measured faster than [`svd_batch_into`],
-//! which stays only for perfbench's `num.svd_batch_us` probe.
+//! [`CBatch`] stores one matrix per lane in split re/im `f64` planes with
+//! the *lane* index fastest-moving: entry `(i, j)` of lane `l` lives at
+//! `plane[(i*cols + j)*lanes + l]`, so inner loops walk contiguous `f64`
+//! slices across lanes. No engine path uses this module: the
+//! precoders run one [`crate::svd::svd_into`] per subcarrier, and the MMSE
+//! SINR kernel works on stack arrays per subcarrier, both measured faster.
+//! It serves only perfbench's `num.svd_batch_us` probe, which times
+//! [`svd_batch_into`].
 //!
-//! Every batched kernel replays, per lane, the exact floating-point op
-//! sequence of its scalar counterpart in [`crate::matrix`], [`crate::svd`]
-//! and [`crate::solve`] — data-dependent branches (the matmul zero skip,
-//! the Jacobi pair tolerance skip, per-lane sweep convergence, LU partial
-//! pivoting) are kept as per-lane predicates. Results are bit-identical to
-//! running the scalar kernel 52 times, which is what keeps the engine's
-//! determinism/journal/resume guarantees intact; only the memory layout
-//! changes. `crates/copa-num/tests/prop_batch.rs` proves this over random
+//! [`svd_batch_into`] replays, per lane, the exact floating-point op
+//! sequence of [`crate::svd::svd_into`]; data-dependent branches (the
+//! Jacobi pair tolerance skip, per-lane sweep convergence) are kept as
+//! per-lane predicates, so each lane is bit-identical to the scalar
+//! kernel. `crates/copa-num/tests/prop_batch.rs` proves this over random
 //! shapes and seeds.
 
-use crate::complex::{C64, ONE, ZERO};
+use crate::complex::{C64, ONE};
 use crate::matrix::CMat;
-use crate::solve::SingularMatrix;
 
 /// A batch of `lanes` same-shape complex matrices in split re/im planes.
 ///
@@ -139,122 +133,6 @@ impl CBatch {
             }
         }
         sum.sqrt()
-    }
-
-    /// Batched matrix product `self * rhs` into `out`, every lane following
-    /// the exact loop order and zero-entry skip of [`CMat::mul_into`], so
-    /// each lane's result is bit-identical to the scalar kernel.
-    pub fn mul_into(&self, rhs: &CBatch, out: &mut CBatch) {
-        assert_eq!(self.cols, rhs.rows, "matmul dimension mismatch");
-        assert_eq!(self.lanes, rhs.lanes, "lane count mismatch");
-        out.reset(self.rows, rhs.cols, self.lanes);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                for j in 0..rhs.cols {
-                    let ob = out.idx(i, j, 0);
-                    let ab = self.idx(i, k, 0);
-                    let bb = rhs.idx(k, j, 0);
-                    for l in 0..self.lanes {
-                        let a = C64::new(self.re[ab + l], self.im[ab + l]);
-                        // Same skip as the scalar kernel: adding a 0-product
-                        // is not bit-transparent (-0.0 + 0.0 == +0.0).
-                        if a == ZERO {
-                            continue;
-                        }
-                        let b = C64::new(rhs.re[bb + l], rhs.im[bb + l]);
-                        let s = a * b;
-                        out.re[ob + l] += s.re;
-                        out.im[ob + l] += s.im;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batched Hermitian transpose into `out` (per lane bit-identical to
-    /// [`CMat::hermitian_into`]).
-    pub fn hermitian_into(&self, out: &mut CBatch) {
-        out.reset(self.cols, self.rows, self.lanes);
-        for i in 0..self.cols {
-            for j in 0..self.rows {
-                let ob = out.idx(i, j, 0);
-                let ab = self.idx(j, i, 0);
-                for l in 0..self.lanes {
-                    out.re[ob + l] = self.re[ab + l];
-                    out.im[ob + l] = -self.im[ab + l];
-                }
-            }
-        }
-    }
-
-    /// Batched entrywise `self += rhs` on every lane (per lane bit-identical
-    /// to [`CMat::add_in_place`]).
-    pub fn add_in_place(&mut self, rhs: &CBatch) {
-        assert_eq!(
-            (self.rows, self.cols, self.lanes),
-            (rhs.rows, rhs.cols, rhs.lanes)
-        );
-        for (a, b) in self.re.iter_mut().zip(&rhs.re) {
-            *a += *b;
-        }
-        for (a, b) in self.im.iter_mut().zip(&rhs.im) {
-            *a += *b;
-        }
-    }
-
-    /// Entrywise `self += rhs` on the lanes where `mask` is true; masked-out
-    /// lanes are untouched (not even `+= 0.0`, which would flip `-0.0`).
-    pub fn add_in_place_masked(&mut self, rhs: &CBatch, mask: &[bool]) {
-        assert_eq!(
-            (self.rows, self.cols, self.lanes),
-            (rhs.rows, rhs.cols, rhs.lanes)
-        );
-        assert_eq!(mask.len(), self.lanes);
-        for e in 0..self.rows * self.cols {
-            let b = e * self.lanes;
-            for (l, &on) in mask.iter().enumerate() {
-                if on {
-                    self.re[b + l] += rhs.re[b + l];
-                    self.im[b + l] += rhs.im[b + l];
-                }
-            }
-        }
-    }
-
-    /// Entrywise `self += rhs * factor` on the lanes where `mask` is true
-    /// (the per-entry op is `dst + src.scale(factor)`, matching the scalar
-    /// carrier-leakage fold); masked-out lanes are untouched.
-    pub fn add_scaled_in_place_masked(&mut self, rhs: &CBatch, factor: f64, mask: &[bool]) {
-        assert_eq!(
-            (self.rows, self.cols, self.lanes),
-            (rhs.rows, rhs.cols, rhs.lanes)
-        );
-        assert_eq!(mask.len(), self.lanes);
-        for e in 0..self.rows * self.cols {
-            let b = e * self.lanes;
-            for (l, &on) in mask.iter().enumerate() {
-                if on {
-                    let dst = C64::new(self.re[b + l], self.im[b + l]);
-                    let src = C64::new(rhs.re[b + l], rhs.im[b + l]);
-                    let sum = dst + src.scale(factor);
-                    self.re[b + l] = sum.re;
-                    self.im[b + l] = sum.im;
-                }
-            }
-        }
-    }
-
-    /// Copies column `j` of every lane into `out` as a `rows x 1` batch
-    /// (per lane bit-identical to [`CMat::column_into`]).
-    pub fn column_into(&self, j: usize, out: &mut CBatch) {
-        assert!(j < self.cols);
-        out.reset(self.rows, 1, self.lanes);
-        for i in 0..self.rows {
-            let ob = out.idx(i, 0, 0);
-            let ab = self.idx(i, j, 0);
-            out.re[ob..ob + self.lanes].copy_from_slice(&self.re[ab..ab + self.lanes]);
-            out.im[ob..ob + self.lanes].copy_from_slice(&self.im[ab..ab + self.lanes]);
-        }
     }
 
     // alloc-free: end cbatch_kernels
@@ -513,182 +391,10 @@ pub fn svd_batch_into(a: &CBatch, scratch: &mut SvdBatchScratch, out: &mut SvdBa
 }
 // alloc-free: end svd_batch_into
 
-/// Reusable working storage for [`inverse_loaded_batch_into`]: batched LU
-/// factors, per-lane permutations and per-lane pivot/multiplier staging.
-#[derive(Clone, Debug, Default)]
-pub struct LuBatchScratch {
-    lu: CBatch,
-    perm: Vec<usize>,
-}
-
-impl LuBatchScratch {
-    /// A fresh scratch; buffers are allocated lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-// alloc-free: begin lu_batch_kernels (batched subcarrier kernels -- no Vec::new / vec!)
-
-/// Batched in-place LU factorization with per-lane partial pivoting; per
-/// lane bit-identical to `factor_in_place` in [`crate::solve`]. `perm` is
-/// laid out `[row * lanes + lane]` and must arrive as the identity in every
-/// lane. Fails (like the scalar kernel) if any lane is singular.
-fn factor_in_place_batch(lu: &mut CBatch, perm: &mut [usize]) -> Result<(), SingularMatrix> {
-    let n = lu.rows();
-    let lanes = lu.lanes();
-    for k in 0..n {
-        for l in 0..lanes {
-            // Partial pivot: largest |entry| in column k at or below the
-            // diagonal, per lane.
-            let mut p = k;
-            let mut best = lu.get(k, k, l).abs();
-            for i in (k + 1)..n {
-                let v = lu.get(i, k, l).abs();
-                if v > best {
-                    best = v;
-                    p = i;
-                }
-            }
-            if best < 1e-300 {
-                return Err(SingularMatrix);
-            }
-            if p != k {
-                for j in 0..n {
-                    let tmp = lu.get(k, j, l);
-                    lu.set(k, j, l, lu.get(p, j, l));
-                    lu.set(p, j, l, tmp);
-                }
-                perm.swap(k * lanes + l, p * lanes + l);
-            }
-        }
-        for i in (k + 1)..n {
-            let mb = lu.idx(i, k, 0);
-            let kb = lu.idx(k, k, 0);
-            for l in 0..lanes {
-                let m =
-                    C64::new(lu.re[mb + l], lu.im[mb + l]) / C64::new(lu.re[kb + l], lu.im[kb + l]);
-                lu.re[mb + l] = m.re;
-                lu.im[mb + l] = m.im;
-            }
-            for j in (k + 1)..n {
-                let ib = lu.idx(i, j, 0);
-                let kb = lu.idx(k, j, 0);
-                let mb = lu.idx(i, k, 0);
-                for l in 0..lanes {
-                    let m = C64::new(lu.re[mb + l], lu.im[mb + l]);
-                    let s = m * C64::new(lu.re[kb + l], lu.im[kb + l]);
-                    lu.re[ib + l] -= s.re;
-                    lu.im[ib + l] -= s.im;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Batched forward/back substitution; per lane bit-identical to
-/// `substitute_in_place` in [`crate::solve`] (including the zero-entry
-/// skips, which become per-lane predicates).
-fn substitute_in_place_batch(lu: &CBatch, x: &mut CBatch) {
-    let n = lu.rows();
-    let m = x.cols();
-    let lanes = lu.lanes();
-    // Forward substitution (L has unit diagonal).
-    for i in 1..n {
-        for k in 0..i {
-            let lb = lu.idx(i, k, 0);
-            for j in 0..m {
-                let xb = x.idx(i, j, 0);
-                let kb = x.idx(k, j, 0);
-                for ln in 0..lanes {
-                    let l = C64::new(lu.re[lb + ln], lu.im[lb + ln]);
-                    if l == ZERO {
-                        continue;
-                    }
-                    let s = l * C64::new(x.re[kb + ln], x.im[kb + ln]);
-                    x.re[xb + ln] -= s.re;
-                    x.im[xb + ln] -= s.im;
-                }
-            }
-        }
-    }
-    // Back substitution.
-    for i in (0..n).rev() {
-        for k in (i + 1)..n {
-            let ub = lu.idx(i, k, 0);
-            for j in 0..m {
-                let xb = x.idx(i, j, 0);
-                let kb = x.idx(k, j, 0);
-                for ln in 0..lanes {
-                    let u = C64::new(lu.re[ub + ln], lu.im[ub + ln]);
-                    if u == ZERO {
-                        continue;
-                    }
-                    let s = u * C64::new(x.re[kb + ln], x.im[kb + ln]);
-                    x.re[xb + ln] -= s.re;
-                    x.im[xb + ln] -= s.im;
-                }
-            }
-        }
-        let db = lu.idx(i, i, 0);
-        for j in 0..m {
-            let xb = x.idx(i, j, 0);
-            for ln in 0..lanes {
-                let d = C64::new(lu.re[db + ln], lu.im[db + ln]);
-                let q = C64::new(x.re[xb + ln], x.im[xb + ln]) / d;
-                x.re[xb + ln] = q.re;
-                x.im[xb + ln] = q.im;
-            }
-        }
-    }
-}
-
-/// Batched [`crate::solve::inverse_loaded_into`]: inverts `A_l + eps*I` for
-/// every lane at once, per lane bit-identical to the scalar kernel.
-///
-/// # Panics
-/// Panics if any loaded lane is singular to working precision (same
-/// contract and message as the scalar kernel).
-pub fn inverse_loaded_batch_into(
-    a: &CBatch,
-    eps: f64,
-    scratch: &mut LuBatchScratch,
-    out: &mut CBatch,
-) {
-    let n = a.rows();
-    let lanes = a.lanes();
-    scratch.lu.copy_from(a);
-    for i in 0..n {
-        let db = scratch.lu.idx(i, i, 0);
-        for l in 0..lanes {
-            scratch.lu.re[db + l] += eps;
-        }
-    }
-    scratch.perm.clear();
-    for i in 0..n {
-        for _ in 0..lanes {
-            scratch.perm.push(i);
-        }
-    }
-    factor_in_place_batch(&mut scratch.lu, &mut scratch.perm)
-        .expect("diagonally loaded matrix must be invertible");
-    out.reset(n, n, lanes);
-    for i in 0..n {
-        for l in 0..lanes {
-            out.set(i, scratch.perm[i * lanes + l], l, ONE);
-        }
-    }
-    substitute_in_place_batch(&scratch.lu, out);
-}
-
-// alloc-free: end lu_batch_kernels
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SimRng;
-    use crate::solve::{inverse_loaded_into, LuScratch};
     use crate::svd::{svd_into, Svd, SvdScratch};
 
     fn random_mats(rng: &mut SimRng, m: usize, n: usize, lanes: usize) -> Vec<CMat> {
@@ -706,18 +412,6 @@ mod tests {
         b
     }
 
-    fn lanes_eq(b: &CBatch, mats: &[CMat]) -> bool {
-        mats.iter().enumerate().all(|(l, m)| {
-            (0..m.rows()).all(|i| {
-                (0..m.cols()).all(|j| {
-                    let x = b.get(i, j, l);
-                    let y = m[(i, j)];
-                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
-                })
-            })
-        })
-    }
-
     #[test]
     fn load_store_round_trips() {
         let mut rng = SimRng::seed_from(1);
@@ -728,51 +422,6 @@ mod tests {
             b.store_lane(l, &mut back);
             assert_eq!(&back, m);
         }
-    }
-
-    #[test]
-    fn mul_matches_scalar_per_lane() {
-        let mut rng = SimRng::seed_from(2);
-        for &(m, k, n, lanes) in &[(2, 4, 2, 7), (4, 4, 1, 3), (1, 2, 3, 52)] {
-            let a = random_mats(&mut rng, m, k, lanes);
-            let b = random_mats(&mut rng, k, n, lanes);
-            let (ba, bb) = (gather(&a), gather(&b));
-            let mut out = CBatch::new();
-            ba.mul_into(&bb, &mut out);
-            let expect: Vec<CMat> = a.iter().zip(&b).map(|(x, y)| x.matmul(y)).collect();
-            assert!(lanes_eq(&out, &expect), "{m}x{k}x{n} lanes={lanes}");
-        }
-    }
-
-    #[test]
-    fn hermitian_and_column_match_scalar_per_lane() {
-        let mut rng = SimRng::seed_from(3);
-        let mats = random_mats(&mut rng, 3, 4, 6);
-        let b = gather(&mats);
-        let mut out = CBatch::new();
-        b.hermitian_into(&mut out);
-        let expect: Vec<CMat> = mats.iter().map(|m| m.hermitian()).collect();
-        assert!(lanes_eq(&out, &expect));
-        b.column_into(2, &mut out);
-        let expect: Vec<CMat> = mats.iter().map(|m| m.column(2)).collect();
-        assert!(lanes_eq(&out, &expect));
-    }
-
-    #[test]
-    fn masked_add_skips_lanes_exactly() {
-        let mut rng = SimRng::seed_from(4);
-        let a = random_mats(&mut rng, 2, 2, 4);
-        let d = random_mats(&mut rng, 2, 2, 4);
-        let mut b = gather(&a);
-        let mask = [true, false, true, false];
-        b.add_in_place_masked(&gather(&d), &mask);
-        let expect: Vec<CMat> = a
-            .iter()
-            .zip(&d)
-            .zip(mask)
-            .map(|((x, y), on)| if on { x + y } else { x.clone() })
-            .collect();
-        assert!(lanes_eq(&b, &expect));
     }
 
     #[test]
@@ -799,25 +448,6 @@ mod tests {
                 assert_eq!(&lane, &s_out.u, "U lane {l} {m}x{n}");
                 out.v.store_lane(l, &mut lane);
                 assert_eq!(&lane, &s_out.v, "V lane {l} {m}x{n}");
-            }
-        }
-    }
-
-    #[test]
-    fn inverse_loaded_batch_matches_scalar_per_lane() {
-        let mut rng = SimRng::seed_from(6);
-        let mut scratch = LuBatchScratch::new();
-        let mut out = CBatch::new();
-        let mut s_scratch = LuScratch::new();
-        let mut s_out = CMat::zeros(0, 0);
-        for &(n, lanes) in &[(2, 52), (3, 5), (4, 4), (1, 1)] {
-            let mats = random_mats(&mut rng, n, n, lanes);
-            inverse_loaded_batch_into(&gather(&mats), 1e-9, &mut scratch, &mut out);
-            for (l, a) in mats.iter().enumerate() {
-                inverse_loaded_into(a, 1e-9, &mut s_scratch, &mut s_out);
-                let mut lane = CMat::zeros(0, 0);
-                out.store_lane(l, &mut lane);
-                assert_eq!(&lane, &s_out, "inverse lane {l} n={n}");
             }
         }
     }

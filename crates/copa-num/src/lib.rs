@@ -24,9 +24,7 @@ pub mod special;
 pub mod stats;
 pub mod svd;
 
-pub use batch::{
-    inverse_loaded_batch_into, svd_batch_into, CBatch, LuBatchScratch, SvdBatch, SvdBatchScratch,
-};
+pub use batch::{svd_batch_into, CBatch, SvdBatch, SvdBatchScratch};
 pub use complex::C64;
 pub use matrix::CMat;
 pub use rng::SimRng;

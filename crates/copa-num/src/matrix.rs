@@ -126,11 +126,13 @@ impl CMat {
 
     /// Conjugate (Hermitian) transpose `A^H`.
     pub fn hermitian(&self) -> CMat {
-        CMat::from_fn(self.cols, self.rows, |i, j| self[(j, i)].conj())
+        let mut out = CMat::default();
+        self.hermitian_into(&mut out);
+        out
     }
 
-    /// Writes `self^H` into `out` without allocating (same entry order as
-    /// [`CMat::hermitian`], so results are bit-identical).
+    /// Writes `self^H` into `out`, reusing its buffer; [`CMat::hermitian`]
+    /// wraps it.
     pub fn hermitian_into(&self, out: &mut CMat) {
         out.reset(self.cols, self.rows);
         for i in 0..out.rows {
@@ -157,12 +159,13 @@ impl CMat {
 
     /// Extracts column `j` as a `rows x 1` matrix.
     pub fn column(&self, j: usize) -> CMat {
-        assert!(j < self.cols);
-        CMat::from_fn(self.rows, 1, |i, _| self[(i, j)])
+        let mut out = CMat::default();
+        self.column_into(j, &mut out);
+        out
     }
 
-    /// Writes column `j` into `out` as a `rows x 1` matrix without
-    /// allocating. Bit-identical to [`CMat::column`].
+    /// Writes column `j` into `out` as a `rows x 1` matrix, reusing its
+    /// buffer; [`CMat::column`] wraps it.
     pub fn column_into(&self, j: usize, out: &mut CMat) {
         assert!(j < self.cols);
         out.reset(self.rows, 1);
@@ -179,11 +182,13 @@ impl CMat {
 
     /// Returns the sub-matrix made of the given columns, in order.
     pub fn select_columns(&self, cols: &[usize]) -> CMat {
-        CMat::from_fn(self.rows, cols.len(), |i, j| self[(i, cols[j])])
+        let mut out = CMat::default();
+        self.select_columns_into(cols, &mut out);
+        out
     }
 
-    /// Writes the sub-matrix made of the given columns into `out` without
-    /// allocating. Bit-identical to [`CMat::select_columns`].
+    /// Writes the sub-matrix made of the given columns into `out`, reusing
+    /// its buffer; [`CMat::select_columns`] wraps it.
     pub fn select_columns_into(&self, cols: &[usize], out: &mut CMat) {
         out.reset(self.rows, cols.len());
         for i in 0..self.rows {
@@ -242,25 +247,13 @@ impl CMat {
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, rhs: &CMat) -> CMat {
-        assert_eq!(self.cols, rhs.rows, "matmul dimension mismatch");
-        let mut out = CMat::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == ZERO {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out[(i, j)] += a * rhs[(k, j)];
-                }
-            }
-        }
+        let mut out = CMat::default();
+        self.mul_into(rhs, &mut out);
         out
     }
 
-    /// Writes `self * rhs` into `out` without allocating. The loop order and
-    /// the zero-entry skip match [`CMat::matmul`] exactly, so the result is
-    /// bit-identical to the allocating version.
+    /// Writes `self * rhs` into `out`, reusing its buffer; [`CMat::matmul`]
+    /// wraps it. Zero entries of `self` are skipped.
     pub fn mul_into(&self, rhs: &CMat, out: &mut CMat) {
         assert_eq!(self.cols, rhs.rows, "matmul dimension mismatch");
         out.reset(self.rows, rhs.cols);

@@ -25,6 +25,6 @@ pub use beamforming::{beamform, beamform_with};
 pub use nulling::{null_toward, null_toward_with, nulling_dof};
 pub use precoder::{cross_gains_into, reshape_rows, LinkPrecoding, PrecodeScratch, TxPowers};
 pub use sinr::{
-    active_cells, active_cells_into, mmse_sinr_grid, mmse_sinr_grid_scalar_with,
-    mmse_sinr_grid_with, received_power_per_subcarrier, SinrScratch, TxSide,
+    active_cells, active_cells_into, mmse_sinr_grid, mmse_sinr_grid_into, mmse_sinr_grid_reference,
+    received_power_per_subcarrier, TxSide, SINR_MAX_DIM,
 };

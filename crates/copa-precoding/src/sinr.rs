@@ -9,113 +9,24 @@
 
 use crate::precoder::{reshape_rows, LinkPrecoding, TxPowers};
 use copa_channel::{FreqChannel, Impairments};
-use copa_num::batch::{inverse_loaded_batch_into, CBatch, LuBatchScratch};
-use copa_num::complex::ONE;
+use copa_num::complex::ZERO;
 use copa_num::matrix::CMat;
-use copa_num::solve::{inverse_loaded_into, LuScratch};
+use copa_num::solve::inverse_loaded;
 use copa_num::C64;
 use copa_phy::ofdm::DATA_SUBCARRIERS;
 
-/// Buffers for one transmitter's covariance contribution.
-#[derive(Clone, Debug, Default)]
-struct CovScratch {
-    /// Effective transmitted matrix `P diag(sqrt(p))`.
-    txm: CMat,
-    /// `H * txm` (received signal matrix).
-    b: CMat,
-    /// `b^H`.
-    bh: CMat,
-    /// `b * b^H`.
-    bbh: CMat,
-    /// Per-antenna transmitted powers.
-    pant: Vec<f64>,
-    /// EVM noise diagonal.
-    diag: CMat,
-    /// `H * diag`.
-    hd: CMat,
-    /// `H^H`.
-    hh: CMat,
-    /// `H * diag * H^H` (EVM term).
-    hdh: CMat,
-    /// `H * H^H` (leakage term).
-    hhh: CMat,
-}
+/// Capacity of [`mmse_sinr_grid_into`]'s stack arrays: the most receive
+/// antennas a client may have, and the most streams its own AP may send.
+/// Every antenna configuration in the workspace (1x1, 4x2, 3x2) fits;
+/// `copa_core`'s topology validation rejects a client with more antennas
+/// as a typed error before any kernel runs.
+pub const SINR_MAX_DIM: usize = 4;
 
-/// Batched (one lane per subcarrier) counterpart of [`CovScratch`].
-#[derive(Clone, Debug, Default)]
-struct CovBatchScratch {
-    /// Effective transmitted matrices `P diag(sqrt(p))`, all lanes.
-    txm: CBatch,
-    /// `H * txm` per lane.
-    b: CBatch,
-    bh: CBatch,
-    bbh: CBatch,
-    /// Lanes whose EVM term is non-zero (any antenna transmitting).
-    evm_mask: Vec<bool>,
-    /// EVM noise diagonals per lane.
-    diag: CBatch,
-    hd: CBatch,
-    hh: CBatch,
-    hdh: CBatch,
-    hhh: CBatch,
-    /// Lanes that are dropped subcarriers (leakage applies).
-    drop_mask: Vec<bool>,
-}
-
-/// Reusable working storage for [`mmse_sinr_grid_with`]: every temporary of
-/// the per-subcarrier MMSE chain, owned once per worker and reused across
-/// subcarriers, strategies and topologies.
-#[derive(Clone, Debug, Default)]
-pub struct SinrScratch {
-    cov_scratch: CovScratch,
-    /// One transmitter's covariance contribution.
-    cov: CMat,
-    /// Base covariance (noise + own EVM + interferer).
-    base: CMat,
-    /// Own effective transmitted matrix.
-    txm: CMat,
-    /// Received stream signatures `H * txm`.
-    a: CMat,
-    /// Per-stream covariance `R_k`.
-    rk: CMat,
-    /// Interfering stream signature and products.
-    aj: CMat,
-    ajh: CMat,
-    ajajh: CMat,
-    /// Desired stream signature and products.
-    ak: CMat,
-    akh: CMat,
-    t1: CMat,
-    t2: CMat,
-    /// LU working storage and the inverse.
-    lu: LuScratch,
-    rinv: CMat,
-    /// Batched-path temporaries (SoA, one lane per subcarrier).
-    cov_batch: CovBatchScratch,
-    cov_b: CBatch,
-    base_b: CBatch,
-    txm_b: CBatch,
-    h_own_b: CBatch,
-    h_int_b: CBatch,
-    a_b: CBatch,
-    rk_b: CBatch,
-    aj_b: CBatch,
-    ajh_b: CBatch,
-    ajajh_b: CBatch,
-    ak_b: CBatch,
-    akh_b: CBatch,
-    t1_b: CBatch,
-    t2_b: CBatch,
-    lu_b: LuBatchScratch,
-    rinv_b: CBatch,
-}
-
-impl SinrScratch {
-    /// A fresh scratch; buffers are allocated lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+/// One entry per receive antenna.
+type RxVec = [C64; SINR_MAX_DIM];
+/// The lower triangle of a Hermitian `rx x rx` covariance (entries above
+/// the diagonal are never read).
+type Lower = [RxVec; SINR_MAX_DIM];
 
 /// One transmitter as seen from a particular receiver: the true channel to
 /// that receiver plus what the transmitter is sending.
@@ -131,341 +42,280 @@ pub struct TxSide<'a> {
 }
 
 impl<'a> TxSide<'a> {
-    /// Effective transmitted matrix `P diag(sqrt(p))` on subcarrier `s`
-    /// (tx x streams), written into `out`.
-    fn tx_matrix_into(&self, s: usize, out: &mut CMat) {
-        let p = &self.precoding.precoder[s];
-        out.reset(p.rows(), p.cols());
-        for i in 0..p.rows() {
-            for k in 0..p.cols() {
-                out[(i, k)] = p[(i, k)].scale(self.powers.powers[k][s].sqrt());
-            }
+    /// Carrier leakage per transmit antenna on subcarrier `s`, in mW: a
+    /// dropped subcarrier still radiates `leakage_db` below the average
+    /// per-subcarrier level, omnidirectionally (unprecoded); an active one
+    /// radiates none.
+    fn leakage_per_antenna_mw(&self, s: usize, imp: &Impairments) -> f64 {
+        if !self.powers.is_dropped(s) {
+            return 0.0;
         }
+        imp.leakage_factor() * self.budget_mw / DATA_SUBCARRIERS as f64 / self.channel.tx() as f64
+    }
+
+    /// Effective transmitted matrix `P diag(sqrt(p))` on subcarrier `s`
+    /// (tx x streams).
+    fn tx_matrix(&self, s: usize) -> CMat {
+        let p = &self.precoding.precoder[s];
+        CMat::from_fn(p.rows(), p.cols(), |i, k| {
+            p[(i, k)].scale(self.powers.powers[k][s].sqrt())
+        })
     }
 
     /// Covariance contribution of this transmitter at the receiver on
-    /// subcarrier `s` (allocating convenience wrapper; see
-    /// [`TxSide::covariance_into`]).
+    /// subcarrier `s`, *excluding* the desired-signal columns unless
+    /// `include_signal` (excluded when this is the receiver's own AP), as
+    /// a full `CMat`. The reference for the terms [`mmse_sinr_grid_into`]
+    /// accumulates on its stack arrays.
     fn covariance(&self, s: usize, imp: &Impairments, include_signal: bool) -> CMat {
-        let mut ws = CovScratch::default();
-        let mut r = CMat::default();
-        self.covariance_into(s, imp, include_signal, &mut ws, &mut r);
+        let h = self.channel.at(s);
+        let mut r = CMat::zeros(h.rows(), h.rows());
+        let txm = self.tx_matrix(s);
+
+        if include_signal {
+            let b = h.matmul(&txm);
+            r.add_in_place(&b.matmul(&b.hermitian()));
+        }
+
+        // Transmit EVM: unprecoded noise radiated per antenna.
+        let evm = imp.evm_factor();
+        if evm > 0.0 {
+            let pant: Vec<f64> = (0..txm.rows())
+                .map(|i| (0..txm.cols()).map(|k| txm[(i, k)].norm_sqr()).sum())
+                .collect();
+            if pant.iter().any(|&p| p > 0.0) {
+                let diag: Vec<f64> = pant.iter().map(|&p| p * evm).collect();
+                r.add_in_place(&h.matmul(&CMat::diag_real(&diag)).matmul(&h.hermitian()));
+            }
+        }
+
+        let per_ant = self.leakage_per_antenna_mw(s, imp);
+        if per_ant > 0.0 {
+            let hhh = h.matmul(&h.hermitian());
+            for (dst, src) in r.as_mut_slice().iter_mut().zip(hhh.as_slice()) {
+                *dst = *dst + src.scale(per_ant);
+            }
+        }
         r
     }
 
-    // alloc-free: begin covariance_into (per-subcarrier kernel -- no Vec::new / vec!)
-    /// Covariance contribution of this transmitter at the receiver on
-    /// subcarrier `s`, *excluding* the desired-signal columns unless
-    /// `include_signal` (excluded when this is the receiver's own AP).
-    /// Written into `r` using only caller-owned buffers.
-    fn covariance_into(
-        &self,
-        s: usize,
-        imp: &Impairments,
-        include_signal: bool,
-        ws: &mut CovScratch,
-        r: &mut CMat,
-    ) {
+    // alloc-free: begin sinr_terms (per-subcarrier kernel -- no Vec::new / vec!)
+    /// Received signature `H P_k sqrt(p_k)` of stream `k` on subcarrier `s`.
+    fn signature(&self, s: usize, k: usize) -> RxVec {
         let h = self.channel.at(s);
-        let rx = h.rows();
-        r.reset(rx, rx);
-        self.tx_matrix_into(s, &mut ws.txm);
-
-        if include_signal {
-            h.mul_into(&ws.txm, &mut ws.b);
-            ws.b.hermitian_into(&mut ws.bh);
-            ws.b.mul_into(&ws.bh, &mut ws.bbh);
-            r.add_in_place(&ws.bbh);
+        let p = &self.precoding.precoder[s];
+        let amp = self.powers.powers[k][s].sqrt();
+        let mut v = [ZERO; SINR_MAX_DIM];
+        for (m, vm) in v.iter_mut().enumerate().take(h.rows()) {
+            for i in 0..h.cols() {
+                *vm += h[(m, i)] * p[(i, k)];
+            }
+            *vm = vm.scale(amp);
         }
+        v
+    }
 
-        // Transmit EVM: unprecoded noise radiated per antenna.
+    /// Adds this transmitter's unprecoded noise on subcarrier `s` to `r`:
+    /// per antenna `i` with channel column `h_i`, `w_i h_i h_i^H` where
+    /// `w_i` is the antenna's transmitted power times the EVM factor (zero
+    /// when the antenna is silent) plus the dropped-subcarrier leakage.
+    fn add_noise(&self, s: usize, imp: &Impairments, r: &mut Lower) {
+        let h = self.channel.at(s);
+        let p = &self.precoding.precoder[s];
         let evm = imp.evm_factor();
-        if evm > 0.0 {
-            let pw = &mut ws.pant;
-            pw.clear();
-            pw.extend((0..ws.txm.rows()).map(|i| {
-                (0..ws.txm.cols())
-                    .map(|k| ws.txm[(i, k)].norm_sqr())
-                    .sum::<f64>()
-            }));
-            if pw.iter().any(|&p| p > 0.0) {
-                ws.diag.reset(pw.len(), pw.len());
-                for (i, &p) in pw.iter().enumerate() {
-                    ws.diag[(i, i)] = C64::real(p * evm);
+        let leak = self.leakage_per_antenna_mw(s, imp);
+        let mut col = [ZERO; SINR_MAX_DIM];
+        for i in 0..h.cols() {
+            let pant: f64 = (0..p.cols())
+                .map(|k| p[(i, k)].norm_sqr() * self.powers.powers[k][s])
+                .sum();
+            let w = pant * evm + leak;
+            if w > 0.0 {
+                for (m, c) in col.iter_mut().enumerate().take(h.rows()) {
+                    *c = h[(m, i)];
                 }
-                h.mul_into(&ws.diag, &mut ws.hd);
-                h.hermitian_into(&mut ws.hh);
-                ws.hd.mul_into(&ws.hh, &mut ws.hdh);
-                r.add_in_place(&ws.hdh);
-            }
-        }
-
-        // Carrier leakage: a dropped subcarrier still radiates
-        // `leakage_db` below the average per-subcarrier level,
-        // omnidirectionally (unprecoded).
-        if self.powers.is_dropped(s) {
-            let leak_mw = imp.leakage_factor() * self.budget_mw / DATA_SUBCARRIERS as f64;
-            if leak_mw > 0.0 {
-                let per_ant = leak_mw / h.cols() as f64;
-                h.hermitian_into(&mut ws.hh);
-                h.mul_into(&ws.hh, &mut ws.hhh);
-                for (dst, src) in r.as_mut_slice().iter_mut().zip(ws.hhh.as_slice()) {
-                    *dst = *dst + src.scale(per_ant);
-                }
+                add_outer(r, &col, w, h.rows());
             }
         }
     }
-    // alloc-free: end covariance_into
-
-    // alloc-free: begin covariance_batch (batched subcarrier kernels -- no Vec::new / vec!)
-    /// Batched [`TxSide::tx_matrix_into`]: one lane per subcarrier, each
-    /// entry computed with the exact scalar op (`p * sqrt(power)`).
-    fn tx_matrix_batch_into(&self, out: &mut CBatch) {
-        let n_sub = self.precoding.precoder.len();
-        let p0 = &self.precoding.precoder[0];
-        out.reset(p0.rows(), p0.cols(), n_sub);
-        for (l, p) in self.precoding.precoder.iter().enumerate() {
-            for i in 0..p.rows() {
-                for k in 0..p.cols() {
-                    out.set(i, k, l, p[(i, k)].scale(self.powers.powers[k][l].sqrt()));
-                }
-            }
-        }
-    }
-
-    /// Batched [`TxSide::covariance_into`] over all subcarrier lanes of the
-    /// pre-gathered channel `h_b`. Per-subcarrier branches of the scalar
-    /// path (EVM active, dropped-subcarrier leakage) become per-lane masks
-    /// on the adds, so every lane accumulates exactly the scalar terms in
-    /// the scalar order.
-    fn covariance_batch_into(
-        &self,
-        imp: &Impairments,
-        include_signal: bool,
-        h_b: &CBatch,
-        ws: &mut CovBatchScratch,
-        r: &mut CBatch,
-    ) {
-        let rx = h_b.rows();
-        let lanes = h_b.lanes();
-        r.reset(rx, rx, lanes);
-        self.tx_matrix_batch_into(&mut ws.txm);
-
-        if include_signal {
-            h_b.mul_into(&ws.txm, &mut ws.b);
-            ws.b.hermitian_into(&mut ws.bh);
-            ws.b.mul_into(&ws.bh, &mut ws.bbh);
-            r.add_in_place(&ws.bbh);
-        }
-
-        // Transmit EVM: unprecoded noise radiated per antenna.
-        let evm = imp.evm_factor();
-        if evm > 0.0 {
-            let nt = ws.txm.rows();
-            ws.diag.reset(nt, nt, lanes);
-            ws.evm_mask.clear();
-            ws.evm_mask.resize(lanes, false);
-            for l in 0..lanes {
-                let mut any = false;
-                for i in 0..nt {
-                    let p: f64 = (0..ws.txm.cols())
-                        .map(|k| ws.txm.get(i, k, l).norm_sqr())
-                        .sum();
-                    if p > 0.0 {
-                        any = true;
-                    }
-                    ws.diag.set(i, i, l, C64::real(p * evm));
-                }
-                ws.evm_mask[l] = any;
-            }
-            if ws.evm_mask.iter().any(|&m| m) {
-                h_b.mul_into(&ws.diag, &mut ws.hd);
-                h_b.hermitian_into(&mut ws.hh);
-                ws.hd.mul_into(&ws.hh, &mut ws.hdh);
-                r.add_in_place_masked(&ws.hdh, &ws.evm_mask);
-            }
-        }
-
-        // Carrier leakage on dropped subcarriers, per-lane masked.
-        let leak_mw = imp.leakage_factor() * self.budget_mw / DATA_SUBCARRIERS as f64;
-        if leak_mw > 0.0 {
-            ws.drop_mask.clear();
-            ws.drop_mask.resize(lanes, false);
-            let mut any = false;
-            for (l, m) in ws.drop_mask.iter_mut().enumerate() {
-                *m = self.powers.is_dropped(l);
-                any |= *m;
-            }
-            if any {
-                let per_ant = leak_mw / h_b.cols() as f64;
-                h_b.hermitian_into(&mut ws.hh);
-                h_b.mul_into(&ws.hh, &mut ws.hhh);
-                r.add_scaled_in_place_masked(&ws.hhh, per_ant, &ws.drop_mask);
-            }
-        }
-    }
-    // alloc-free: end covariance_batch
+    // alloc-free: end sinr_terms
 }
 
 /// Per-stream post-MMSE SINR grid (`[stream][subcarrier]`, linear) at the
-/// receiver served by `own`, with optional concurrent `interferer`.
-///
-/// For each stream `k` with received signature `a_k = H P_k sqrt(p_k)`:
-/// `SINR_k = a_k^H R_k^{-1} a_k`, where `R_k` collects thermal noise, the
-/// other streams of the own AP, all of the interferer's signal, and both
-/// transmitters' EVM/leakage noise. This is the standard MMSE output SINR.
+/// receiver served by `own`, with optional concurrent `interferer`
+/// (allocating convenience wrapper; see [`mmse_sinr_grid_into`]).
 pub fn mmse_sinr_grid(
     own: &TxSide,
     interferer: Option<&TxSide>,
     noise_mw: f64,
     imp: &Impairments,
 ) -> Vec<[f64; DATA_SUBCARRIERS]> {
-    let mut ws = SinrScratch::new();
     let mut grid = Vec::new();
-    mmse_sinr_grid_with(own, interferer, noise_mw, imp, &mut ws, &mut grid);
+    mmse_sinr_grid_into(own, interferer, noise_mw, imp, &mut grid);
     grid
 }
 
-// alloc-free: begin mmse_sinr_grid_with (per-subcarrier kernel -- no Vec::new / vec!)
-/// [`mmse_sinr_grid`] writing into caller-owned buffers: `ws` holds every
-/// matrix temporary and `grid` is reshaped in place. After warm-up the whole
-/// MMSE chain runs without heap allocation.
+// alloc-free: begin mmse_sinr_grid_into (per-subcarrier kernel -- no Vec::new / vec!)
+/// [`mmse_sinr_grid`] into a caller-owned grid, reshaped in place; it
+/// needs no other buffer, so after warm-up it never allocates.
 ///
-/// Batched implementation: channels are gathered once into SoA lanes and
-/// every step of the scalar chain (covariances, stream signatures, `R_k`
-/// assembly, loaded inversion, quadratic form) runs across all 52 lanes at
-/// once. Per lane the op sequence is exactly the scalar one, so the grid is
-/// bit-identical to the [`mmse_sinr_grid_scalar_with`] reference (checked on
-/// engine inputs by `tests/determinism.rs`). Lanes whose stream power is
-/// zero are computed but not written back, matching the scalar skip.
-pub fn mmse_sinr_grid_with(
+/// For each stream `k` with received signature `a_k = H P_k sqrt(p_k)`:
+/// `SINR_k = a_k^H R_k^{-1} a_k`, the standard MMSE output SINR, where
+/// `R_k` collects thermal noise `noise_mw * I`, a diagonal loading of
+/// `noise_mw.max(1e-18) * 1e-9`, the other streams of the own AP
+/// (`sum_{j != k} a_j a_j^H`), the interferer's streams, and both
+/// transmitters' EVM and leakage noise. Per subcarrier the shared terms
+/// are summed once, as rank-1 updates of a lower triangle on the stack;
+/// each active stream then adds its co-streams, factors `R_k = L L^H` by
+/// Cholesky and writes `|L^{-1} a_k|^2`. A cell whose power is zero keeps
+/// its 0. Agrees with [`mmse_sinr_grid_reference`] to rounding.
+///
+/// # Panics
+/// Panics if the receiver has more than [`SINR_MAX_DIM`] antennas, the own
+/// AP sends more than [`SINR_MAX_DIM`] streams, or the interferer's
+/// channel reaches a receiver with another antenna count.
+pub fn mmse_sinr_grid_into(
     own: &TxSide,
     interferer: Option<&TxSide>,
     noise_mw: f64,
     imp: &Impairments,
-    ws: &mut SinrScratch,
     grid: &mut Vec<[f64; DATA_SUBCARRIERS]>,
 ) {
     let streams = own.precoding.streams();
     let rx = own.channel.rx();
-    reshape_rows(grid, streams, 0.0);
-
-    let lanes = DATA_SUBCARRIERS;
-    ws.h_own_b.reset(rx, own.channel.tx(), lanes);
-    for (s, h) in own.channel.iter().enumerate() {
-        ws.h_own_b.load_lane(s, h);
-    }
-
-    // Base covariance: thermal noise + own EVM + interferer everything.
-    ws.base_b.reset(rx, rx, lanes);
-    for i in 0..rx {
-        for l in 0..lanes {
-            ws.base_b.set(i, i, l, ONE.scale(noise_mw));
-        }
-    }
-    own.covariance_batch_into(imp, false, &ws.h_own_b, &mut ws.cov_batch, &mut ws.cov_b);
-    ws.base_b.add_in_place(&ws.cov_b);
+    assert!(
+        rx <= SINR_MAX_DIM && streams <= SINR_MAX_DIM,
+        "SINR kernel holds at most {SINR_MAX_DIM} receive antennas and streams, got {rx} and {streams}"
+    );
     if let Some(int) = interferer {
-        ws.h_int_b.reset(int.channel.rx(), int.channel.tx(), lanes);
-        for (s, h) in int.channel.iter().enumerate() {
-            ws.h_int_b.load_lane(s, h);
-        }
-        int.covariance_batch_into(imp, true, &ws.h_int_b, &mut ws.cov_batch, &mut ws.cov_b);
-        ws.base_b.add_in_place(&ws.cov_b);
+        assert_eq!(int.channel.rx(), rx, "interferer reaches another receiver");
     }
+    reshape_rows(grid, streams, 0.0);
+    let floor = noise_mw + noise_mw.max(1e-18) * 1e-9;
 
-    own.tx_matrix_batch_into(&mut ws.txm_b);
-    ws.h_own_b.mul_into(&ws.txm_b, &mut ws.a_b); // rx x streams per lane
-    for k in 0..streams {
-        if own.powers.powers[k].iter().all(|&p| p <= 0.0) {
-            continue;
+    let mut a = [[ZERO; SINR_MAX_DIM]; SINR_MAX_DIM];
+    for s in 0..DATA_SUBCARRIERS {
+        let mut base = [[ZERO; SINR_MAX_DIM]; SINR_MAX_DIM];
+        for (i, row) in base.iter_mut().enumerate().take(rx) {
+            row[i] = C64::real(floor);
         }
-        // R_k = base + sum_{j != k} a_j a_j^H, all lanes at once.
-        ws.rk_b.copy_from(&ws.base_b);
-        for j in 0..streams {
-            if j == k {
-                continue;
+        own.add_noise(s, imp, &mut base);
+        if let Some(int) = interferer {
+            int.add_noise(s, imp, &mut base);
+            for k in 0..int.precoding.streams() {
+                if int.powers.powers[k][s] > 0.0 {
+                    add_outer(&mut base, &int.signature(s, k), 1.0, rx);
+                }
             }
-            ws.a_b.column_into(j, &mut ws.aj_b);
-            ws.aj_b.hermitian_into(&mut ws.ajh_b);
-            ws.aj_b.mul_into(&ws.ajh_b, &mut ws.ajajh_b);
-            ws.rk_b.add_in_place(&ws.ajajh_b);
         }
-        ws.a_b.column_into(k, &mut ws.ak_b);
-        inverse_loaded_batch_into(
-            &ws.rk_b,
-            noise_mw.max(1e-18) * 1e-9,
-            &mut ws.lu_b,
-            &mut ws.rinv_b,
-        );
-        ws.ak_b.hermitian_into(&mut ws.akh_b);
-        ws.akh_b.mul_into(&ws.rinv_b, &mut ws.t1_b);
-        ws.t1_b.mul_into(&ws.ak_b, &mut ws.t2_b);
-        for s in 0..lanes {
+
+        for (k, ak) in a.iter_mut().enumerate().take(streams) {
+            *ak = own.signature(s, k);
+        }
+        for k in 0..streams {
             if own.powers.powers[k][s] <= 0.0 {
                 continue;
             }
-            grid[k][s] = ws.t2_b.get(0, 0, s).re.max(0.0);
+            let mut rk = base;
+            for (j, aj) in a.iter().enumerate().take(streams) {
+                if j != k && own.powers.powers[j][s] > 0.0 {
+                    add_outer(&mut rk, aj, 1.0, rx);
+                }
+            }
+            grid[k][s] = quad_form(&mut rk, &a[k], rx, floor).max(0.0);
         }
     }
 }
 
-/// The per-subcarrier scalar reference for [`mmse_sinr_grid_with`]: same
-/// semantics, same output bits. The engine never calls it; it stays public
-/// so `tests/determinism.rs` can check the batched kernel against it.
-pub fn mmse_sinr_grid_scalar_with(
+/// `r += w v v^H` on the lower triangle of the leading `n x n` block.
+#[inline]
+fn add_outer(r: &mut Lower, v: &RxVec, w: f64, n: usize) {
+    for i in 0..n {
+        let wv = v[i].scale(w);
+        for j in 0..i {
+            r[i][j] += wv * v[j].conj();
+        }
+        r[i][i].re += wv.re * v[i].re + wv.im * v[i].im;
+    }
+}
+
+/// `a^H R^{-1} a` for the Hermitian `R` whose lower `n x n` triangle is
+/// `r`, with `R - floor * I` positive semi-definite: factors `R = L L^H`
+/// in place, row by row, and sums `|y_j|^2` for `L y = a` in the same pass.
+/// Every pivot `L_jj^2` is at least `floor` in exact arithmetic; one that
+/// rounding takes below it is raised back to it, so the result is finite
+/// whenever `floor > 0`.
+#[inline]
+fn quad_form(r: &mut Lower, a: &RxVec, n: usize, floor: f64) -> f64 {
+    let mut y = [ZERO; SINR_MAX_DIM];
+    let mut inv_diag = [0.0; SINR_MAX_DIM];
+    let mut q = 0.0;
+    for j in 0..n {
+        let mut d = r[j][j].re;
+        let mut t = a[j];
+        for c in 0..j {
+            let mut l = r[j][c];
+            for (ljm, lcm) in r[j][..c].iter().zip(&r[c][..c]) {
+                l -= *ljm * lcm.conj();
+            }
+            l = l.scale(inv_diag[c]);
+            r[j][c] = l;
+            d -= l.norm_sqr();
+            t -= l * y[c];
+        }
+        inv_diag[j] = 1.0 / d.max(floor).sqrt();
+        y[j] = t.scale(inv_diag[j]);
+        q += y[j].norm_sqr();
+    }
+    q
+}
+// alloc-free: end mmse_sinr_grid_into
+
+/// The `CMat` reference for [`mmse_sinr_grid_into`]: the same SINR from
+/// full covariance matrices, a diagonally loaded LU inverse and the matrix
+/// product `a_k^H R_k^{-1} a_k`, allocating as it goes. The engine never
+/// calls it; it stays public so tests can bound the kernel's deviation
+/// from it.
+pub fn mmse_sinr_grid_reference(
     own: &TxSide,
     interferer: Option<&TxSide>,
     noise_mw: f64,
     imp: &Impairments,
-    ws: &mut SinrScratch,
-    grid: &mut Vec<[f64; DATA_SUBCARRIERS]>,
-) {
+) -> Vec<[f64; DATA_SUBCARRIERS]> {
     let streams = own.precoding.streams();
     let rx = own.channel.rx();
-    reshape_rows(grid, streams, 0.0);
+    let mut grid = Vec::new();
+    reshape_rows(&mut grid, streams, 0.0);
 
     for s in 0..DATA_SUBCARRIERS {
         // Base covariance: thermal noise + own EVM + interferer everything.
-        ws.base.reset(rx, rx);
+        let mut base = CMat::zeros(rx, rx);
         for i in 0..rx {
-            ws.base[(i, i)] = ONE.scale(noise_mw);
+            base[(i, i)] = C64::real(noise_mw);
         }
-        own.covariance_into(s, imp, false, &mut ws.cov_scratch, &mut ws.cov);
-        ws.base.add_in_place(&ws.cov);
+        base.add_in_place(&own.covariance(s, imp, false));
         if let Some(int) = interferer {
-            int.covariance_into(s, imp, true, &mut ws.cov_scratch, &mut ws.cov);
-            ws.base.add_in_place(&ws.cov);
+            base.add_in_place(&int.covariance(s, imp, true));
         }
 
-        own.tx_matrix_into(s, &mut ws.txm);
-        own.channel.at(s).mul_into(&ws.txm, &mut ws.a); // rx x streams
+        let a = own.channel.at(s).matmul(&own.tx_matrix(s)); // rx x streams
         for k in 0..streams {
             if own.powers.powers[k][s] <= 0.0 {
                 continue;
             }
             // R_k = base + sum_{j != k} a_j a_j^H.
-            ws.rk.copy_from(&ws.base);
-            for j in 0..streams {
-                if j == k {
-                    continue;
-                }
-                ws.a.column_into(j, &mut ws.aj);
-                ws.aj.hermitian_into(&mut ws.ajh);
-                ws.aj.mul_into(&ws.ajh, &mut ws.ajajh);
-                ws.rk.add_in_place(&ws.ajajh);
+            let mut rk = base.clone();
+            for j in (0..streams).filter(|&j| j != k) {
+                let aj = a.column(j);
+                rk.add_in_place(&aj.matmul(&aj.hermitian()));
             }
-            ws.a.column_into(k, &mut ws.ak);
-            inverse_loaded_into(&ws.rk, noise_mw.max(1e-18) * 1e-9, &mut ws.lu, &mut ws.rinv);
-            ws.ak.hermitian_into(&mut ws.akh);
-            ws.akh.mul_into(&ws.rinv, &mut ws.t1);
-            ws.t1.mul_into(&ws.ak, &mut ws.t2);
-            let sinr = ws.t2[(0, 0)];
-            grid[k][s] = sinr.re.max(0.0);
+            let ak = a.column(k);
+            let rinv = inverse_loaded(&rk, noise_mw.max(1e-18) * 1e-9);
+            grid[k][s] = ak.hermitian().matmul(&rinv).matmul(&ak)[(0, 0)].re.max(0.0);
         }
     }
+    grid
 }
-// alloc-free: end mmse_sinr_grid_with
 
 /// Total received power (mW, summed over receive antennas) from a
 /// transmitter on each subcarrier -- the paper's INR / signal-power
@@ -695,9 +545,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_grid_is_bit_identical_to_scalar() {
-        // Exercise every scalar branch: interferer on/off, real impairments
-        // (EVM + leakage) vs ideal, dropped subcarriers, zero-power streams.
+    fn kernel_matches_reference_on_every_branch() {
+        // Every term of the chain: interferer on/off, real impairments
+        // (EVM + leakage) vs ideal, dropped subcarriers, zero-power cells.
+        // Cholesky and LU round differently, so the kernel agrees with the
+        // reference to 1e-10 relative (see tests/determinism.rs for the
+        // bound), and exactly where the reference leaves a cell at 0.
         let mut rng = SimRng::seed_from(80);
         let truth = ch(&mut rng, 2, 4, 1e-6);
         let cross = ch(&mut rng, 2, 4, 1e-7);
@@ -723,24 +576,22 @@ mod tests {
             powers: &int_powers,
             budget_mw: 31.6,
         };
-        let mut ws = SinrScratch::new();
+        let mut grid = Vec::new();
         for imp in [Impairments::default(), Impairments::ideal()] {
             for with_int in [false, true] {
                 let interferer = with_int.then_some(&int);
-                let mut batched = Vec::new();
-                mmse_sinr_grid_with(&own, interferer, NOISE, &imp, &mut ws, &mut batched);
-                let mut scalar = Vec::new();
-                mmse_sinr_grid_scalar_with(&own, interferer, NOISE, &imp, &mut ws, &mut scalar);
-                assert_eq!(batched.len(), scalar.len());
-                for k in 0..batched.len() {
+                mmse_sinr_grid_into(&own, interferer, NOISE, &imp, &mut grid);
+                let reference = mmse_sinr_grid_reference(&own, interferer, NOISE, &imp);
+                assert_eq!(grid.len(), reference.len());
+                for k in 0..grid.len() {
                     for s in 0..DATA_SUBCARRIERS {
-                        assert_eq!(
-                            batched[k][s].to_bits(),
-                            scalar[k][s].to_bits(),
-                            "with_int={with_int} k={k} s={s}: {} vs {}",
-                            batched[k][s],
-                            scalar[k][s]
-                        );
+                        let (got, want) = (grid[k][s], reference[k][s]);
+                        let ok = if want == 0.0 {
+                            got == 0.0
+                        } else {
+                            (got - want).abs() <= 1e-10 * want
+                        };
+                        assert!(ok, "with_int={with_int} k={k} s={s}: {got} vs {want}");
                     }
                 }
             }

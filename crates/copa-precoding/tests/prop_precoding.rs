@@ -8,7 +8,9 @@ use copa_num::{prop_assert, prop_assert_eq};
 use copa_phy::ofdm::DATA_SUBCARRIERS;
 use copa_precoding::beamforming::beamform;
 use copa_precoding::nulling::null_toward;
-use copa_precoding::sinr::{mmse_sinr_grid, TxSide};
+use copa_precoding::sinr::{
+    mmse_sinr_grid, mmse_sinr_grid_into, mmse_sinr_grid_reference, TxSide, SINR_MAX_DIM,
+};
 use copa_precoding::TxPowers;
 
 const CASES: usize = 24;
@@ -68,35 +70,67 @@ fn nulling_annihilates_with_exact_csi() {
 }
 
 #[test]
-fn sinr_grid_is_nonnegative_and_finite() {
-    check("sinr_grid_is_nonnegative_and_finite", CASES, |g| {
-        let seed = g.u64();
-        let budget = g.f64_in(1.0, 40.0);
-        let truth = channel(seed ^ 3, 2, 4);
-        let cross = channel(seed ^ 4, 2, 4);
-        let pre = beamform(&truth, 2);
-        let int_pre = beamform(&channel(seed ^ 5, 2, 4), 2);
-        let powers = TxPowers::equal(2, budget);
-        let own = TxSide {
-            channel: &truth,
-            precoding: &pre,
-            powers: &powers,
-            budget_mw: budget,
-        };
-        let int = TxSide {
-            channel: &cross,
-            precoding: &int_pre,
-            powers: &powers,
-            budget_mw: budget,
-        };
-        let grid = mmse_sinr_grid(&own, Some(&int), 1e-9, &Impairments::default());
-        for row in &grid {
-            for &v in row {
-                prop_assert!(v.is_finite() && v >= 0.0);
+fn sinr_kernel_is_finite_nonnegative_and_within_bound_of_reference() {
+    // Every shape the kernel's stack arrays hold: 1..=4 receive and
+    // transmit antennas on both sides, 1..=tx streams (precoded on a fake
+    // estimate with one row per stream, so streams may outnumber the
+    // receive antennas), with and without an interferer, real and ideal
+    // impairments, a dropped subcarrier and a zero-power cell. The bound
+    // is the one tests/determinism.rs justifies on engine inputs.
+    check(
+        "sinr_kernel_is_finite_nonnegative_and_within_bound_of_reference",
+        64,
+        |g| {
+            let seed = g.u64();
+            let rx = g.usize_in(1, SINR_MAX_DIM + 1);
+            let budget = g.f64_in(1.0, 40.0);
+            let imp = *g.pick(&[Impairments::default(), Impairments::ideal()]);
+            // (precoder, powers, channel to the receiver) per transmitter.
+            let side = |g: &mut copa_num::prop::Gen, salt: u64| {
+                let tx = g.usize_in(1, SINR_MAX_DIM + 1);
+                let streams = g.usize_in(1, tx + 1);
+                let pre = beamform(&channel(seed ^ salt, streams, tx), streams);
+                let mut powers = TxPowers::equal(streams, budget);
+                let dropped = g.usize_in(0, DATA_SUBCARRIERS);
+                for row in &mut powers.powers {
+                    row[dropped] = 0.0;
+                }
+                powers.powers[streams - 1][g.usize_in(0, DATA_SUBCARRIERS)] = 0.0;
+                (pre, powers, channel(seed ^ salt ^ 1, rx, tx))
+            };
+            let (pre, powers, truth) = side(g, 20);
+            let (int_pre, int_powers, cross) = side(g, 40);
+            let own = TxSide {
+                channel: &truth,
+                precoding: &pre,
+                powers: &powers,
+                budget_mw: budget,
+            };
+            let int = TxSide {
+                channel: &cross,
+                precoding: &int_pre,
+                powers: &int_powers,
+                budget_mw: budget,
+            };
+            let interferer = g.bool().then_some(&int);
+            let mut grid = Vec::new();
+            mmse_sinr_grid_into(&own, interferer, 1e-9, &imp, &mut grid);
+            let reference = mmse_sinr_grid_reference(&own, interferer, 1e-9, &imp);
+            prop_assert_eq!(grid.len(), reference.len());
+            for (k, (row, want_row)) in grid.iter().zip(&reference).enumerate() {
+                for (s, (&got, &want)) in row.iter().zip(want_row).enumerate() {
+                    prop_assert!(got.is_finite() && got >= 0.0, "k={k} s={s}: {got}");
+                    let ok = if want == 0.0 {
+                        got == 0.0
+                    } else {
+                        (got - want).abs() <= 1e-10 * want
+                    };
+                    prop_assert!(ok, "k={k} s={s}: {got:e} vs reference {want:e}");
+                }
             }
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 #[test]

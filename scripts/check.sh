@@ -7,12 +7,12 @@
 # it scans the sources: no registry dependencies, no allocation in marked
 # kernel regions, no unbudgeted panics, one worker pool (only
 # crates/copa-sim/src/pool.rs may spawn threads), one ITS exchange loop
-# (only the coordinator decodes frames off the faulty medium), one
-# precoding kernel (the batched SoA kernels serve only the MMSE SINR
-# chain), one allocation path (only copa-alloc runs the per-stream
-# allocation kernels) and one channel draw (only copa-channel's
-# timedomain.rs transforms taps to subcarriers). This script is what CI
-# runs; keep it green.
+# (only the coordinator decodes frames off the faulty medium), SoA only
+# inside copa-num (no engine kernel uses the batched SoA layer), one
+# allocation path (only copa-alloc runs the per-stream allocation
+# kernels) and one channel draw (only copa-channel's timedomain.rs
+# transforms taps to subcarriers). This script is what CI runs; keep it
+# green.
 #
 # Usage: scripts/check.sh [--bench-smoke] [--faults-smoke] [--resume-smoke]
 #                         [--obs-smoke] [--campus-smoke] [--daemon-smoke]
@@ -216,21 +216,22 @@ if [ -n "$its_sites" ]; then
 fi
 echo "    ok: copa-core's coordinator is the only ITS exchange loop"
 
-echo "==> 6/12 one precoding kernel: SoA batches only in the SINR chain"
-# Beamforming and nulling run one svd_into per subcarrier: on the
-# engine's inputs that measured faster than the batched SoA SVD, and it
-# keeps no SoA scratch in every engine workspace. SoA stays only where it
-# measured faster, the MMSE SINR chain, so outside copa-num and sinr.rs
-# no library source may name a copa_num::batch item.
-soa_sites=$(grep -rnE '\b(copa_num|num)::batch\b|\b(CBatch|SvdBatch|SvdBatchScratch|svd_batch_into|inverse_loaded_batch_into|LuBatchScratch)\b' \
+echo "==> 6/12 SoA only inside copa-num: no engine kernel batches lanes"
+# Beamforming and nulling run one svd_into per subcarrier, and the MMSE
+# SINR kernel factors each subcarrier's covariance on stack arrays: on
+# the engine's inputs both measured faster than the batched SoA kernels
+# they replaced, and neither keeps SoA scratch in every engine workspace.
+# The batched SVD stays in copa-num only for perfbench's probe, so
+# outside copa-num no library source may name a copa_num::batch item.
+soa_sites=$(grep -rnE '\b(copa_num|num)::batch\b|\b(CBatch|SvdBatch|SvdBatchScratch|svd_batch_into)\b' \
     crates/*/src src --include='*.rs' \
-    | grep -vE '^crates/(copa-num/src/|copa-precoding/src/sinr\.rs:)' || true)
+    | grep -v '^crates/copa-num/src/' || true)
 if [ -n "$soa_sites" ]; then
     printf '%s\n' "$soa_sites" >&2
-    echo "one-precoding-kernel gate FAILED: precode with svd_into per subcarrier; batch only the SINR chain" >&2
+    echo "SoA-only-in-copa-num gate FAILED: precode with svd_into per subcarrier and evaluate SINR with mmse_sinr_grid_into" >&2
     exit 1
 fi
-echo "    ok: only copa-num and the SINR chain name copa_num::batch items"
+echo "    ok: only copa-num names copa_num::batch items"
 
 echo "==> 7/12 one allocation path: the per-stream kernels run only inside copa-alloc"
 # copa_alloc::concurrent::allocate_ap_into is the one per-AP stream loop:

@@ -485,25 +485,34 @@ fn killed_and_resumed_campus_run_matches_uninterrupted_json() {
 }
 
 #[test]
-fn batched_kernels_match_scalar_reference_on_engine_inputs() {
-    // The engine's SINR kernel is batched; `mmse_sinr_grid_scalar_with` is
-    // its reference. Every batched lane replays the scalar op sequence, so
-    // on the inputs the engine feeds it -- CSI estimates from `prepare`,
-    // beamforming and nulling precoders built by the one precoding kernel
-    // at the highest feasible stream count, the victim channel as estimated
-    // and after the SDA antenna reduction, a dropped subcarrier, with and
-    // without an interferer -- the grids must agree to the last bit.
+fn sinr_kernel_matches_reference_on_engine_inputs() {
+    // The engine's SINR kernel (`mmse_sinr_grid_into`: Cholesky on stack
+    // arrays) against its `CMat` reference (`mmse_sinr_grid_reference`:
+    // explicit covariances and a loaded LU inverse), on the inputs the
+    // engine feeds it -- CSI estimates from `prepare`, beamforming and
+    // nulling precoders built by the one precoding kernel at the highest
+    // feasible stream count, the victim channel as estimated and after the
+    // SDA antenna reduction, a dropped subcarrier, with and without an
+    // interferer.
+    //
+    // The two sum the covariance terms in different orders and factor
+    // differently, so they agree to rounding, not to the bit. Both
+    // factorizations are backward stable: the relative error of
+    // `a^H R^{-1} a` is of order `rx * eps * cond(R_k)`, and `R_k` is the
+    // noise floor plus received powers, so `cond(R_k)` stays below
+    // 1 + (total received power / noise), at most 5.1e6 on these inputs.
+    // That bounds the error near 1e-9; the largest deviation measured here
+    // is 9.8e-12, and 1e-10 keeps a factor of 10 of margin over it while
+    // still catching a wrong term (a dropped or doubled term moves SINR by
+    // far more). A cell the reference leaves at 0 must read exactly 0.
+    const REL_BOUND: f64 = 1e-10;
     use copa::core::prepare;
     use copa::phy::ofdm::DATA_SUBCARRIERS;
     use copa::precoding::sda::antenna_to_keep;
     use copa::precoding::{
-        beamform_with, mmse_sinr_grid_scalar_with, mmse_sinr_grid_with, null_toward_with,
-        LinkPrecoding, PrecodeScratch, SinrScratch, TxPowers, TxSide,
+        beamform_with, mmse_sinr_grid_into, mmse_sinr_grid_reference, null_toward_with,
+        LinkPrecoding, PrecodeScratch, TxPowers, TxSide,
     };
-
-    fn grid_bits(g: &[[f64; DATA_SUBCARRIERS]]) -> Vec<u64> {
-        g.concat().iter().map(|x| x.to_bits()).collect()
-    }
 
     let sampler = TopologySampler::default();
     let mut suite = sampler.suite(0x51D0, 8, AntennaConfig::CONSTRAINED_4X2);
@@ -511,8 +520,8 @@ fn batched_kernels_match_scalar_reference_on_engine_inputs() {
     suite.extend(sampler.suite(0x51D2, 8, AntennaConfig::OVERCONSTRAINED_3X2));
     let params = ScenarioParams::default();
     let imp = params.impairments;
-    let (mut pws, mut sws) = (PrecodeScratch::new(), SinrScratch::new());
-    let (mut b_grid, mut s_grid) = (Vec::new(), Vec::new());
+    let mut pws = PrecodeScratch::new();
+    let mut grid = Vec::new();
 
     for (n, t) in suite.iter().enumerate() {
         let est = prepare(t, &params);
@@ -577,13 +586,24 @@ fn batched_kernels_match_scalar_reference_on_engine_inputs() {
                         budget_mw: budget,
                     };
                     for int in [None, Some(&int_side)] {
-                        mmse_sinr_grid_with(&own, int, noise, &imp, &mut sws, &mut b_grid);
-                        mmse_sinr_grid_scalar_with(&own, int, noise, &imp, &mut sws, &mut s_grid);
-                        assert!(
-                            grid_bits(&b_grid) == grid_bits(&s_grid),
-                            "{ctx}: {family} SINR grid at client {i}, interferer {}",
-                            int.is_some()
-                        );
+                        mmse_sinr_grid_into(&own, int, noise, &imp, &mut grid);
+                        let reference = mmse_sinr_grid_reference(&own, int, noise, &imp);
+                        assert_eq!(grid.len(), reference.len(), "{ctx}: stream count");
+                        for (k, (row, want_row)) in grid.iter().zip(&reference).enumerate() {
+                            for (s, (&got, &want)) in row.iter().zip(want_row).enumerate() {
+                                let ok = if want == 0.0 {
+                                    got == 0.0
+                                } else {
+                                    (got - want).abs() <= REL_BOUND * want
+                                };
+                                assert!(
+                                    ok,
+                                    "{ctx}: {family} SINR at client {i}, interferer {}, \
+                                     stream {k}, subcarrier {s}: {got:e} vs reference {want:e}",
+                                    int.is_some()
+                                );
+                            }
+                        }
                     }
                 }
             }
